@@ -7,8 +7,8 @@ run).  This module trains each required artefact once per benchmark session
 and caches it so the full suite stays laptop-friendly.
 
 The training budgets (``BENCH_CONFIG``) are intentionally smaller than the
-paper's 200+200 epochs; EXPERIMENTS.md records the resulting numbers next to
-the paper's and discusses where the shapes agree.
+paper's 200+200 epochs, so the benchmarks compare the shapes of the paper's
+results rather than its absolute numbers.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def bench_jobs():
     """
     return env_jobs(BENCH_JOBS_ENV, 1)
 
-#: budget used by every benchmark (see EXPERIMENTS.md for the rationale).
+#: budget used by every benchmark (smaller than the paper's; see above).
 BENCH_CONFIG = ExperimentConfig(
     pretrain_epochs=35,
     clustering_epochs=25,

@@ -3,8 +3,8 @@
 Measures wall-clock time and peak traced memory of one R- training epoch
 (`RethinkTrainer.fit`, pretraining excluded) in two configurations:
 
-* **full** — the legacy full-graph loop: one forward/backward over the
-  whole adjacency, whose reconstruction term materialises the dense
+* **full** — the default whole-graph loader: one forward/backward over
+  the whole adjacency, whose reconstruction term materialises the dense
   ``(N, N)`` logits ``Z Zᵀ`` (the O(N²) wall the minibatch subsystem
   removes);
 * **cluster** — the same epoch over :class:`~repro.minibatch.ClusterLoader`
@@ -35,7 +35,7 @@ import json
 import sys
 import time
 import tracemalloc
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def random_training_graph(n: int, avg_degree: float, seed: int) -> AttributedGra
     )
 
 
-def epoch_runner(graph: AttributedGraph, sampler: Optional[str], batch_size: int, seed: int):
+def epoch_runner(graph: AttributedGraph, sampler: str, batch_size: int, seed: int):
     """A zero-argument callable running exactly one R- epoch."""
 
     def run():
@@ -79,7 +79,7 @@ def epoch_runner(graph: AttributedGraph, sampler: Optional[str], batch_size: int
             epochs=1,
             pretrain_epochs=0,
             sampler=sampler,
-            batch_size=batch_size if sampler else None,
+            batch_size=batch_size,
             stop_at_convergence=False,
         )
         trainer = RethinkTrainer(model, config)
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
         row: Dict = {"num_nodes": n, "num_edges": num_edges, "paths": {}}
         paths = {}
         if n <= args.full_max:
-            paths["full"] = (None, 1)
+            paths["full"] = ("full", 1)
         batches = -(-n // args.batch_size)
         paths["cluster"] = ("cluster", batches)
         for path_name, (sampler, num_batches) in paths.items():

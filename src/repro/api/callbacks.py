@@ -30,12 +30,20 @@ from repro.observability.log import get_logger
 from repro.observability.tracer import trace_event
 
 
+def _dense(matrix) -> np.ndarray:
+    """A self-supervision graph as a dense array (sampled loaders keep Υ's
+    output in CSR on promoted graphs; callbacks densify it when they read it)."""
+    from repro.graph.sparse import SparseAdjacency
+
+    return matrix.to_dense() if isinstance(matrix, SparseAdjacency) else matrix
+
+
 class EvaluationContext:
     """Lazy view of the trainer state handed to ``on_evaluate``.
 
-    Embeddings are only computed when a callback actually reads
-    ``context.embeddings``, so an evaluation event costs nothing when no
-    tracking callback is attached.
+    Embeddings and the dense self-supervision graph are only computed when
+    a callback actually reads them (once per event), so an evaluation event
+    costs nothing when no tracking callback is attached.
     """
 
     def __init__(self, trainer, graph, epoch: int) -> None:
@@ -43,12 +51,14 @@ class EvaluationContext:
         self.graph = graph
         self.epoch = int(epoch)
         self._embeddings: Optional[np.ndarray] = None
+        self._self_supervision_graph: Optional[np.ndarray] = None
 
     @property
     def embeddings(self) -> np.ndarray:
         """Current (deterministic) embeddings, computed once per event."""
         if self._embeddings is None:
-            self._embeddings = self.trainer.model.embed(self.graph)
+            trainer = self.trainer
+            self._embeddings = trainer.model.embed_inputs(trainer.features_, trainer.adj_norm_)
         return self._embeddings
 
     @property
@@ -61,7 +71,10 @@ class EvaluationContext:
 
     @property
     def self_supervision_graph(self) -> np.ndarray:
-        return self.trainer.self_supervision_graph_
+        """The current ``A_self_clus`` as a dense array."""
+        if self._self_supervision_graph is None:
+            self._self_supervision_graph = _dense(self.trainer.self_supervision_graph_)
+        return self._self_supervision_graph
 
 
 class RethinkCallback:
@@ -98,7 +111,8 @@ class RethinkCallback:
         """Fired whenever Ξ recomputes the decidable set Ω."""
 
     def on_graph_transform(self, epoch: int, graph_matrix: np.ndarray) -> None:
-        """Fired whenever Υ rebuilds the self-supervision graph."""
+        """Fired whenever Υ rebuilds the self-supervision graph (a
+        ``SparseAdjacency`` on promoted graphs under sampled loaders)."""
 
     # -- evaluation ----------------------------------------------------
     def on_evaluate(self, epoch: int, context: EvaluationContext) -> None:
@@ -240,7 +254,7 @@ class DynamicsTracker(RethinkCallback):
 
 @CALLBACKS.register("graph_snapshots", description="periodic copies of the Υ-built graph")
 class GraphSnapshotRecorder(RethinkCallback):
-    """Store a copy of the self-supervision graph every ``every`` epochs."""
+    """Store a dense copy of the self-supervision graph every ``every`` epochs."""
 
     def __init__(self, every: int = 20) -> None:
         if int(every) < 1:
@@ -250,7 +264,7 @@ class GraphSnapshotRecorder(RethinkCallback):
     def on_epoch_end(self, epoch: int, logs: Dict[str, float]) -> None:
         if epoch % self.every == 0:
             history = self.trainer.history_
-            history.graph_snapshots[epoch] = self.trainer.self_supervision_graph_.copy()
+            history.graph_snapshots[epoch] = _dense(self.trainer.self_supervision_graph_).copy()
 
 
 @CALLBACKS.register("progress", description="periodic stdout progress line")

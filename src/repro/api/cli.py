@@ -184,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("full", "neighbor", "cluster"),
         default=None,
         help="minibatch loader: 'cluster' (partition batches), 'neighbor' "
-        "(fanout sampling) or 'full' (single batch, equals the legacy loop)",
+        "(fanout sampling) or 'full' (the whole graph as one batch; the "
+        "default when neither this flag nor the spec sets one)",
     )
     minibatch.add_argument(
         "--batch-size",

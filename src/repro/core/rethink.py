@@ -9,7 +9,8 @@
   self-supervision graph ``A_self_clus`` from the original graph A;
 * each epoch minimises ``L_clus(P(Ξ(Z))) + γ L_bce(Â(Z), A_self_clus)`` for
   second-group models, or just the reconstruction against ``A_self_clus``
-  for first-group models (whose clustering is post-hoc k-means);
+  for first-group models (whose clustering is post-hoc k-means), one step
+  per batch of a :mod:`repro.minibatch` loader (default: the whole graph);
 * training stops when ``|Ω| ≥ convergence_fraction · N`` (paper: 0.9).
 
 The loop itself is deliberately minimal: everything observational — the
@@ -26,6 +27,7 @@ callbacks; new code should pass callbacks explicitly or use
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -36,7 +38,8 @@ from repro.errors import ConfigError
 from repro.graph.graph import AttributedGraph
 from repro.metrics.report import ClusteringReport, evaluate_clustering
 from repro.models.base import GAEClusteringModel
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, train_step
+from repro.nn.tensor import Tensor
 from repro.observability import span as _span
 
 
@@ -58,10 +61,9 @@ class RethinkConfig:
     convergence_fraction: float = 0.9
     stop_at_convergence: bool = True
     # Minibatch training (repro.minibatch) -------------------------------
-    #: None runs the legacy full-graph loop; "full" / "neighbor" / "cluster"
-    #: run the minibatch path with the corresponding loader ("full" is the
-    #: 1e-10 equivalence anchor: one batch covering the whole graph).
-    sampler: Optional[str] = None
+    #: loader of the training loop: "full" (one batch covering the whole
+    #: graph), "neighbor" or "cluster".
+    sampler: str = "full"
     #: nodes per batch (seed nodes for "neighbor", target part size for
     #: "cluster"); None uses the loader default of min(N, 256).
     batch_size: Optional[int] = None
@@ -142,14 +144,12 @@ class RethinkConfig:
             )
         if self.protection_delay < 0:
             raise ConfigError(f"protection_delay must be >= 0, got {self.protection_delay!r}")
-        if self.sampler is not None:
-            from repro.minibatch.loaders import SAMPLERS
+        from repro.minibatch.loaders import SAMPLERS
 
-            if self.sampler not in SAMPLERS:
-                raise ConfigError(
-                    f"sampler must be one of {', '.join(SAMPLERS)} (or None for "
-                    f"the full-graph loop), got {self.sampler!r}"
-                )
+        if self.sampler not in SAMPLERS:
+            raise ConfigError(
+                f"sampler must be one of {', '.join(SAMPLERS)}, got {self.sampler!r}"
+            )
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size!r}")
         for name in ("fanout", "num_hops"):
@@ -251,13 +251,14 @@ class RethinkTrainer:
         self.transform = GraphTransformOperator(
             add_edges=self.config.add_edges, drop_edges=self.config.drop_edges
         )
-        #: latest clustering-oriented self-supervision graph built by Υ.
-        self.self_supervision_graph_: Optional[np.ndarray] = None
+        #: latest clustering-oriented self-supervision graph built by Υ
+        #: (dense on the whole-graph loader, else in A's backend).
+        self.self_supervision_graph_ = None
         #: latest sampling result produced by Ξ.
         self.last_sampling_: Optional[SamplingResult] = None
         #: history of the current / most recent fit (visible to callbacks).
         self.history_: Optional[RethinkHistory] = None
-        #: minibatch loader of the current fit (None on the full-graph path).
+        #: loader of the current fit (see ``RethinkConfig.sampler``).
         self.loader_ = None
         #: model inputs of the current fit (visible to callbacks).
         self.features_: Optional[np.ndarray] = None
@@ -296,10 +297,8 @@ class RethinkTrainer:
     ):
         """Run Υ, honouring the single-step and use_graph_transform ablations.
 
-        ``adjacency`` is the original input graph A in either backend — the
-        legacy loop passes the dense ``graph.adjacency``, the minibatch loop
-        passes whatever :func:`~repro.graph.sparse.adjacency_backend` picked
-        (Υ produces the matching backend).
+        ``adjacency`` is the original input graph A in either backend (Υ
+        produces the matching backend).
         """
         if not self.config.use_graph_transform:
             return adjacency.copy()
@@ -313,173 +312,43 @@ class RethinkTrainer:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def _build_callbacks(self):
-        """Config-derived callbacks plus the explicitly passed ones."""
-        from repro.api.callbacks import CallbackList, callbacks_from_config, resolve_callbacks
-
-        callbacks = CallbackList(
-            callbacks_from_config(self.config) + resolve_callbacks(self.callbacks)
-        )
-        callbacks.set_trainer(self)
-        return callbacks
-
     def fit(self, graph: AttributedGraph, pretrained: bool = False) -> RethinkHistory:
         """Run (optionally) pretraining then the R- clustering phase.
 
-        With ``config.sampler`` unset the legacy full-graph loop runs; with a
-        sampler name ("full" / "neighbor" / "cluster") the epoch is a stream
-        of :class:`~repro.minibatch.loaders.Minibatch` blocks while Ξ and Υ
-        keep operating on full-graph state refreshed at epoch boundaries.
-        Any configured sparse-backend thresholds apply to every
-        ``propagation_matrix`` call made inside the fit.
+        Each epoch is a stream of :class:`~repro.minibatch.loaders.Minibatch`
+        blocks from the configured loader — by default the whole graph as
+        one batch — while Ξ and Υ keep operating on full-graph state
+        refreshed at epoch boundaries.  Any configured sparse-backend
+        thresholds apply to every ``propagation_matrix`` call made inside
+        the fit.
+
+        Pretraining goes through the warm-start store, so direct trainer
+        users get the same caching as pipelines: with ``REPRO_STORE_DIR``
+        set the snapshot is served from (or written to) the artifact store,
+        keyed by a content fingerprint of the graph; without it this is
+        exactly ``model.pretrain``.  The hit/miss stats land on
+        :attr:`pretrain_cache_`.
         """
         from repro.analysis.sanitizers import autograd_leak_check
         from repro.graph.sparse import sparse_threshold_overrides
-        from repro.observability import span
-
-        with sparse_threshold_overrides(
-            self.config.sparse_node_threshold, self.config.sparse_density_threshold
-        ), autograd_leak_check("RethinkTrainer.fit"), span(
-            "trainer.fit",
-            sampler=self.config.sampler or "legacy",
-            epochs=self.config.epochs,
-        ):
-            if self.config.sampler is None:
-                return self._fit_full_graph(graph, pretrained)
-            return self._fit_minibatch(graph, pretrained)
-
-    def _run_pretraining(self, graph: AttributedGraph) -> None:
-        """Pretrain via the warm-start store when one is active.
-
-        Direct trainer users get the same caching as pipelines: with
-        ``REPRO_STORE_DIR`` set the pretraining snapshot is served from (or
-        written to) the artifact store, keyed by a content fingerprint of
-        the graph; without it this is exactly ``model.pretrain``.  The
-        hit/miss stats land on :attr:`pretrain_cache_`.
-        """
-        from repro.observability import span
         from repro.store import warm_pretrain
 
-        with span("trainer.pretrain", epochs=self.config.pretrain_epochs):
-            self.pretrain_cache_ = warm_pretrain(
-                self.model,
-                graph,
-                self.config.pretrain_epochs,
-                config={
-                    "sparse": [
-                        self.config.sparse_node_threshold,
-                        self.config.sparse_density_threshold,
-                    ]
-                },
-                verbose=self.config.verbose,
-            )
-
-    def _fit_full_graph(self, graph: AttributedGraph, pretrained: bool) -> RethinkHistory:
-        """The legacy loop: one forward/backward over the whole adjacency."""
         config = self.config
-        model = self.model
-        if not pretrained:
-            self._run_pretraining(graph)
-        features, adj_norm = model.prepare_inputs(graph)
-        self.features_, self.adj_norm_ = features, adj_norm
-        embeddings = model.embed(graph)
-        model.init_clustering(embeddings)
-
-        optimizer = Adam(model.parameters(), lr=model.learning_rate)
-        gamma = model.gamma if config.gamma is None else config.gamma
-        history = RethinkHistory()
-        self.history_ = history
-        self.stop_training = False
-        callbacks = self._build_callbacks()
-
-        sampling = self._apply_sampling(embeddings, epoch=0, num_nodes=graph.num_nodes)
-        self.last_sampling_ = sampling
-        self.self_supervision_graph_ = self._apply_transform(
-            graph.adjacency, graph.num_nodes, embeddings, sampling
-        )
-        callbacks.on_train_begin(graph, history)
-
-        for epoch in range(config.epochs):
-            callbacks.on_epoch_begin(epoch)
-            epoch_span = _span("trainer.epoch", epoch=epoch)
-            epoch_span.__enter__()
-            refresh_omega = epoch % config.update_omega_every == 0
-            refresh_graph = epoch % config.update_graph_every == 0
-            optimizer.zero_grad()
-            z = model.encode(features, adj_norm)
-            if refresh_omega or refresh_graph:
-                # Reuse the forward pass above: the posterior mean cached by
-                # encode() is exactly what model.embed(graph) would recompute
-                # with the same (not yet updated) weights.
-                embeddings = model.last_embeddings()
-                # Keep the model's own clustering parameters (targets, mixture
-                # moments, centres) in sync with the current embeddings.
-                with _span("trainer.clustering_refresh", epoch=epoch):
-                    model.refresh_clustering(embeddings)
-            if refresh_omega:
-                with _span("trainer.omega_update", epoch=epoch):
-                    sampling = self._apply_sampling(embeddings, epoch, graph.num_nodes)
-                self.last_sampling_ = sampling
-                callbacks.on_omega_update(epoch, sampling)
-            if refresh_graph:
-                with _span("trainer.graph_transform", epoch=epoch):
-                    self.self_supervision_graph_ = self._apply_transform(
-                        graph.adjacency, graph.num_nodes, embeddings, sampling
+        thresholds = [config.sparse_node_threshold, config.sparse_density_threshold]
+        with sparse_threshold_overrides(*thresholds), autograd_leak_check(
+            "RethinkTrainer.fit"
+        ), _span("trainer.fit", sampler=config.sampler, epochs=config.epochs):
+            if not pretrained:
+                with _span("trainer.pretrain", epochs=config.pretrain_epochs):
+                    self.pretrain_cache_ = warm_pretrain(
+                        self.model,
+                        graph,
+                        config.pretrain_epochs,
+                        config={"sparse": thresholds},
+                        verbose=config.verbose,
                     )
-                callbacks.on_graph_transform(epoch, self.self_supervision_graph_)
+            return self._train(graph)
 
-            reconstruction = model.reconstruction_loss(z, self.self_supervision_graph_)
-            regularization = model.regularization_loss(z)
-            if regularization is not None:
-                reconstruction = reconstruction + regularization
-            clustering = model.clustering_loss(z, sampling.reliable_nodes)
-            if clustering is not None:
-                loss = clustering + reconstruction * gamma
-                history.clustering_losses.append(clustering.item())
-            else:
-                loss = reconstruction
-            loss.backward()
-            optimizer.step()
-            loss.release_graph()
-
-            history.losses.append(loss.item())
-            history.reconstruction_losses.append(reconstruction.item())
-            history.omega_sizes.append(sampling.num_reliable)
-            history.omega_coverage.append(sampling.coverage())
-            history.epochs_run = epoch + 1
-
-            should_evaluate = (
-                epoch % config.evaluate_every == 0 or epoch == config.epochs - 1
-            )
-            if should_evaluate:
-                from repro.api.callbacks import EvaluationContext
-
-                with _span("trainer.evaluate", epoch=epoch):
-                    callbacks.on_evaluate(epoch, EvaluationContext(self, graph, epoch))
-
-            callbacks.on_epoch_end(
-                epoch,
-                {
-                    "loss": loss.item(),
-                    "reconstruction_loss": reconstruction.item(),
-                    "num_reliable": sampling.num_reliable,
-                    "coverage": sampling.coverage(),
-                },
-            )
-            epoch_span.__exit__(None, None, None)
-            if self.stop_training:
-                break
-
-        if graph.labels is not None:
-            history.final_report = evaluate_clustering(
-                graph.labels, self.predict_labels(graph)
-            )
-        callbacks.on_train_end(history)
-        return history
-
-    # ------------------------------------------------------------------
-    # minibatch loop
-    # ------------------------------------------------------------------
     def _supervision_block(self, node_ids: np.ndarray) -> np.ndarray:
         """Dense (B, B) block of the self-supervision graph for a batch."""
         from repro.graph.sparse import SparseAdjacency
@@ -493,152 +362,136 @@ class RethinkTrainer:
             return graph_matrix
         return graph_matrix[np.ix_(node_ids, node_ids)]
 
-    def _fit_minibatch(self, graph: AttributedGraph, pretrained: bool) -> RethinkHistory:
-        """Per-batch R- training over a :mod:`repro.minibatch` loader.
+    def _batch_losses(
+        self, batch, target: Optional[np.ndarray], reliable_mask: np.ndarray, gamma: float
+    ) -> Dict[str, Tensor]:
+        """Forward pass of one step: encode the batch block on its own
+        propagation matrix, reconstruct the induced block of ``A_self_clus``
+        and restrict the clustering loss to the decidable nodes Ω that fall
+        inside the batch."""
+        z = self.model.encode(batch.features, batch.adj_norm)
+        return self.model.training_losses(
+            z,
+            self._supervision_block(batch.node_ids),
+            None if target is None else target[batch.node_ids],
+            batch.local_indices_of(reliable_mask),
+            gamma,
+        )
 
-        The operators stay on full-graph state: every ``M1`` / ``M2``
-        boundary recomputes full-graph embeddings (``model.embed``), which
-        yields exactly the posterior mean the legacy loop reuses from its
-        in-epoch forward pass — and consumes no RNG — so driving this path
-        with the full-batch loader reproduces `_fit_full_graph` to 1e-10.
-        Gradient steps then run per batch: encode on the batch's own
-        propagation block, reconstruct against the induced block of
-        ``A_self_clus``, and restrict the clustering loss to the decidable
-        nodes Ω that fall inside the batch.
+    def _train(self, graph: AttributedGraph) -> RethinkHistory:
+        """The R- loop: one :func:`~repro.nn.optim.train_step` per batch.
+
+        The full-graph inputs are prepared once and shared by the whole-graph
+        batch, ``features_`` / ``adj_norm_`` and the no-grad posterior-mean
+        forward that opens every ``M1`` / ``M2`` boundary (it uses no RNG).
         """
+        from repro.api.callbacks import (
+            CallbackList,
+            EvaluationContext,
+            callbacks_from_config,
+            resolve_callbacks,
+        )
         from repro.graph.sparse import adjacency_backend
         from repro.minibatch.loaders import build_loader
 
         config = self.config
         model = self.model
-        if not pretrained:
-            self._run_pretraining(graph)
+        num_nodes = graph.num_nodes
         features, adj_norm = model.prepare_inputs(graph)
         self.features_, self.adj_norm_ = features, adj_norm
-        embeddings = model.embed(graph)
+        embeddings = model.embed_inputs(features, adj_norm)
         model.init_clustering(embeddings)
-        if getattr(model, "group", None) == "second" and model.clustering_target() is None:
+        if model.group == "second" and model.clustering_target() is None:
             raise ConfigError(
                 f"{type(model).__name__} is a second-group model without a "
                 "per-node clustering target (clustering_target() is None); "
                 "its clustering loss cannot be restricted to a minibatch"
             )
-
-        sampler_seed = model.seed if config.sampler_seed is None else config.sampler_seed
-        loader = build_loader(
+        loader = self.loader_ = build_loader(
             config.sampler,
             graph,
             batch_size=config.batch_size,
             fanout=config.fanout,
             num_hops=config.num_hops,
-            seed=sampler_seed,
+            seed=model.seed if config.sampler_seed is None else config.sampler_seed,
+            inputs=(features, adj_norm),
         )
-        self.loader_ = loader
-        # Υ reads the original graph A in whichever backend the thresholds
-        # pick; batch targets are sliced from the result, so a promoted
-        # graph never materialises the dense (N, N) self-supervision matrix.
-        base_adjacency = adjacency_backend(graph.adjacency)
+        # Υ reads the original graph A.  The whole-graph loss needs the
+        # dense (N, N) target anyway, so that loader keeps A dense;
+        # sampled loaders use whichever backend the thresholds pick, so a
+        # promoted graph never materialises the dense A_self_clus.
+        if config.sampler == "full":
+            base_adjacency = graph.adjacency
+        else:
+            base_adjacency = adjacency_backend(graph.adjacency)
 
         optimizer = Adam(model.parameters(), lr=model.learning_rate)
         gamma = model.gamma if config.gamma is None else config.gamma
-        history = RethinkHistory()
-        self.history_ = history
+        history = self.history_ = RethinkHistory()
         self.stop_training = False
-        callbacks = self._build_callbacks()
+        callbacks = CallbackList(
+            callbacks_from_config(config) + resolve_callbacks(self.callbacks)
+        )
+        callbacks.set_trainer(self)
 
-        sampling = self._apply_sampling(embeddings, epoch=0, num_nodes=graph.num_nodes)
-        self.last_sampling_ = sampling
+        sampling = self.last_sampling_ = self._apply_sampling(embeddings, 0, num_nodes)
         self.self_supervision_graph_ = self._apply_transform(
-            base_adjacency, graph.num_nodes, embeddings, sampling
+            base_adjacency, num_nodes, embeddings, sampling
         )
         callbacks.on_train_begin(graph, history)
 
         for epoch in range(config.epochs):
             callbacks.on_epoch_begin(epoch)
-            epoch_span = _span("trainer.epoch", epoch=epoch)
-            epoch_span.__enter__()
-            refresh_omega = epoch % config.update_omega_every == 0
-            refresh_graph = epoch % config.update_graph_every == 0
-            if refresh_omega or refresh_graph:
-                with _span("trainer.clustering_refresh", epoch=epoch):
-                    embeddings = model.embed(graph)
-                    model.refresh_clustering(embeddings)
-            if refresh_omega:
-                with _span("trainer.omega_update", epoch=epoch):
-                    sampling = self._apply_sampling(embeddings, epoch, graph.num_nodes)
-                self.last_sampling_ = sampling
-                callbacks.on_omega_update(epoch, sampling)
-            if refresh_graph:
-                with _span("trainer.graph_transform", epoch=epoch):
-                    self.self_supervision_graph_ = self._apply_transform(
-                        base_adjacency, graph.num_nodes, embeddings, sampling
-                    )
-                callbacks.on_graph_transform(epoch, self.self_supervision_graph_)
+            with _span("trainer.epoch", epoch=epoch) as epoch_span:
+                refresh_omega = epoch % config.update_omega_every == 0
+                refresh_graph = epoch % config.update_graph_every == 0
+                if refresh_omega or refresh_graph:
+                    # Keep the model's own clustering parameters (targets,
+                    # mixture moments, centres) in sync with the embeddings.
+                    with _span("trainer.clustering_refresh", epoch=epoch):
+                        embeddings = model.embed_inputs(features, adj_norm)
+                        model.refresh_clustering(embeddings)
+                if refresh_omega:
+                    with _span("trainer.omega_update", epoch=epoch):
+                        sampling = self._apply_sampling(embeddings, epoch, num_nodes)
+                    self.last_sampling_ = sampling
+                    callbacks.on_omega_update(epoch, sampling)
+                if refresh_graph:
+                    with _span("trainer.graph_transform", epoch=epoch):
+                        self.self_supervision_graph_ = self._apply_transform(
+                            base_adjacency, num_nodes, embeddings, sampling
+                        )
+                    callbacks.on_graph_transform(epoch, self.self_supervision_graph_)
 
-            reliable_mask = sampling.mask()
-            target = model.clustering_target()
-            batch_losses: List[float] = []
-            batch_reconstructions: List[float] = []
-            batch_clusterings: List[float] = []
-            for batch in loader.epoch_batches(epoch):
-                optimizer.zero_grad()
-                z = model.encode(batch.features, batch.adj_norm)
-                reconstruction = model.reconstruction_loss(
-                    z, self._supervision_block(batch.node_ids)
+                target, reliable_mask = model.clustering_target(), sampling.mask()
+                steps = []
+                for batch in loader.epoch_batches(epoch):
+                    forward = partial(self._batch_losses, batch, target, reliable_mask, gamma)
+                    terms = train_step(optimizer, forward)
+                    steps.append({name: term.item() for name, term in terms.items()})
+                means = {name: float(np.mean([s[name] for s in steps])) for name in steps[0]}
+                history.losses.append(means["loss"])
+                history.reconstruction_losses.append(means["reconstruction_loss"])
+                if "clustering_loss" in means:
+                    history.clustering_losses.append(means["clustering_loss"])
+                history.omega_sizes.append(sampling.num_reliable)
+                history.omega_coverage.append(sampling.coverage())
+                history.epochs_run = epoch + 1
+
+                if epoch % config.evaluate_every == 0 or epoch == config.epochs - 1:
+                    with _span("trainer.evaluate", epoch=epoch):
+                        callbacks.on_evaluate(epoch, EvaluationContext(self, graph, epoch))
+                callbacks.on_epoch_end(
+                    epoch,
+                    {
+                        "loss": means["loss"],
+                        "reconstruction_loss": means["reconstruction_loss"],
+                        "num_reliable": sampling.num_reliable,
+                        "coverage": sampling.coverage(),
+                        "num_batches": float(len(steps)),
+                    },
                 )
-                regularization = model.regularization_loss(z)
-                if regularization is not None:
-                    reconstruction = reconstruction + regularization
-                if target is not None:
-                    clustering = model.clustering_loss_with_target(
-                        z,
-                        target[batch.node_ids],
-                        batch.local_indices_of(reliable_mask),
-                    )
-                    loss = clustering + reconstruction * gamma
-                    batch_clusterings.append(clustering.item())
-                else:
-                    loss = reconstruction
-                loss.backward()
-                optimizer.step()
-                batch_losses.append(loss.item())
-                batch_reconstructions.append(reconstruction.item())
-                # Free this step's graph now: its closures form reference
-                # cycles that would otherwise accumulate across batches
-                # until the cyclic GC runs, inflating peak memory.
-                loss.release_graph()
-
-            mean_loss = float(np.mean(batch_losses))
-            mean_reconstruction = float(np.mean(batch_reconstructions))
-            history.losses.append(mean_loss)
-            history.reconstruction_losses.append(mean_reconstruction)
-            if batch_clusterings:
-                history.clustering_losses.append(float(np.mean(batch_clusterings)))
-            history.omega_sizes.append(sampling.num_reliable)
-            history.omega_coverage.append(sampling.coverage())
-            history.epochs_run = epoch + 1
-
-            should_evaluate = (
-                epoch % config.evaluate_every == 0 or epoch == config.epochs - 1
-            )
-            if should_evaluate:
-                from repro.api.callbacks import EvaluationContext
-
-                with _span("trainer.evaluate", epoch=epoch):
-                    callbacks.on_evaluate(epoch, EvaluationContext(self, graph, epoch))
-
-            callbacks.on_epoch_end(
-                epoch,
-                {
-                    "loss": mean_loss,
-                    "reconstruction_loss": mean_reconstruction,
-                    "num_reliable": sampling.num_reliable,
-                    "coverage": sampling.coverage(),
-                    "num_batches": float(len(batch_losses)),
-                },
-            )
-            epoch_span.count("batches", len(batch_losses))
-            epoch_span.__exit__(None, None, None)
+                epoch_span.count("batches", len(steps))
             if self.stop_training:
                 break
 

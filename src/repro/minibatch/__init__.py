@@ -1,9 +1,8 @@
-"""repro.minibatch — subgraph sampling loaders between the graph substrate
-and the trainers.
+"""repro.minibatch — the loaders between the graph substrate and the trainers.
 
-The full-graph R- training loop caps the dataset size at whatever a dense
-``(N, N)`` reconstruction epoch can afford.  This package streams
-*renumbered subgraph blocks* instead:
+A whole-graph R- epoch caps the dataset size at whatever a dense ``(N, N)``
+reconstruction epoch can afford.  This package can stream *renumbered
+subgraph blocks* instead:
 
 * :class:`~repro.minibatch.partition.ClusterPartitioner` — METIS-free
   seeded-BFS edge-cut partitioning over the CSR backend, producing a
@@ -14,12 +13,13 @@ The full-graph R- training loop caps the dataset size at whatever a dense
   :class:`~repro.minibatch.loaders.Minibatch` objects (global node ids,
   renumbered CSR block, feature slice, per-batch normalisation);
 * :class:`~repro.minibatch.loaders.FullBatchLoader` — the whole graph as a
-  single batch, reproducing the legacy full-graph trainer to 1e-10.
+  single batch: the default.
 
-The consumer is ``RethinkTrainer``: set ``RethinkConfig.sampler`` (or pass
-``repro-run --sampler cluster --batch-size 1024``) and the clustering phase
-runs per-batch while the operators Ξ and Υ keep working on full-graph state
-refreshed at epoch boundaries.
+The consumer is ``RethinkTrainer``, whose one loop always runs over a
+loader: ``RethinkConfig.sampler`` picks it ("full" unless set; pass
+``repro-run --sampler cluster --batch-size 1024`` for partition batches),
+and the operators Ξ and Υ keep working on full-graph state refreshed at
+epoch boundaries.
 """
 
 from repro.minibatch.loaders import (

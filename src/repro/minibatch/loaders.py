@@ -1,14 +1,15 @@
 """Minibatch loaders: stream renumbered subgraph blocks to the trainers.
 
-Full-graph R- training runs one forward/backward over the whole adjacency,
-whose reconstruction term alone materialises the dense ``(N, N)`` logits
-``Z Zᵀ`` — an O(N²) wall every epoch.  The loaders here cut that wall down
-to O(B²) per batch by yielding :class:`Minibatch` objects:
+The R- training loop consumes one of these loaders.  A whole-graph epoch
+runs one forward/backward over the whole adjacency, whose reconstruction
+term alone materialises the dense ``(N, N)`` logits ``Z Zᵀ`` — an O(N²)
+wall every epoch.  The sampling loaders cut that wall down to O(B²) per
+batch.  All of them yield :class:`Minibatch` objects:
 
-* :class:`FullBatchLoader` — the whole graph as a single batch.  This is
-  the documented equivalence anchor: driving the minibatch training path
-  with it reproduces the legacy full-graph trainer to 1e-10 (the loader
-  re-uses exactly the inputs ``model.prepare_inputs`` would build).
+* :class:`FullBatchLoader` — the whole graph as a single batch, the
+  trainer's default: its block is exactly the inputs
+  ``model.prepare_inputs`` builds (the trainer hands over the ones it
+  already built).
 * :class:`NeighborLoader` — GraphSAGE-style: a seeded shuffle splits the
   nodes into seed batches, each expanded by ``num_hops`` rounds of
   deterministic fanout-limited neighbour sampling
@@ -29,7 +30,7 @@ equal seeds give identical minibatch sequences in any process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +55,9 @@ __all__ = [
 
 #: sampler names accepted by ``RethinkConfig.sampler`` / ``--sampler``.
 SAMPLERS = ("full", "neighbor", "cluster")
+
+#: full-graph (row-normalised features, GCN propagation matrix) pair.
+Inputs = Tuple[np.ndarray, Union[np.ndarray, SparseAdjacency]]
 
 
 @dataclass
@@ -117,21 +121,28 @@ class MinibatchLoader:
 
 
 class FullBatchLoader(MinibatchLoader):
-    """The entire graph as one batch — the legacy-trainer equivalence anchor.
+    """The entire graph as one batch, in original node order.
 
-    ``features`` and ``adj_norm`` are byte-identical to what
-    ``model.prepare_inputs(graph)`` builds, so a trainer consuming this
-    loader performs exactly the legacy full-graph computation.
+    The batch's ``features`` and ``adj_norm`` are byte-identical to what
+    ``model.prepare_inputs(graph)`` builds; pass that pair as ``inputs``
+    to share it instead of building a second copy.
     """
 
-    def __init__(self, graph: AttributedGraph, seed: int = 0) -> None:
+    def __init__(
+        self, graph: AttributedGraph, seed: int = 0, inputs: Optional[Inputs] = None
+    ) -> None:
         self.graph = graph
         self.seed = int(seed)
+        if inputs is None:
+            inputs = (
+                graph.row_normalized_features(),
+                propagation_matrix(graph.adjacency, self_loops=True),
+            )
         node_ids = np.arange(graph.num_nodes, dtype=np.int64)
         self._batch = Minibatch(
             node_ids=node_ids,
-            features=graph.row_normalized_features(),
-            adj_norm=propagation_matrix(graph.adjacency, self_loops=True),
+            features=inputs[0],
+            adj_norm=inputs[1],
             seed_ids=node_ids,
             num_nodes_total=graph.num_nodes,
         )
@@ -291,11 +302,12 @@ def build_loader(
     fanout: int = 10,
     num_hops: int = 2,
     seed: int = 0,
+    inputs: Optional[Inputs] = None,
 ) -> MinibatchLoader:
     """Build the loader named by ``sampler`` ("full" / "neighbor" / "cluster").
 
     ``batch_size`` defaults to ``min(N, 256)`` for the sampling loaders;
-    the full-batch loader ignores it.
+    the full-batch loader ignores it and reuses ``inputs`` when given.
     """
     if sampler not in SAMPLERS:
         raise ValueError(
@@ -303,7 +315,7 @@ def build_loader(
         )
     with _span("minibatch.build_loader", sampler=sampler):
         if sampler == "full":
-            return FullBatchLoader(graph, seed=seed)
+            return FullBatchLoader(graph, seed=seed, inputs=inputs)
         if batch_size is None:
             batch_size = min(graph.num_nodes, 256)
         if sampler == "neighbor":

@@ -8,14 +8,14 @@ pushes the embedding distribution towards that prior.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.models.base import GAEClusteringModel
 from repro.nn import functional as F
 from repro.nn.layers import MLP
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, train_step
 from repro.nn.tensor import Tensor
 
 
@@ -89,17 +89,13 @@ class ARGAE(GAEClusteringModel):
             return adversarial
         return base + adversarial
 
-    def pretrain_step_hook(self, z, features, adj_norm, optimizer) -> None:
-        """Train the discriminator one step on detached embeddings."""
-        embeddings = z.numpy().copy()
-        self._discriminator_optimizer.zero_grad()
-        d_loss = self.discriminator_loss(embeddings)
-        d_loss.backward()
-        self._discriminator_optimizer.step()
-        # The discriminator graph is a web of reference cycles like any
-        # other step graph; sever it now instead of waiting for the cyclic
-        # GC (REP003 — the PR-4 leak class).
-        d_loss.release_graph()
+    def pretrain_step_hook(self, step: Dict[str, Tensor]) -> None:
+        """Train the discriminator one step on the detached embeddings."""
+        embeddings = step["z"].numpy().copy()
+        train_step(
+            self._discriminator_optimizer,
+            lambda: {"loss": self.discriminator_loss(embeddings)},
+        )
 
     # ------------------------------------------------------------------
     # checkpointing (repro.store)

@@ -19,6 +19,7 @@ it for the clustering-oriented graph built by Υ.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -32,9 +33,13 @@ from repro.graph.sparse import propagation_matrix
 from repro.nn import functional as F
 from repro.nn.layers import GraphConvolution
 from repro.nn.module import Module
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, train_step
 from repro.nn.tensor import Tensor, no_grad
 from repro.observability.log import get_logger
+
+
+def _copy_or_none(array) -> Optional[np.ndarray]:
+    return None if array is None else np.array(array, copy=True)
 
 
 def reconstruction_weights(adjacency: np.ndarray) -> Tuple[float, float]:
@@ -158,7 +163,9 @@ class GAEClusteringModel(Module):
         # Cached cluster parameters (set by init_clustering / refreshed during training).
         self.cluster_centers_: Optional[np.ndarray] = None
         self.cluster_variances_: Optional[np.ndarray] = None
-        # Posterior mean of the most recent encode() call (see last_embeddings).
+        # Sharpened target distribution Q of second-group models.
+        self._target: Optional[np.ndarray] = None
+        # Posterior of the most recent encode() call (read by regularization_loss).
         self._last_mu: Optional[Tensor] = None
         self._last_log_sigma: Optional[Tensor] = None
 
@@ -199,23 +206,20 @@ class GAEClusteringModel(Module):
     def extra_state(self) -> Dict[str, object]:
         """Non-parameter state a snapshot must carry beyond :meth:`state_dict`.
 
-        The base capture covers the cached cluster moments and the model's
-        RNG state (restoring it makes a resumed run consume the exact noise
-        stream of an uninterrupted one).  ``trainable_extras`` lists
-        parameter names that only exist after clustering initialisation
-        (e.g. DGAE's trainable centres): :class:`repro.store.Snapshot` uses
-        it to validate checkpoints against freshly built models.
+        The base capture covers the cached cluster moments, the clustering
+        target Q and the model's RNG state (restoring it makes a resumed run
+        consume the exact noise stream of an uninterrupted one).
+        ``trainable_extras`` lists parameter names that only exist after
+        clustering initialisation (e.g. DGAE's trainable centres):
+        :class:`repro.store.Snapshot` uses it to validate checkpoints
+        against freshly built models.
         """
-        import copy as _copy
-
-        def _opt(array):
-            return None if array is None else np.array(array, copy=True)
-
         return {
             "trainable_extras": [],
-            "cluster_centers": _opt(self.cluster_centers_),
-            "cluster_variances": _opt(self.cluster_variances_),
-            "rng": _copy.deepcopy(self.rng.bit_generator.state),
+            "cluster_centers": _copy_or_none(self.cluster_centers_),
+            "cluster_variances": _copy_or_none(self.cluster_variances_),
+            "target": _copy_or_none(self._target),
+            "rng": copy.deepcopy(self.rng.bit_generator.state),
         }
 
     def load_extra_state(self, state: Dict[str, object], restore_rng: bool = True) -> None:
@@ -225,15 +229,11 @@ class GAEClusteringModel(Module):
         paper's fairness protocol, where D and R-D both continue from shared
         pretraining weights with their freshly seeded generators.
         """
-        import copy as _copy
-
-        def _opt(value):
-            return None if value is None else np.array(value, copy=True)
-
-        self.cluster_centers_ = _opt(state.get("cluster_centers"))
-        self.cluster_variances_ = _opt(state.get("cluster_variances"))
+        self.cluster_centers_ = _copy_or_none(state.get("cluster_centers"))
+        self.cluster_variances_ = _copy_or_none(state.get("cluster_variances"))
+        self._target = _copy_or_none(state.get("target"))
         if restore_rng and state.get("rng") is not None:
-            self.rng.bit_generator.state = _copy.deepcopy(state["rng"])
+            self.rng.bit_generator.state = copy.deepcopy(state["rng"])
 
     # ------------------------------------------------------------------
     # graph preparation
@@ -279,24 +279,19 @@ class GAEClusteringModel(Module):
 
     def embed(self, graph: AttributedGraph) -> np.ndarray:
         """Deterministic embeddings (posterior mean) as a numpy array."""
-        features, adj_norm = self.prepare_inputs(graph)
+        return self.embed_inputs(*self.prepare_inputs(graph))
+
+    def embed_inputs(self, features: np.ndarray, adj_norm) -> np.ndarray:
+        """:meth:`embed` on inputs already built by :meth:`prepare_inputs`.
+
+        One no-grad posterior-mean forward; it consumes no RNG, so training
+        loops can call it between steps without changing the noise stream.
+        """
         self.eval()
         with no_grad():
             z = self.encode(features, adj_norm, sample=False)
         self.train()
         return z.numpy().copy()
-
-    def last_embeddings(self) -> np.ndarray:
-        """Deterministic embeddings from the most recent :meth:`encode` call.
-
-        The posterior mean cached by ``encode`` is exactly what
-        :meth:`embed` would recompute with the same weights, so training
-        loops that already ran a forward pass this step can reuse it instead
-        of paying for a second encoder forward.
-        """
-        if self._last_mu is None:
-            raise RuntimeError("encode() has not been called yet")
-        return self._last_mu.numpy().copy()
 
     # ------------------------------------------------------------------
     # losses
@@ -328,22 +323,18 @@ class GAEClusteringModel(Module):
             )
         return None
 
-    def pretraining_loss(self, z: Tensor, target_adjacency: np.ndarray) -> Tensor:
-        """Reconstruction plus any regularisation (the self-supervised pretext)."""
-        loss = self.reconstruction_loss(z, target_adjacency)
-        extra = self.regularization_loss(z)
-        if extra is not None:
-            loss = loss + extra
-        return loss
-
     def clustering_loss(self, z: Tensor, node_indices: Optional[np.ndarray] = None) -> Optional[Tensor]:
-        """Differentiable clustering loss evaluated on ``z`` (second group only).
+        """KL(Q || P) on ``z`` against the model's target Q (second group only).
 
         ``node_indices`` restricts the loss to a subset of nodes — this is
         how the sampling operator Ξ feeds only decidable nodes Ω into the
         clustering objective.  First-group models return ``None``.
         """
-        return None
+        if self.group == "first":
+            return None
+        if self._target is None:
+            raise RuntimeError("init_clustering must run before the clustering loss")
+        return self.clustering_loss_with_target(z, self._target, node_indices)
 
     def soft_assignment_tensor(self, z: Tensor) -> Tensor:
         """Differentiable (B, K) soft assignment of ``z`` (second group only)."""
@@ -354,11 +345,12 @@ class GAEClusteringModel(Module):
     def clustering_target(self) -> Optional[np.ndarray]:
         """The (N, K) per-node target the clustering loss is computed against.
 
-        Second-group models return their sharpened target distribution Q so
-        the minibatch trainer can slice it by global node id; first-group
-        models (no differentiable clustering loss) return ``None``.
+        Second-group models return their sharpened target distribution Q
+        (``None`` before :meth:`init_clustering`) so the trainer can slice
+        it by global node id; first-group models (no differentiable
+        clustering loss) return ``None``.
         """
-        return None
+        return self._target
 
     def clustering_loss_with_target(
         self,
@@ -385,6 +377,35 @@ class GAEClusteringModel(Module):
             target = target[node_indices]
         count = max(target.shape[0], 1)
         return F.kl_divergence_rows(target, assignments) * (1.0 / count)
+
+    def training_losses(
+        self,
+        z: Tensor,
+        target_adjacency: np.ndarray,
+        target: Optional[np.ndarray] = None,
+        node_indices: Optional[np.ndarray] = None,
+        gamma: float = 1.0,
+    ) -> Dict[str, Tensor]:
+        """Loss terms of one training step on ``z``.
+
+        The self-supervised term reconstructs ``target_adjacency`` and adds
+        any regularisation; alone it is the pretraining (and first-group)
+        objective.  With a clustering ``target`` (second group) the
+        objective is Eq. 5, ``KL(target || P) + gamma · reconstruction``,
+        with the KL restricted to ``node_indices``.
+        """
+        reconstruction = self.reconstruction_loss(z, target_adjacency)
+        regularization = self.regularization_loss(z)
+        if regularization is not None:
+            reconstruction = reconstruction + regularization
+        if target is None:
+            return {"loss": reconstruction, "reconstruction_loss": reconstruction}
+        clustering = self.clustering_loss_with_target(z, target, node_indices)
+        return {
+            "loss": clustering + reconstruction * gamma,
+            "reconstruction_loss": reconstruction,
+            "clustering_loss": clustering,
+        }
 
     # ------------------------------------------------------------------
     # clustering interface
@@ -446,31 +467,27 @@ class GAEClusteringModel(Module):
     ) -> PretrainResult:
         """Self-supervised pretraining on the raw input graph."""
         features, adj_norm = self.prepare_inputs(graph)
-        target = graph.adjacency
         optimizer = optimizer or Adam(self.parameters(), lr=self.learning_rate)
         history = PretrainResult()
+
+        def forward() -> Dict[str, Tensor]:
+            z = self.encode(features, adj_norm)
+            return {**self.training_losses(z, graph.adjacency), "z": z}
+
         with autograd_leak_check(f"{self.__class__.__name__}.pretrain"):
             for epoch in range(epochs):
-                optimizer.zero_grad()
-                z = self.encode(features, adj_norm)
-                loss = self.pretraining_loss(z, target)
-                loss.backward()
-                self.pretrain_step_hook(z, features, adj_norm, optimizer)
-                optimizer.step()
-                loss.release_graph()
-                history.losses.append(loss.item())
+                loss = train_step(optimizer, forward, self.pretrain_step_hook)["loss"].item()
+                history.losses.append(loss)
                 if verbose and epoch % 20 == 0:
                     get_logger("pretrain").info(
-                        "[pretrain:%s] epoch %d loss %.4f",
-                        self.__class__.__name__,
-                        epoch,
-                        loss.item(),
+                        "[pretrain:%s] epoch %d loss %.4f", self.__class__.__name__, epoch, loss
                     )
         return history
 
-    def pretrain_step_hook(self, z, features, adj_norm, optimizer) -> None:
-        """Hook executed after the backward pass of every pretraining step.
+    def pretrain_step_hook(self, step: Dict[str, Tensor]) -> None:
+        """Hook run after the backward pass of every pretraining step.
 
+        ``step`` holds the step's ``"loss"`` and embeddings ``"z"``.
         Adversarial models use it to train their discriminator.
         """
 
@@ -492,12 +509,36 @@ class GAEClusteringModel(Module):
         epochs: int = 200,
         verbose: bool = False,
     ) -> Dict[str, List[float]]:
-        """Clustering phase.
+        """Clustering phase (the vanilla one; R- runs through RethinkTrainer).
 
-        First-group models do nothing here (their clustering is a separate
-        post-hoc algorithm run by :meth:`predict_labels`).  Second-group
-        models override this method with a joint optimisation loop.
+        First-group models only initialise their clustering here (it is a
+        separate post-hoc algorithm run by :meth:`predict_labels`).
+        Second-group models minimise Eq. 5 against the input graph,
+        refreshing Q every ``target_refresh_interval`` epochs.  Clustering
+        is initialised on the first call only, so the phase can run in
+        chunks; every call starts a fresh Adam.
         """
-        embeddings = self.embed(graph)
-        self.init_clustering(embeddings)
-        return {"loss": []}
+        if self.group == "first":
+            self.init_clustering(self.embed(graph))
+            return {"loss": []}
+        features, adj_norm = self.prepare_inputs(graph)
+        if self._target is None:
+            self.init_clustering(self.embed_inputs(features, adj_norm))
+        optimizer = Adam(self.parameters(), lr=self.learning_rate)
+        history: Dict[str, List[float]] = {"loss": [], "clustering_loss": [], "reconstruction_loss": []}
+
+        def forward() -> Dict[str, Tensor]:
+            z = self.encode(features, adj_norm)
+            return self.training_losses(z, graph.adjacency, self._target, gamma=self.gamma)
+
+        with autograd_leak_check(f"{self.__class__.__name__}.fit_clustering"):
+            for epoch in range(epochs):
+                if epoch % self.target_refresh_interval == 0:
+                    self.refresh_clustering(self.embed_inputs(features, adj_norm))
+                for name, term in train_step(optimizer, forward).items():
+                    history[name].append(term.item())
+                if verbose and epoch % 20 == 0:
+                    get_logger("pretrain").info(
+                        "[%s] epoch %d loss %.4f", self.__class__.__name__, epoch, history["loss"][-1]
+                    )
+        return history

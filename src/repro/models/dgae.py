@@ -13,16 +13,13 @@ paper (hidden 32, latent 16, Adam lr 0.01, gamma 0.001, 200 + 200 epochs).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.analysis.sanitizers import autograd_leak_check
 from repro.clustering.assignments import soft_assignment_student_t, target_distribution
-from repro.observability.log import get_logger
 from repro.clustering.kmeans import KMeans
 from repro.models.base import GAEClusteringModel
-from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
 
@@ -55,7 +52,6 @@ class DGAE(GAEClusteringModel):
         self.target_refresh_interval = int(target_refresh_interval)
         #: trainable embedded centres, created by :meth:`init_clustering`.
         self.centers: Optional[Tensor] = None
-        self._target: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # clustering parameters
@@ -96,7 +92,6 @@ class DGAE(GAEClusteringModel):
             # init_clustering; declare them so snapshot validation accepts
             # trained checkpoints applied to freshly built models.
             state["trainable_extras"] = ["centers"]
-        state["target"] = None if self._target is None else self._target.copy()
         return state
 
     def load_extra_state(self, state, restore_rng: bool = True) -> None:
@@ -105,8 +100,6 @@ class DGAE(GAEClusteringModel):
             # Materialise the trainable tensor; load_state_dict fills its
             # values from the snapshot's parameter entry right after.
             self.centers = Tensor(self.cluster_centers_.copy(), requires_grad=True)
-        target = state.get("target")
-        self._target = None if target is None else np.array(target, copy=True)
 
     # ------------------------------------------------------------------
     # losses
@@ -122,49 +115,3 @@ class DGAE(GAEClusteringModel):
         distances = z_sq + mu_sq_t - 2.0 * cross
         scores = (distances + 1.0) ** -1.0
         return scores / scores.sum(axis=1, keepdims=True)
-
-    def clustering_loss(self, z: Tensor, node_indices: Optional[np.ndarray] = None) -> Tensor:
-        """KL(Q || P) restricted to ``node_indices`` when provided."""
-        if self._target is None:
-            raise RuntimeError("init_clustering must run before the clustering loss")
-        return self.clustering_loss_with_target(z, self._target, node_indices)
-
-    def clustering_target(self) -> Optional[np.ndarray]:
-        """The sharpened DEC target distribution Q (None before init)."""
-        return self._target
-
-    # ------------------------------------------------------------------
-    # training loop (vanilla DGAE; the R- version is driven by RethinkTrainer)
-    # ------------------------------------------------------------------
-    def fit_clustering(
-        self,
-        graph,
-        epochs: int = 200,
-        verbose: bool = False,
-    ) -> Dict[str, List[float]]:
-        features, adj_norm = self.prepare_inputs(graph)
-        embeddings = self.embed(graph)
-        if self.centers is None:
-            self.init_clustering(embeddings)
-        optimizer = Adam(self.parameters(), lr=self.learning_rate)
-        history: Dict[str, List[float]] = {"loss": [], "clustering_loss": [], "reconstruction_loss": []}
-        with autograd_leak_check("DGAE.fit_clustering"):
-            for epoch in range(epochs):
-                if epoch % self.target_refresh_interval == 0:
-                    self.refresh_clustering(self.embed(graph))
-                optimizer.zero_grad()
-                z = self.encode(features, adj_norm)
-                clustering = self.clustering_loss(z)
-                reconstruction = self.reconstruction_loss(z, graph.adjacency)
-                loss = clustering + reconstruction * self.gamma
-                loss.backward()
-                optimizer.step()
-                loss.release_graph()
-                history["loss"].append(loss.item())
-                history["clustering_loss"].append(clustering.item())
-                history["reconstruction_loss"].append(reconstruction.item())
-                if verbose and epoch % 20 == 0:
-                    get_logger("pretrain").info(
-                        "[DGAE] epoch %d loss %.4f", epoch, loss.item()
-                    )
-        return history

@@ -13,17 +13,14 @@ per-cluster variances the original model exploits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.analysis.sanitizers import autograd_leak_check
 from repro.clustering.assignments import soft_assignment_gaussian, target_distribution
 from repro.clustering.gmm import GaussianMixture
 from repro.models.base import GAEClusteringModel
-from repro.observability.log import get_logger
 from repro.nn import functional as F
-from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
 
@@ -57,7 +54,6 @@ class GMMVGAE(GAEClusteringModel):
         self.target_refresh_interval = int(target_refresh_interval)
         self.em_refresh_iterations = int(em_refresh_iterations)
         self._mixture: Optional[GaussianMixture] = None
-        self._target: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # clustering parameters
@@ -116,7 +112,6 @@ class GMMVGAE(GAEClusteringModel):
             "variances": mixture.variances_.copy(),
             "weights": mixture.weights_.copy(),
         }
-        state["target"] = None if self._target is None else self._target.copy()
         return state
 
     def load_extra_state(self, state, restore_rng: bool = True) -> None:
@@ -136,8 +131,6 @@ class GMMVGAE(GAEClusteringModel):
             mixture.variances_ = np.array(mixture_state["variances"], copy=True)
             mixture.weights_ = np.array(mixture_state["weights"], copy=True)
             self._mixture = mixture
-        target = state.get("target")
-        self._target = None if target is None else np.array(target, copy=True)
 
     # ------------------------------------------------------------------
     # losses
@@ -158,49 +151,3 @@ class GMMVGAE(GAEClusteringModel):
         cross_term = z @ Tensor(scaled_mu.T)
         log_scores = (z_sq_term - 2.0 * cross_term + Tensor(const[None, :])) * -0.5
         return F.softmax(log_scores, axis=1)
-
-    def clustering_loss(self, z: Tensor, node_indices: Optional[np.ndarray] = None) -> Tensor:
-        """KL(Q || P) restricted to ``node_indices`` when provided."""
-        if self._target is None:
-            raise RuntimeError("init_clustering must run before the clustering loss")
-        return self.clustering_loss_with_target(z, self._target, node_indices)
-
-    def clustering_target(self) -> Optional[np.ndarray]:
-        """The sharpened mixture target distribution Q (None before init)."""
-        return self._target
-
-    # ------------------------------------------------------------------
-    # training loop (vanilla GMM-VGAE; the R- version uses RethinkTrainer)
-    # ------------------------------------------------------------------
-    def fit_clustering(
-        self,
-        graph,
-        epochs: int = 200,
-        verbose: bool = False,
-    ) -> Dict[str, List[float]]:
-        features, adj_norm = self.prepare_inputs(graph)
-        embeddings = self.embed(graph)
-        if self._mixture is None:
-            self.init_clustering(embeddings)
-        optimizer = Adam(self.parameters(), lr=self.learning_rate)
-        history: Dict[str, List[float]] = {"loss": [], "clustering_loss": [], "reconstruction_loss": []}
-        with autograd_leak_check("GMMVGAE.fit_clustering"):
-            for epoch in range(epochs):
-                if epoch % self.target_refresh_interval == 0:
-                    self.refresh_clustering(self.embed(graph))
-                optimizer.zero_grad()
-                z = self.encode(features, adj_norm)
-                clustering = self.clustering_loss(z)
-                reconstruction = self.pretraining_loss(z, graph.adjacency)
-                loss = clustering + reconstruction * self.gamma
-                loss.backward()
-                optimizer.step()
-                loss.release_graph()
-                history["loss"].append(loss.item())
-                history["clustering_loss"].append(clustering.item())
-                history["reconstruction_loss"].append(reconstruction.item())
-                if verbose and epoch % 20 == 0:
-                    get_logger("pretrain").info(
-                        "[GMM-VGAE] epoch %d loss %.4f", epoch, loss.item()
-                    )
-        return history

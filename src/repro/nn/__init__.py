@@ -10,7 +10,9 @@ engine.  It provides exactly what the paper's models need:
 * Layers — :class:`~repro.nn.layers.Dense`,
   :class:`~repro.nn.layers.GraphConvolution`,
   :class:`~repro.nn.layers.InnerProductDecoder`.
-* Optimizers — :class:`~repro.nn.optim.SGD`, :class:`~repro.nn.optim.Adam`.
+* Optimizers — :class:`~repro.nn.optim.SGD`, :class:`~repro.nn.optim.Adam` —
+  and :func:`~repro.nn.optim.train_step`, the one gradient step of every
+  training loop.
 
 Dense tensors remain the default substrate, but graph propagation also runs
 against the CSR backend in :mod:`repro.graph.sparse`: pass a
@@ -26,7 +28,7 @@ from repro.nn.functional import spmm
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import Dense, GraphConvolution, InnerProductDecoder, MLP
 from repro.nn.init import glorot_uniform, zeros, normal
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import SGD, Adam, Optimizer, train_step
 
 __all__ = [
     "Tensor",
@@ -45,4 +47,5 @@ __all__ = [
     "SGD",
     "Adam",
     "Optimizer",
+    "train_step",
 ]

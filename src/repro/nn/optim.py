@@ -1,12 +1,13 @@
-"""Gradient-descent optimizers.
+"""Gradient-descent optimizers and the one training step every loop runs.
 
 Both GAE pretraining and the clustering phase of every model in the paper
 use Adam with learning rate 0.01; SGD is provided for ablations and tests.
+:func:`train_step` is the single place where a gradient step happens.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -192,3 +193,30 @@ class Adam(Optimizer):
         self._step_count = int(state["step_count"])
         self._m = self._check_buffers(state["m"], "first-moment")
         self._v = self._check_buffers(state["v"], "second-moment")
+
+
+def train_step(
+    optimizer: Optimizer,
+    forward: Callable[[], Dict[str, Tensor]],
+    after_backward: Optional[Callable[[Dict[str, Tensor]], None]] = None,
+) -> Dict[str, Tensor]:
+    """One gradient step: zero_grad → forward → backward → hook → step.
+
+    ``forward()`` returns named tensors; its ``"loss"`` entry is the scalar
+    that is minimised, the others are carried along for logging (or for the
+    hook).  ``after_backward`` sees that dict once the gradients are in and
+    before ``optimizer.step()`` — adversarial models train their
+    discriminator there.  The step's graph is released whatever happens, so
+    a failing step leaks nothing; the returned tensors keep their values.
+    """
+    optimizer.zero_grad()
+    terms = forward()
+    loss = terms["loss"]
+    try:
+        loss.backward()
+        if after_backward is not None:
+            after_backward(terms)
+        optimizer.step()
+    finally:
+        loss.release_graph()
+    return terms

@@ -97,6 +97,35 @@ def pretrained_gmm_vgae(tiny_graph):
     return model
 
 
+@pytest.fixture(scope="session")
+def legacy_loops():
+    """Outputs of the hand-rolled training loops, recorded before they were
+    folded into one loader-driven R- loop over ``repro.nn.optim.train_step``.
+
+    ``tests/data/legacy_loops.json`` was written at commit 2fd184e, the last
+    one with the dedicated full-graph R- loop (``sampler=None``) and the
+    per-model ``pretrain`` / ``fit_clustering`` loops, from seed-0 models
+    on :func:`make_tiny_graph` and ``cora_sim`` (seed 0):
+
+    * ``rethink`` — per-epoch losses, reconstruction and clustering losses,
+      |Ω| sizes and the final report of ``RethinkTrainer.fit`` (4 pretraining
+      epochs, ``M1=2``, ``M2=3``, no early stop; 6 R- epochs on the tiny
+      graph, 4 on ``cora_sim``).  ``<graph>/<model>/legacy`` entries come
+      from the full-graph loop, ``<graph>/<model>/<sampler>`` ones from the
+      sampled loaders (``batch_size=32, fanout=4`` on the tiny graph,
+      defaults on ``cora_sim``);
+    * ``pretrain`` — the loss history of 6 pretraining epochs per model;
+    * ``fit_clustering`` — DGAE / GMM-VGAE histories of two consecutive
+      ``fit_clustering`` calls (7 then 5 epochs) after 4 pretraining epochs.
+    """
+    import json
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "data", "legacy_loops.json")
+    with open(path, encoding="utf-8") as stream:
+        return json.load(stream)
+
+
 @pytest.fixture()
 def rng():
     """Fresh deterministic random generator per test."""

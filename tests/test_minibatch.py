@@ -3,9 +3,10 @@
 Covers the CSR substrate operations (induced subgraphs, seeded neighbour
 sampling), the METIS-free partitioner, the three loaders, the minibatch
 training path of :class:`~repro.core.rethink.RethinkTrainer` — including
-the acceptance-criteria guarantees: the full-batch loader reproduces the
-legacy full-graph trainer to 1e-10, and minibatch runs are deterministic
-for equal seeds across ``jobs=1`` and ``jobs=4`` process pools.
+the acceptance-criteria guarantees: the default full-batch loop reproduces
+the removed full-graph trainer's recorded outputs to 1e-10, and minibatch
+runs are deterministic for equal seeds across ``jobs=1`` and ``jobs=4``
+process pools.
 """
 
 from __future__ import annotations
@@ -261,30 +262,71 @@ def _fit(model_name, dataset_graph, sampler, seed=0, epochs=6, **overrides):
     return trainer, trainer.fit(dataset_graph)
 
 
+@pytest.fixture(scope="module")
+def cora_graph():
+    from repro.datasets import load_dataset
+
+    return load_dataset("cora_sim", seed=0)
+
+
+def _assert_matches_recorded(history, reference):
+    for key in ("losses", "reconstruction_losses", "clustering_losses"):
+        np.testing.assert_allclose(
+            getattr(history, key), reference[key], atol=1e-10, rtol=0.0, err_msg=key
+        )
+    assert history.omega_sizes == reference["omega_sizes"]
+    assert history.final_report.as_dict() == reference["final_report"]
+
+
 class TestFullBatchEquivalence:
-    """Acceptance criterion: full-batch loader ≡ legacy trainer to 1e-10."""
+    """Acceptance criterion: the default whole-graph loop reproduces the
+    removed full-graph loop (pinned in ``tests/data``) to 1e-10."""
+
+    @pytest.mark.parametrize(
+        "model_name", ["gae", "vgae", "argae", "arvgae", "dgae", "gmm_vgae"]
+    )
+    def test_matches_legacy_trainer(self, tiny_graph, model_name, legacy_loops):
+        _, history = _fit(model_name, tiny_graph, sampler="full")
+        _assert_matches_recorded(
+            history, legacy_loops["rethink"][f"tiny/{model_name}/legacy"]
+        )
+
+    def test_matches_legacy_on_promoted_sparse_graph(self, cora_graph, legacy_loops):
+        """cora_sim crosses the CSR promotion threshold: the whole-graph
+        loader still runs Υ on the dense adjacency, like the legacy loop."""
+        for model_name in ("gae", "dgae", "gmm_vgae"):
+            trainer, history = _fit(model_name, cora_graph, sampler="full", epochs=4)
+            assert isinstance(trainer.self_supervision_graph_, np.ndarray)
+            _assert_matches_recorded(
+                history, legacy_loops["rethink"][f"cora_sim/{model_name}/legacy"]
+            )
+
+    def test_default_sampler_is_the_whole_graph(self, tiny_graph):
+        assert RethinkConfig().sampler == "full"
+        trainer, _ = _fit("gae", tiny_graph, sampler="full", epochs=1)
+        assert isinstance(trainer.loader_, FullBatchLoader)
+        # the whole-graph batch shares the trainer's prepared inputs
+        batch = next(trainer.loader_.epoch_batches(0))
+        assert batch.features is trainer.features_ and batch.adj_norm is trainer.adj_norm_
 
     @pytest.mark.parametrize("model_name", ["gae", "dgae", "gmm_vgae"])
-    def test_matches_legacy_trainer(self, tiny_graph, model_name):
-        _, legacy = _fit(model_name, tiny_graph, sampler=None)
-        _, full = _fit(model_name, tiny_graph, sampler="full")
-        assert np.allclose(legacy.losses, full.losses, atol=1e-10, rtol=0.0)
-        assert np.allclose(
-            legacy.reconstruction_losses, full.reconstruction_losses, atol=1e-10, rtol=0.0
+    @pytest.mark.parametrize("sampler", ["cluster", "neighbor"])
+    def test_sampled_loaders_match_recorded_outputs(
+        self, tiny_graph, model_name, sampler, legacy_loops
+    ):
+        _, history = _fit(model_name, tiny_graph, sampler=sampler, batch_size=32, fanout=4)
+        _assert_matches_recorded(
+            history, legacy_loops["rethink"][f"tiny/{model_name}/{sampler}"]
         )
-        assert legacy.omega_sizes == full.omega_sizes
-        assert legacy.final_report.as_dict() == full.final_report.as_dict()
 
-    def test_matches_legacy_on_promoted_sparse_graph(self):
-        """cora_sim crosses the CSR promotion threshold, so this exercises
-        the sparse Υ / induced-block path against the dense legacy one."""
-        from repro.datasets import load_dataset
-
-        graph = load_dataset("cora_sim", seed=0)
-        _, legacy = _fit("gae", graph, sampler=None, epochs=4)
-        _, full = _fit("gae", graph, sampler="full", epochs=4)
-        assert np.allclose(legacy.losses, full.losses, atol=1e-10, rtol=0.0)
-        assert legacy.final_report.as_dict() == full.final_report.as_dict()
+    def test_cluster_loader_on_promoted_graph_matches_recorded_outputs(
+        self, cora_graph, legacy_loops
+    ):
+        trainer, history = _fit("dgae", cora_graph, sampler="cluster", epochs=4)
+        assert isinstance(trainer.self_supervision_graph_, SparseAdjacency)
+        _assert_matches_recorded(
+            history, legacy_loops["rethink"]["cora_sim/dgae/cluster"]
+        )
 
 
 class TestMinibatchTraining:
@@ -341,10 +383,41 @@ class TestMinibatchTraining:
         assert events == {"omega": 2, "graph": 2, "epochs": 4}
 
 
+class TestTrackingCallbacksOnPromotedGraph:
+    """cora_sim is CSR-promoted, so sampled loaders keep A_self_clus sparse;
+    the tracking callbacks must still see dense matrices."""
+
+    @pytest.mark.parametrize("sampler", ["full", "cluster"])
+    @pytest.mark.parametrize(
+        "tracking",
+        [{"track_fd": True}, {"track_dynamics": True}, {"snapshot_graph_every": 1}],
+        ids=["fd", "dynamics", "snapshots"],
+    )
+    def test_callbacks_get_dense_graphs(self, cora_graph, sampler, tracking):
+        trainer, history = _fit(
+            "dgae", cora_graph, sampler=sampler, epochs=2, evaluate_every=1, **tracking
+        )
+        n = cora_graph.num_nodes
+        if "track_fd" in tracking:
+            assert len(history.fd_rethought) == 2 and all(np.isfinite(history.fd_rethought))
+        if "track_dynamics" in tracking:
+            assert len(history.link_stats) == 2 and len(history.accuracy_all) == 2
+        if "snapshot_graph_every" in tracking:
+            assert sorted(history.graph_snapshots) == [0, 1]
+            for snapshot in history.graph_snapshots.values():
+                assert isinstance(snapshot, np.ndarray) and snapshot.shape == (n, n)
+            final = trainer.self_supervision_graph_
+            if isinstance(final, SparseAdjacency):
+                final = final.to_dense()
+            assert np.array_equal(history.graph_snapshots[1], final)
+
+
 class TestConfigValidation:
     def test_rejects_unknown_sampler(self):
         with pytest.raises(ConfigError):
             RethinkConfig(sampler="metis").validate()
+        with pytest.raises(ConfigError, match="full, neighbor, cluster"):
+            RethinkConfig(sampler=None).validate()
 
     def test_rejects_bad_batch_and_fanout(self):
         with pytest.raises(ConfigError):

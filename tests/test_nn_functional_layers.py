@@ -9,7 +9,7 @@ from repro.nn import functional as F
 from repro.nn.init import glorot_uniform, normal, zeros
 from repro.nn.layers import Dense, GraphConvolution, InnerProductDecoder, MLP, resolve_activation
 from repro.nn.module import Module
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import SGD, Adam, Optimizer, train_step
 from repro.nn.tensor import Tensor
 
 
@@ -296,3 +296,40 @@ class TestOptimizers:
         param = Tensor(np.array([1.0]), requires_grad=True)
         with pytest.raises(ValueError):
             Adam([param], betas=betas)
+
+    def test_train_step_is_a_hand_written_step(self):
+        param, target = self._quadratic_problem()
+        reference = Tensor(param.data.copy(), requires_grad=True)
+        reference_opt, opt = Adam([reference], lr=0.1), Adam([param], lr=0.1)
+        seen_grads = []
+        for _ in range(3):
+            reference_opt.zero_grad()
+            ((reference - Tensor(target)) ** 2.0).sum().backward()
+            reference_opt.step()
+            terms = train_step(
+                opt,
+                lambda: {"loss": ((param - Tensor(target)) ** 2.0).sum()},
+                lambda terms: seen_grads.append(param.grad.copy()),
+            )
+        np.testing.assert_array_equal(param.data, reference.data)
+        # the hook ran between backward and step, once per step
+        assert len(seen_grads) == 3 and np.any(seen_grads[-1] != 0.0)
+        loss = terms["loss"]
+        assert loss._backward is None and loss._parents == () and np.isfinite(loss.item())
+
+    def test_failing_step_releases_its_graph_and_skips_the_update(self):
+        param, target = self._quadratic_problem()
+        opt = Adam([param], lr=0.1)
+        built = {}
+
+        def forward():
+            built["loss"] = ((param - Tensor(target)) ** 2.0).sum()
+            return dict(built)
+
+        def failing_hook(terms):
+            raise ValueError("hook failure")
+
+        with pytest.raises(ValueError, match="hook failure"):
+            train_step(opt, forward, failing_hook)
+        assert built["loss"]._backward is None and built["loss"]._parents == ()
+        np.testing.assert_array_equal(param.data, np.zeros(2))

@@ -160,3 +160,30 @@ class TestRethinkTrainer:
         trainer_b = RethinkTrainer(model_b, small_config(gamma=10.0, epochs=5))
         history_b = trainer_b.fit(tiny_graph, pretrained=True)
         assert history_b.losses[0] > history_a.losses[0]
+
+
+@pytest.mark.parametrize("sampler", ["full", "cluster"])
+def test_exception_inside_an_epoch_marks_its_span(tiny_graph, sampler):
+    from repro.api.callbacks import LambdaCallback
+    from repro.observability import tracing_session
+
+    def fail_in_epoch_one(epoch, logs):
+        if epoch == 1:
+            raise ValueError("callback failure")
+
+    model = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+    config = small_config(epochs=3, pretrain_epochs=1, sampler=sampler, batch_size=32)
+    trainer = RethinkTrainer(
+        model, config, callbacks=[LambdaCallback(on_epoch_end=fail_in_epoch_one)]
+    )
+    with tracing_session(enabled=True) as tracer:
+        with pytest.raises(ValueError, match="callback failure"):
+            trainer.fit(tiny_graph)
+    (fit,) = [root for root in tracer.export() if root["name"] == "trainer.fit"]
+    epochs = [child for child in fit["children"] if child["name"] == "trainer.epoch"]
+    assert [span["attributes"]["epoch"] for span in epochs] == [0, 1]
+    assert epochs[0]["status"] == "ok"
+    assert epochs[1]["status"] == "error"
+    assert epochs[1]["attributes"]["error"] == "ValueError"
+    assert epochs[1]["wall_seconds"] > 0.0
+    assert fit["status"] == "error"
