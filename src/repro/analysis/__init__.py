@@ -6,23 +6,17 @@ schema-gated snapshot state.  This package makes regressions against those
 contracts mechanically detectable:
 
 * :mod:`repro.analysis.linter` — the AST rule engine:
-  ``# repro: noqa[REPxxx]`` suppressions, ``file:line`` diagnostics and
-  the registry both rule families live on.  Run it with the
-  ``repro-lint`` console script (or ``python -m repro.analysis.cli``).
+  ``# repro: noqa[REPxxx]`` suppressions, ``file:line`` diagnostics, the
+  registry both rule families live on, and ``lint_paths``, one serial
+  run of both passes.  Run it with the ``repro-lint`` console script (or
+  ``python -m repro.analysis.cli``).
 * :mod:`repro.analysis.rules` — the file-scope rules REP001–REP008;
   importing it populates the rule registry.
 * :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.graph` — per-file
   fact extraction, the project-wide import/call graph with the
   worker-reachability engine, and the inter-procedural rules
-  REP101–REP104 (transitive picklability, static races, RNG provenance,
-  env-read-after-fanout).
-* :mod:`repro.analysis.engine` — orchestration: the content-hash
-  incremental cache, ``--jobs`` parallel parsing over
-  :func:`repro.parallel.parallel_map`, project-pass wiring and
-  ``--baseline`` filtering.
-* :mod:`repro.analysis.sarif` / :mod:`repro.analysis.baseline` — SARIF
-  2.1.0 export for code-scanning UIs and baseline files for gradual
-  rule adoption.
+  REP101–REP104 (picklability of pool submissions, static races, RNG
+  provenance, env-read-after-fanout).
 * :mod:`repro.analysis.sanitizers` — opt-in runtime guards
   (``REPRO_SANITIZE=1``): a NaN/Inf guard on every tensor op, a live
   autograd-node leak detector, and an RNG-isolation check for pool
@@ -56,12 +50,6 @@ _LAZY_EXPORTS = {
     "ProjectContext": ("repro.analysis.graph", "ProjectContext"),
     "ProjectViolation": ("repro.analysis.graph", "ProjectViolation"),
     "build_project": ("repro.analysis.graph", "build_project"),
-    "analyze_paths": ("repro.analysis.engine", "analyze_paths"),
-    "AnalysisCache": ("repro.analysis.engine", "AnalysisCache"),
-    "sarif_report": ("repro.analysis.sarif", "sarif_report"),
-    "write_sarif": ("repro.analysis.sarif", "write_sarif"),
-    "load_baseline": ("repro.analysis.baseline", "load_baseline"),
-    "write_baseline": ("repro.analysis.baseline", "write_baseline"),
 }
 
 __all__ = [
@@ -75,12 +63,6 @@ __all__ = [
     "ProjectContext",
     "ProjectViolation",
     "build_project",
-    "analyze_paths",
-    "AnalysisCache",
-    "sarif_report",
-    "write_sarif",
-    "load_baseline",
-    "write_baseline",
     "autograd_leak_check",
     "install_sanitizers",
     "live_graph_nodes",

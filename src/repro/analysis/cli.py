@@ -4,22 +4,15 @@ Usage::
 
     repro-lint src benchmarks examples
     repro-lint --select REP101,REP102,REP103,REP104 src
-    repro-lint --jobs 4 --cache .lint-cache.json src
     repro-lint --format json src
-    repro-lint --report lint-report.json --sarif lint-report.sarif src
-    repro-lint --write-baseline .lint-baseline.json src
-    repro-lint --baseline .lint-baseline.json src
+    repro-lint --report lint-report.json src
     repro-lint --list-rules
 
 Exit status is 0 when no error-severity diagnostics remain, 1 when any
-error survives suppression (and the baseline, if one is given), 2 on
-usage errors (unknown/malformed/empty rule selections, missing paths,
-unreadable baselines).  ``--report`` writes the full JSON report and
-``--sarif`` a SARIF 2.1.0 log regardless of the chosen terminal format —
-CI uploads both as artifacts.  ``--cache`` keeps per-file analysis
-keyed by content hash, making warm re-runs near-instant; ``--jobs N``
-parses cold files in the deterministic process pool the linter itself
-polices.
+error survives suppression, 2 on usage errors (unknown/malformed/empty
+rule selections, missing paths, an unwritable ``--report`` path).
+``--report`` writes the full JSON report regardless of the chosen
+terminal format — CI uploads it as an artifact.
 """
 
 from __future__ import annotations
@@ -53,28 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to run (default: all registered rules)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse cold files with N pool workers (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        help="incremental analysis cache file (content-hash keyed)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="record the current findings as the accepted baseline and exit 0",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -84,11 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report",
         metavar="PATH",
         help="also write the full JSON report to PATH (CI artifact)",
-    )
-    parser.add_argument(
-        "--sarif",
-        metavar="PATH",
-        help="also write a SARIF 2.1.0 log to PATH (code-scanning upload)",
     )
     parser.add_argument(
         "--list-rules",
@@ -133,41 +99,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     select = _parse_select(args.select)
 
-    from repro.analysis.engine import analyze_paths
+    from repro.analysis.linter import lint_paths
 
     try:
-        accepted: Optional[List[str]] = None
-        if args.baseline:
-            from repro.analysis.baseline import load_baseline
-
-            accepted = sorted(load_baseline(args.baseline))
-        report = analyze_paths(
-            args.paths,
-            select=select,
-            jobs=args.jobs,
-            cache_path=args.cache,
-            baseline=accepted,
-        )
+        report = lint_paths(args.paths, select=select)
     except LintConfigError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return USAGE_EXIT_CODE
 
-    if args.write_baseline:
-        from repro.analysis.baseline import write_baseline
-
-        count = write_baseline(args.write_baseline, report.diagnostics)
-        print(f"repro-lint: wrote {count} accepted findings to {args.write_baseline}")
-        return 0
-
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.report, "w", encoding="utf-8")
+        except OSError as exc:
+            print(
+                f"repro-lint: error: cannot write --report {args.report!r}: {exc.strerror}",
+                file=sys.stderr,
+            )
+            return USAGE_EXIT_CODE
+        with handle:
             json.dump(report.to_dict(), handle, indent=2)
             handle.write("\n")
-
-    if args.sarif:
-        from repro.analysis.sarif import write_sarif
-
-        write_sarif(args.sarif, report.diagnostics)
 
     if args.format == "json":
         json.dump(report.to_dict(), sys.stdout, indent=2)
@@ -177,14 +128,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(diagnostic.format())
         counts = ", ".join(f"{code}: {n}" for code, n in report.summary().items())
         tail = f" ({counts})" if counts else ""
-        cache_note = (
-            f", {report.files_cached} from cache" if report.files_cached else ""
-        )
-        baseline_note = f", {report.baselined} baselined" if report.baselined else ""
         print(
-            f"repro-lint: {report.files_checked} files checked{cache_note}, "
-            f"{report.error_count} errors, {report.warning_count} warnings"
-            f"{baseline_note}{tail}"
+            f"repro-lint: {report.files_checked} files checked, "
+            f"{report.error_count} errors, {report.warning_count} warnings{tail}"
         )
 
     return report.exit_code

@@ -5,14 +5,14 @@ so the bugs that actually threaten the bitwise any-``--jobs`` guarantee —
 a helper three calls deep that draws from the global RNG, a wrapper that
 smuggles a lambda into the process pool, module state mutated from inside
 a worker — are invisible to them.  This module extracts, per file, the
-facts a whole-program analysis needs (:class:`ModuleFacts`, cheap to
-cache as JSON), and implements the project-scope rules that consume the
+facts a whole-program analysis needs (:class:`ModuleFacts`), and
+implements the project-scope rules that consume the
 :class:`~repro.analysis.graph.ProjectGraph` built from those facts:
 
 ========  ============================================================
-REP101    transitive picklability: no lambda / closure / local class
-          flowing into ``parallel_map``/``supervised_map`` *through a
-          wrapper function* (REP004 only sees the submission site)
+REP101    picklability of pool submissions: no lambda or closure
+          handed to ``parallel_map``/``supervised_map``, directly (the
+          zero-hop case) or through any chain of wrapper functions
 REP102    static race detector: no module-level state written by
           worker-reachable code — pool workers and, later, async
           request handlers would race on it (or silently diverge,
@@ -129,13 +129,6 @@ class CallArg:
     line: int
     column: int
 
-    def to_list(self) -> List[Any]:
-        return [self.kind, self.value, self.keyword, self.position, self.line, self.column]
-
-    @staticmethod
-    def from_list(raw: List[Any]) -> "CallArg":
-        return CallArg(str(raw[0]), str(raw[1]), str(raw[2]), int(raw[3]), int(raw[4]), int(raw[5]))
-
 
 @dataclass
 class CallSite:
@@ -153,16 +146,6 @@ class CallSite:
                 return arg
         return None
 
-    def to_list(self) -> List[Any]:
-        return [self.dotted, self.line, self.column, [a.to_list() for a in self.args]]
-
-    @staticmethod
-    def from_list(raw: List[Any]) -> "CallSite":
-        return CallSite(
-            str(raw[0]), int(raw[1]), int(raw[2]),
-            [CallArg.from_list(a) for a in raw[3]],
-        )
-
 
 @dataclass
 class Write:
@@ -172,13 +155,6 @@ class Write:
     kind: str  #: "rebind" | "subscript" | "attribute" | "call:<method>"
     line: int
     column: int
-
-    def to_list(self) -> List[Any]:
-        return [self.base, self.kind, self.line, self.column]
-
-    @staticmethod
-    def from_list(raw: List[Any]) -> "Write":
-        return Write(str(raw[0]), str(raw[1]), int(raw[2]), int(raw[3]))
 
 
 @dataclass
@@ -200,47 +176,10 @@ class FunctionFacts:
     rng: List[List[Any]] = field(default_factory=list)  #: [kind, dotted, line, col]
     env: List[List[Any]] = field(default_factory=list)  #: [dotted, line, col]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "column": self.column,
-            "kind": self.kind,
-            "nested": self.nested,
-            "class_name": self.class_name,
-            "params": list(self.params),
-            "imports": dict(self.imports),
-            "instances": dict(self.instances),
-            "calls": [c.to_list() for c in self.calls],
-            "refs": list(self.refs),
-            "writes": [w.to_list() for w in self.writes],
-            "rng": [list(r) for r in self.rng],
-            "env": [list(e) for e in self.env],
-        }
-
-    @staticmethod
-    def from_dict(raw: Dict[str, Any]) -> "FunctionFacts":
-        return FunctionFacts(
-            name=str(raw["name"]),
-            line=int(raw["line"]),
-            column=int(raw["column"]),
-            kind=str(raw["kind"]),
-            nested=bool(raw["nested"]),
-            class_name=str(raw["class_name"]),
-            params=[str(p) for p in raw["params"]],
-            imports={str(k): str(v) for k, v in raw["imports"].items()},
-            instances={str(k): str(v) for k, v in raw.get("instances", {}).items()},
-            calls=[CallSite.from_list(c) for c in raw["calls"]],
-            refs=[str(r) for r in raw["refs"]],
-            writes=[Write.from_list(w) for w in raw["writes"]],
-            rng=[list(r) for r in raw["rng"]],
-            env=[list(e) for e in raw["env"]],
-        )
-
 
 @dataclass
 class ModuleFacts:
-    """The inter-procedural summary of one file (JSON-cacheable)."""
+    """The inter-procedural summary of one file."""
 
     path: str
     module: str  #: dotted module name, "" for scripts outside a src root
@@ -254,31 +193,6 @@ class ModuleFacts:
     def key(self) -> str:
         """Identity in the project graph: module name, or path for scripts."""
         return self.module or self.path
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "imports": dict(self.imports),
-            "toplevel": list(self.toplevel),
-            "functions": {k: f.to_dict() for k, f in self.functions.items()},
-            "classes": {k: dict(v) for k, v in self.classes.items()},
-        }
-
-    @staticmethod
-    def from_dict(raw: Dict[str, Any]) -> "ModuleFacts":
-        return ModuleFacts(
-            path=str(raw["path"]),
-            module=str(raw["module"]),
-            is_package=bool(raw["is_package"]),
-            imports={str(k): str(v) for k, v in raw["imports"].items()},
-            toplevel=[str(n) for n in raw["toplevel"]],
-            functions={
-                str(k): FunctionFacts.from_dict(f) for k, f in raw["functions"].items()
-            },
-            classes={str(k): dict(v) for k, v in raw["classes"].items()},
-        )
 
 
 # ----------------------------------------------------------------------
@@ -660,31 +574,40 @@ def _witness(project: "ProjectContext", symbol: str) -> str:
 
 @project_rule(
     "REP101",
-    summary="no lambda/closure/local class flowing into the process pool "
-    "through a wrapper call (transitive picklability; upgrades REP004)",
+    summary="no lambda or closure submitted to the process pool, directly or "
+    "through wrapper calls (transitive picklability)",
 )
 def check_transitive_picklability(project: "ProjectContext") -> Iterator[Any]:
-    """``ProcessPoolExecutor`` pickles the submitted callable.  REP004
-    catches a lambda at the ``parallel_map(...)`` site itself; this rule
-    follows *forwarding parameters* — any function whose parameter is
-    eventually passed as the pool work unit — and flags unpicklable
-    callables entering those wrappers anywhere in the project."""
+    """``ProcessPoolExecutor`` pickles the submitted callable, so lambdas and
+    functions defined inside other functions fail at submit time — but only
+    when ``jobs > 1``, which is how the bug escapes serial test runs.  The
+    rule flags them at a ``parallel_map(...)`` site itself and follows
+    *forwarding parameters* — any function whose parameter is eventually
+    passed as the pool work unit — to flag them entering those wrappers
+    anywhere in the project."""
     from repro.analysis.graph import ProjectViolation
 
-    for submission in project.graph.forwarded_unpicklables():
+    for submission in project.graph.unpicklable_submissions():
         what = "lambda" if submission.arg_kind == "lambda" else f"{submission.arg_value!r}"
         detail = (
             "is defined inside an enclosing function"
             if submission.arg_kind == "localdef"
             else "cannot be pickled"
         )
+        if submission.direct:
+            message = (
+                f"{what} {detail} and is passed straight to "
+                f"{submission.forwarder}(), whose work units must pickle into "
+                f"pool workers — move it to module level"
+            )
+        else:
+            message = (
+                f"{what} passed to {submission.forwarder!r} {detail}; the "
+                f"argument is forwarded to {submission.boundary}() and must "
+                f"pickle into pool workers — move it to module level"
+            )
         yield ProjectViolation(
-            submission.path,
-            submission.line,
-            submission.column,
-            f"{what} passed to {submission.forwarder!r} {detail}; the "
-            f"argument is forwarded to {submission.boundary}() and must "
-            f"pickle into pool workers — move it to module level",
+            submission.path, submission.line, submission.column, message
         )
 
 

@@ -1,8 +1,7 @@
 """Project-wide import/call graph and the worker-reachability engine.
 
 Built from per-file :class:`~repro.analysis.dataflow.ModuleFacts`
-summaries (which are cheap to cache), :class:`ProjectGraph` provides what
-the REP1xx rules consume:
+summaries, :class:`ProjectGraph` provides what the REP1xx rules consume:
 
 * a **symbol index** — every function in the project addressed as
   ``module:qualname`` (``repro.api.pipeline:Pipeline.run``,
@@ -47,7 +46,7 @@ from repro.analysis.dataflow import (
 
 __all__ = [
     "ProjectViolation",
-    "ForwardedSubmission",
+    "UnpicklableSubmission",
     "ProjectGraph",
     "ProjectContext",
     "build_project",
@@ -85,16 +84,17 @@ class ProjectViolation:
 
 
 @dataclass(frozen=True)
-class ForwardedSubmission:
-    """An unpicklable callable entering the pool through a wrapper call."""
+class UnpicklableSubmission:
+    """An unpicklable callable entering the pool, directly or via wrappers."""
 
     path: str
     line: int
     column: int
     arg_kind: str  #: "lambda" | "localdef"
     arg_value: str  #: the local name ("" for lambdas)
-    forwarder: str  #: dotted name of the wrapper being called
+    forwarder: str  #: dotted name of the call it is passed to
     boundary: str  #: the underlying pool entry point (e.g. "parallel_map")
+    direct: bool  #: passed to the pool entry point itself (zero hops)
 
 
 class ProjectGraph:
@@ -146,7 +146,7 @@ class ProjectGraph:
         self._forwarder_boundary: Dict[str, str] = {}
         self._compute_forwarders()
 
-        self._submissions: List[ForwardedSubmission] = []
+        self._submissions: List[UnpicklableSubmission] = []
         #: worker roots: symbol -> human-readable reason it is a root
         self.roots: Dict[str, str] = {}
         self._collect_roots()
@@ -393,17 +393,15 @@ class ProjectGraph:
                                 root,
                                 f"submitted to {boundary}() at {mod.path}:{call.line}",
                             )
-                    if not direct and arg.kind in {"lambda", "localdef"}:
-                        # At a *direct* boundary call REP004 already flags
-                        # this; through a wrapper it is REP101's finding.
+                    if arg.kind in {"lambda", "localdef"}:
                         self._submissions.append(
-                            ForwardedSubmission(
+                            UnpicklableSubmission(
                                 mod.path, arg.line, arg.column,
-                                arg.kind, arg.value, forwarder, boundary,
+                                arg.kind, arg.value, forwarder, boundary, direct,
                             )
                         )
 
-    def forwarded_unpicklables(self) -> List[ForwardedSubmission]:
+    def unpicklable_submissions(self) -> List[UnpicklableSubmission]:
         """REP101's findings, deterministically ordered."""
         return sorted(
             self._submissions, key=lambda s: (s.path, s.line, s.column, s.arg_kind)

@@ -20,11 +20,10 @@ Rules come in two scopes.  *File-scope* rules (REP001–REP008, in
 *Project-scope* rules (the REP1xx family, in
 :mod:`repro.analysis.dataflow`) run once per lint invocation against a
 :class:`~repro.analysis.graph.ProjectGraph` built from every analysed
-file, which lets them reason about reachability across modules — see
-:mod:`repro.analysis.engine` for the orchestration (incremental cache,
-``--jobs`` fan-out, baselines).  Importing this module's rule catalogue
-(via :func:`_resolve_select`) registers both families.  See
-CONTRIBUTING.md for how to add a rule of either scope.
+file, which lets them reason about reachability across modules.
+:func:`lint_paths` runs both passes serially in one process.  Importing
+this module's rule catalogue (via :func:`_resolve_select`) registers both
+families.  See CONTRIBUTING.md for how to add a rule of either scope.
 """
 
 from __future__ import annotations
@@ -33,10 +32,15 @@ import ast
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.api.registry import Registry
 from repro.errors import LintConfigError
+
+if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
+    from repro.analysis.dataflow import ModuleFacts
 
 __all__ = [
     "Diagnostic",
@@ -251,90 +255,93 @@ def _resolve_select(select: Optional[Sequence[str]]) -> List[str]:
     return select
 
 
+@dataclass
 class FileAnalysis:
-    """Everything one parse of a file yields, before select/suppression.
+    """What one parse of a file contributes to a lint run."""
 
-    The incremental cache of :mod:`repro.analysis.engine` persists exactly
-    this: the raw output of *every* file-scope rule (so a later run with a
-    different ``--select`` can be served from cache), the suppression
-    table, and the inter-procedural facts extracted for the project pass.
-    """
+    path: str
+    #: Selected file-scope findings that no waiver suppressed, plus the
+    #: non-suppressable policy diagnostics (REP000 justification, REP900).
+    diagnostics: List[Diagnostic]
+    #: The waiver table; the project pass marks usage on it too.
+    suppressions: Dict[int, _Suppression]
+    #: The inter-procedural summary the project graph is built from.
+    facts: Optional[ModuleFacts]
 
-    def __init__(
-        self,
-        path: str,
-        module: str,
-        outputs: List[Tuple[str, str, int, int, str]],
-        suppressions: Dict[int, _Suppression],
-        policy: List[Diagnostic],
-        facts: Optional[Dict[str, object]],
-    ) -> None:
-        self.path = path
-        self.module = module
-        #: ``(code, severity, line, column, message)`` per rule finding.
-        self.outputs = outputs
-        self.suppressions = suppressions
-        #: Non-suppressable policy diagnostics (REP000 justification, REP900).
-        self.policy = policy
-        #: :class:`~repro.analysis.dataflow.ModuleFacts` as a JSON dict.
-        self.facts = facts
+
+def _waived(suppressions: Dict[int, _Suppression], line: int, code: str) -> bool:
+    """Whether a waiver on ``line`` names ``code`` (marking it used)."""
+    suppression = suppressions.get(line)
+    if suppression is None or code not in suppression.codes:
+        return False
+    suppression.used.add(code)
+    return True
+
+
+def _unparsable(path: str, line: int, column: int, reason: str) -> FileAnalysis:
+    diagnostic = Diagnostic(
+        path, line, column, PARSE_ERROR_CODE, "error", f"file does not parse: {reason}"
+    )
+    return FileAnalysis(path, [diagnostic], {}, None)
 
 
 def analyze_source(
     source: str,
     path: str = "<string>",
     module: Optional[str] = None,
+    codes: Optional[Iterable[str]] = None,
     extract_facts: bool = True,
 ) -> FileAnalysis:
-    """Run every file-scope rule (and fact extraction) over one source text."""
-    _resolve_select(None)  # ensure the rule catalogue is registered
-    resolved_module = module_name_for(path) if module is None else module
+    """Run the file-scope rules in ``codes`` (default: all) over one source
+    text, apply its waivers, and extract its facts for the project pass."""
+    all_codes = _resolve_select(None)  # ensures the rule catalogue is registered
+    wanted = set(all_codes if codes is None else codes)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        policy = [
-            Diagnostic(
-                path, exc.lineno or 1, exc.offset or 0, PARSE_ERROR_CODE,
-                "error", f"file does not parse: {exc.msg}",
-            )
-        ]
-        return FileAnalysis(path, resolved_module, [], {}, policy, None)
-    ctx = ModuleContext(path, source, tree, resolved_module)
-    suppressions, policy = _parse_suppressions(ctx.lines, path)
-
-    outputs: List[Tuple[str, str, int, int, str]] = []
-    for code in RULES.names():
+        return _unparsable(path, exc.lineno or 1, exc.offset or 0, exc.msg)
+    except ValueError as exc:  # older interpreters report a null byte this way
+        return _unparsable(path, 1, 0, str(exc))
+    ctx = ModuleContext(path, source, tree, module_name_for(path) if module is None else module)
+    suppressions, diagnostics = _parse_suppressions(ctx.lines, path)
+    for code in all_codes:
         entry = RULES.entry(code)
-        if entry.metadata.get("scope", "file") != "file":
+        if code not in wanted or entry.metadata.get("scope", "file") != "file":
             continue
         severity = str(entry.metadata["severity"])
         for violation in entry.factory(ctx):
-            outputs.append((code, severity, violation.line, violation.column, violation.message))
+            if not _waived(suppressions, violation.line, code):
+                diagnostics.append(
+                    Diagnostic(
+                        path, violation.line, violation.column, code, severity,
+                        violation.message,
+                    )
+                )
 
-    facts: Optional[Dict[str, object]] = None
+    facts: Optional[ModuleFacts] = None
     if extract_facts:
         from repro.analysis.dataflow import extract_module_facts
 
-        facts = extract_module_facts(ctx).to_dict()
-    return FileAnalysis(path, resolved_module, outputs, suppressions, policy, facts)
+        facts = extract_module_facts(ctx)
+    return FileAnalysis(path, diagnostics, suppressions, facts)
 
 
-def assemble_file_diagnostics(
-    analysis: FileAnalysis,
-    codes: Sequence[str],
-) -> List[Diagnostic]:
-    """Select + suppress the raw per-file outputs; marks suppression usage."""
-    wanted = set(codes)
-    diagnostics = list(analysis.policy)
-    for code, severity, line, column, message in analysis.outputs:
-        if code not in wanted:
-            continue
-        suppression = analysis.suppressions.get(line)
-        if suppression is not None and code in suppression.codes:
-            suppression.used.add(code)
-            continue
-        diagnostics.append(Diagnostic(analysis.path, line, column, code, severity, message))
-    return diagnostics
+def analyze_file(
+    path: str, codes: Optional[Iterable[str]] = None, extract_facts: bool = True
+) -> FileAnalysis:
+    """:func:`analyze_source` over a UTF-8 file; a file that does not decode
+    is reported like one that does not parse (REP900)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        source = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        return _unparsable(
+            path, data.count(b"\n", 0, exc.start) + 1, exc.start - line_start,
+            f"byte 0x{data[exc.start]:02x} is not valid UTF-8 ({exc.reason})",
+        )
+    return analyze_source(source, path=path, codes=codes, extract_facts=extract_facts)
 
 
 def unused_suppression_diagnostics(analysis: FileAnalysis) -> List[Diagnostic]:
@@ -357,6 +364,19 @@ def unused_suppression_diagnostics(analysis: FileAnalysis) -> List[Diagnostic]:
     return diagnostics
 
 
+def _sort_key(diagnostic: Diagnostic) -> Tuple[str, int, int, str]:
+    return (diagnostic.path, diagnostic.line, diagnostic.column, diagnostic.code)
+
+
+def _file_scope_diagnostics(
+    analysis: FileAnalysis, select: Optional[Sequence[str]]
+) -> List[Diagnostic]:
+    diagnostics = list(analysis.diagnostics)
+    if select is None:
+        diagnostics.extend(unused_suppression_diagnostics(analysis))
+    return sorted(diagnostics, key=_sort_key)
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -366,23 +386,17 @@ def lint_source(
     """Lint source text directly (the entry point the self-tests use).
 
     This is the *file-scope* view: the REP1xx project rules need the whole
-    tree and only run through :func:`lint_paths` /
-    :func:`repro.analysis.engine.analyze_paths`.
+    tree and only run through :func:`lint_paths`.
     """
     codes = _resolve_select(select)
-    analysis = analyze_source(source, path=path, module=module, extract_facts=False)
-    diagnostics = assemble_file_diagnostics(analysis, codes)
-    if select is None:
-        diagnostics.extend(unused_suppression_diagnostics(analysis))
-    diagnostics.sort(key=lambda d: (d.path, d.line, d.column, d.code))
-    return diagnostics
+    analysis = analyze_source(source, path=path, module=module, codes=codes, extract_facts=False)
+    return _file_scope_diagnostics(analysis, select)
 
 
 def lint_file(path: str, select: Optional[Sequence[str]] = None) -> List[Diagnostic]:
-    """Lint one file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path=path, select=select)
+    """Lint one file (the file-scope view, like :func:`lint_source`)."""
+    codes = _resolve_select(select)
+    return _file_scope_diagnostics(analyze_file(path, codes, extract_facts=False), select)
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -406,11 +420,6 @@ class LintReport:
 
     diagnostics: List[Diagnostic]
     files_checked: int
-    #: Files re-parsed this run vs. served from the incremental cache.
-    files_reparsed: int = 0
-    files_cached: int = 0
-    #: Findings hidden by the ``--baseline`` file (gradual adoption).
-    baselined: int = 0
 
     @property
     def error_count(self) -> int:
@@ -434,9 +443,6 @@ class LintReport:
     def to_dict(self) -> Dict[str, object]:
         return {
             "files_checked": self.files_checked,
-            "files_reparsed": self.files_reparsed,
-            "files_cached": self.files_cached,
-            "baselined": self.baselined,
             "errors": self.error_count,
             "warnings": self.warning_count,
             "summary": self.summary(),
@@ -445,15 +451,54 @@ class LintReport:
         }
 
 
+def _project_diagnostics(
+    codes: Sequence[str], analyses: Dict[str, FileAnalysis]
+) -> List[Diagnostic]:
+    """Build the project graph and run the selected REP1xx rules."""
+    project_codes = [code for code in codes if rule_scope(code) == "project"]
+    if not project_codes:
+        return []
+    from repro.analysis.graph import build_project
+
+    project = build_project(
+        sorted(
+            (analysis.facts for analysis in analyses.values() if analysis.facts is not None),
+            key=lambda mod: mod.path,
+        )
+    )
+    diagnostics: List[Diagnostic] = []
+    for code in project_codes:
+        entry = RULES.entry(code)
+        severity = str(entry.metadata["severity"])
+        for violation in entry.factory(project):
+            analysis = analyses.get(violation.path)
+            if analysis is not None and _waived(analysis.suppressions, violation.line, code):
+                continue
+            diagnostics.append(
+                Diagnostic(
+                    violation.path, violation.line, violation.column,
+                    code, severity, violation.message,
+                )
+            )
+    return diagnostics
+
+
 def lint_paths(paths: Sequence[str], select: Optional[Sequence[str]] = None) -> LintReport:
     """Lint every Python file under ``paths`` and return the full report.
 
-    Runs both passes: the per-file rules and — when selected (they are by
-    default) — the inter-procedural REP1xx rules over the project graph
-    built from the same files.  This is a thin facade over
-    :func:`repro.analysis.engine.analyze_paths`, which adds the incremental
-    cache, ``--jobs`` fan-out and baseline handling for CLI/CI use.
+    Two serial passes: every file is parsed once, running the selected
+    file-scope rules and extracting its facts; then — when selected (they
+    are by default) — the inter-procedural REP1xx rules run over the
+    project graph built from all those facts, honouring per-line waivers
+    exactly like file-scope rules.  Unused waivers are reported only after
+    both passes had their chance to mark usage.
     """
-    from repro.analysis.engine import analyze_paths
-
-    return analyze_paths(paths, select=select)
+    codes = _resolve_select(select)
+    analyses = {path: analyze_file(path, codes) for path in iter_python_files(paths)}
+    diagnostics = [d for analysis in analyses.values() for d in analysis.diagnostics]
+    diagnostics.extend(_project_diagnostics(codes, analyses))
+    if select is None:
+        for analysis in analyses.values():
+            diagnostics.extend(unused_suppression_diagnostics(analysis))
+    diagnostics.sort(key=_sort_key)
+    return LintReport(diagnostics=diagnostics, files_checked=len(analyses))

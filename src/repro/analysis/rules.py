@@ -1,4 +1,4 @@
-"""The project lint rules (REP001–REP006).
+"""The file-scope lint rules (REP001–REP008).
 
 Each rule guards an invariant this reproduction actually depends on —
 they are the contracts earlier PRs established, turned into checks:
@@ -10,8 +10,6 @@ REP002    no dense materialization on the CSR hot paths
           (repro.core / repro.nn / repro.minibatch; PR-2 contract)
 REP003    every ``backward()`` paired with ``release_graph()`` /
           ``no_grad()`` in the same scope (the PR-4 leak class)
-REP004    no lambdas / closures handed to the process pool
-          (pool workers pickle their work units)
 REP005    every environment read goes through :mod:`repro.env`
           (one documented accessor; REPRO_* is public surface)
 REP006    no bare ``assert`` / ``raise Exception`` in library code
@@ -24,6 +22,9 @@ REP008    no ``print()`` in library code (CLI modules exempt); library
           (:mod:`repro.observability.log`)
 ========  ============================================================
 
+REP004 is retired: a lambda or closure handed straight to the pool is
+the zero-hop case of REP101 (:mod:`repro.analysis.dataflow`).
+
 Violations carry ``file:line`` positions and are suppressable per line
 with ``# repro: noqa[REPxxx] <justification>`` — see CONTRIBUTING.md for
 the waiver policy.
@@ -32,7 +33,7 @@ the waiver policy.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set
+from typing import Iterator, List
 
 from repro.analysis.linter import ModuleContext, RuleViolation, rule
 
@@ -40,7 +41,6 @@ __all__ = [
     "check_unseeded_randomness",
     "check_dense_materialization",
     "check_backward_release",
-    "check_pool_picklability",
     "check_env_accessor",
     "check_typed_errors",
     "check_exception_swallowing",
@@ -67,10 +67,6 @@ _RNG_CONSTRUCTORS = {
 #: np.random attributes that *read* generator state without drawing from
 #: it (the RNG-isolation sanitizer fingerprints state this way).
 _RNG_STATE_READS = {"get_state"}
-
-#: entry points of repro.parallel whose callable/iterable arguments cross
-#: a process boundary and therefore must pickle.
-_POOL_ENTRY_POINTS = {"parallel_map", "run_trials", "run_seeded"}
 
 #: modules whose *job* is writing to stdout/stderr — exempt from REP008.
 _CLI_MODULES = ("repro.api.cli", "repro.analysis.cli")
@@ -234,73 +230,6 @@ def check_backward_release(ctx: ModuleContext) -> Iterator[RuleViolation]:
                     "leaks the step graph until the cyclic GC runs; release "
                     "the loss root after optimizer.step()",
                 )
-
-
-# ----------------------------------------------------------------------
-# REP004 — pool picklability
-# ----------------------------------------------------------------------
-@rule(
-    "REP004",
-    summary="no lambdas or closures passed to parallel_map / run_trials "
-    "(pool workers pickle their work units)",
-)
-def check_pool_picklability(ctx: ModuleContext) -> Iterator[RuleViolation]:
-    """``ProcessPoolExecutor`` pickles the callable; lambdas and functions
-    defined inside other functions fail at submit time — but only when
-    ``jobs > 1``, which is exactly how the bug escapes serial test runs."""
-
-    class Visitor(ast.NodeVisitor):
-        def __init__(self) -> None:
-            self.violations: List[RuleViolation] = []
-            self._nested_defs: List[Set[str]] = []
-
-        def _visit_function(self, node: ast.AST, name: str = "") -> None:
-            if self._nested_defs and name:
-                self._nested_defs[-1].add(name)
-            self._nested_defs.append(set())
-            self.generic_visit(node)
-            self._nested_defs.pop()
-
-        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-            self._visit_function(node, node.name)
-
-        def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-            self._visit_function(node, node.name)
-
-        def visit_Lambda(self, node: ast.Lambda) -> None:
-            self._visit_function(node)
-
-        def visit_Call(self, node: ast.Call) -> None:
-            target = _dotted(node.func).split(".")[-1]
-            if target in _POOL_ENTRY_POINTS:
-                arguments = list(node.args) + [kw.value for kw in node.keywords]
-                for argument in arguments:
-                    if isinstance(argument, ast.Lambda):
-                        self.violations.append(
-                            _violation(
-                                argument,
-                                f"lambda passed to {target}() cannot be "
-                                f"pickled into pool workers; use a "
-                                f"module-level function",
-                            )
-                        )
-                    elif isinstance(argument, ast.Name) and any(
-                        argument.id in defs for defs in self._nested_defs
-                    ):
-                        self.violations.append(
-                            _violation(
-                                argument,
-                                f"{argument.id!r} is defined inside an "
-                                f"enclosing function; closures passed to "
-                                f"{target}() cannot be pickled into pool "
-                                f"workers — move it to module level",
-                            )
-                        )
-            self.generic_visit(node)
-
-    visitor = Visitor()
-    visitor.visit(ctx.tree)
-    yield from visitor.violations
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """REP101 fixture: unpicklable callables entering the pool through wrappers.
 
-REP004 sees the direct ``parallel_map(lambda ...)`` site; these calls go
-through the forwarding wrappers in ``fix_rep101_worker`` instead, which
-only the inter-procedural pass can connect to the pool boundary.
+``fix_rep101_direct`` holds the zero-hop ``parallel_map(lambda ...)`` case;
+these calls go through the forwarding wrappers in ``fix_rep101_worker``,
+which only the inter-procedural pass can connect to the pool boundary.
 """
 
 from repro.fix_rep101_worker import run_distributed, run_wrapped

@@ -1,27 +1,19 @@
-"""Tests for the inter-procedural analysis: graph, REP1xx rules, engine.
+"""Tests for the inter-procedural analysis: graph and REP1xx rules.
 
 Covers the cross-module fixtures under ``tests/lint_fixtures/``, import-
-cycle tolerance, the incremental cache (including invalidation on edit),
-``--jobs`` parse parallelism, SARIF 2.1.0 structural validity, the
-baseline workflow, the hardened ``--select`` handling, and the repo-tree
-REP1xx clean gate.
+cycle tolerance, the forwarding fixpoint, the hardened ``--select``
+handling, and the repo-tree REP1xx clean gate.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.cli import main as lint_main
-from repro.analysis.engine import AnalysisCache, analyze_paths, rules_fingerprint
 from repro.analysis.graph import build_project
-from repro.analysis.linter import analyze_source
-from repro.analysis.dataflow import ModuleFacts
-from repro.analysis.sarif import sarif_report, write_sarif
-from repro.errors import LintConfigError
+from repro.analysis.linter import analyze_source, lint_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "lint_fixtures")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -34,7 +26,7 @@ def fixture(*parts: str) -> str:
 
 
 def rep1xx_over_fixtures():
-    return analyze_paths([fixture("src")], select=REP1XX)
+    return lint_paths([fixture("src")], select=REP1XX)
 
 
 def by_code(report, code):
@@ -46,15 +38,24 @@ def by_code(report, code):
 # ----------------------------------------------------------------------
 def test_rep101_sees_through_forwarding_wrappers():
     findings = by_code(rep1xx_over_fixtures(), "REP101")
-    paths = {os.path.basename(d.path) for d in findings}
-    assert paths == {"fix_rep101.py"}
-    messages = sorted(d.message for d in findings)
-    assert len(findings) == 2
-    assert any("lambda" in m and "run_distributed" in m for m in messages)
+    by_file = {}
+    for finding in findings:
+        by_file.setdefault(os.path.basename(finding.path), []).append(finding)
+    assert set(by_file) == {"fix_rep101.py", "fix_rep101_direct.py"}
+    forwarded = sorted(d.message for d in by_file["fix_rep101.py"])
+    assert len(forwarded) == 2
+    assert any("lambda" in m and "run_distributed" in m for m in forwarded)
     # two levels of forwarding: the closure enters via run_wrapped
-    assert any("local_fn" in m and "run_wrapped" in m for m in messages)
-    # the waived lambda in suppressed() must not surface
-    assert all("suppressed" not in m for m in messages)
+    assert any("local_fn" in m and "run_wrapped" in m for m in forwarded)
+    # zero hops: lambdas and closures handed straight to the pool
+    direct = by_file["fix_rep101_direct.py"]
+    assert [(d.line, d.column) for d in direct] == [(11, 27), (16, 26), (17, 28), (18, 28)]
+    assert [d.message.split(" ", 1)[0] for d in direct] == ["lambda", "'local_fn'"] * 2
+    assert [d.message.split("passed straight to ")[1].split("(")[0] for d in direct] == [
+        "parallel_map", "parallel_map", "supervised_map", "supervised_map",
+    ]
+    # the waived lambdas in suppressed() must not surface
+    assert all("suppressed" not in d.message for d in findings)
 
 
 def test_rep102_flags_worker_reachable_module_state():
@@ -93,7 +94,7 @@ def test_rep104_flags_env_reads_inside_workers():
 
 
 def test_project_pass_skipped_when_not_selected():
-    report = analyze_paths([fixture("src")], select=["REP006"])
+    report = lint_paths([fixture("src")], select=["REP006"])
     assert set(report.summary()) <= {"REP006"}
 
 
@@ -105,8 +106,7 @@ def _facts_for(*names: str):
     for name in names:
         path = fixture("src", "repro", name)
         with open(path, "r", encoding="utf-8") as handle:
-            analysis = analyze_source(handle.read(), path=path)
-        facts.append(ModuleFacts.from_dict(analysis.facts))
+            facts.append(analyze_source(handle.read(), path=path).facts)
     return facts
 
 
@@ -124,185 +124,6 @@ def test_forwarding_fixpoint_marks_both_wrappers():
     forwarders = project.graph.forwarders
     assert forwarders.get("repro.fix_rep101_worker:run_distributed") == {(0, "fn")}
     assert forwarders.get("repro.fix_rep101_worker:run_wrapped") == {(0, "fn")}
-
-
-def test_module_facts_json_round_trip():
-    (facts,) = _facts_for("fix_rep103.py")
-    clone = ModuleFacts.from_dict(json.loads(json.dumps(facts.to_dict())))
-    assert clone.to_dict() == facts.to_dict()
-    assert "work" in clone.functions and clone.functions["work"].calls
-
-
-# ----------------------------------------------------------------------
-# incremental cache
-# ----------------------------------------------------------------------
-def test_cache_warm_run_and_invalidation_on_edit(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import numpy as np\n\n\ndef f():\n    return np.random.rand(3)\n")
-    cache = str(tmp_path / "cache.json")
-
-    cold = analyze_paths([str(target)], cache_path=cache)
-    assert (cold.files_reparsed, cold.files_cached) == (1, 0)
-    assert [d.code for d in cold.diagnostics] == []  # not a repro.* module
-
-    warm = analyze_paths([str(target)], cache_path=cache)
-    assert (warm.files_reparsed, warm.files_cached) == (0, 1)
-    assert warm.diagnostics == cold.diagnostics
-
-    # editing the file invalidates exactly that entry
-    target.write_text("import numpy as np\n\n\ndef f():\n    return np.random.rand(4)\n")
-    edited = analyze_paths([str(target)], cache_path=cache)
-    assert (edited.files_reparsed, edited.files_cached) == (1, 0)
-
-
-def test_cache_serves_select_changes_without_reparse(tmp_path):
-    cache = str(tmp_path / "cache.json")
-    first = analyze_paths([fixture("src")], cache_path=cache)
-    assert first.files_cached == 0
-    # a different --select is a pure filter over the cached outputs
-    second = analyze_paths([fixture("src")], select=REP1XX, cache_path=cache)
-    assert second.files_reparsed == 0
-    assert second.files_cached == second.files_checked
-    assert second.summary() == {"REP101": 2, "REP102": 3, "REP103": 2, "REP104": 1}
-
-
-def test_cache_invalidated_by_rule_catalogue_changes(tmp_path):
-    cache_path = str(tmp_path / "cache.json")
-    analyze_paths([fixture("src", "repro", "fix_rep104.py")], cache_path=cache_path)
-    payload = json.loads(open(cache_path).read())
-    assert payload["fingerprint"] == rules_fingerprint()
-    # a cache written under a different catalogue is ignored wholesale
-    payload["fingerprint"] = "0" * 64
-    open(cache_path, "w").write(json.dumps(payload))
-    report = analyze_paths([fixture("src", "repro", "fix_rep104.py")], cache_path=cache_path)
-    assert report.files_reparsed == 1
-
-
-def test_corrupt_cache_is_a_cold_cache(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    cache_path.write_text("{not json")
-    report = analyze_paths(
-        [fixture("src", "repro", "fix_rep104.py")], cache_path=str(cache_path)
-    )
-    assert report.files_reparsed == 1
-    # and the save repaired the file
-    assert json.loads(cache_path.read_text())["fingerprint"] == rules_fingerprint()
-
-
-def test_cache_roundtrip_preserves_suppressions(tmp_path):
-    cache = AnalysisCache(None)
-    path = fixture("src", "repro", "fix_rep103.py")
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    analysis = analyze_source(source, path=path)
-    cache.put(path, "sha", analysis)
-    clone = cache.get(path, "sha")
-    assert clone is not None
-    assert {s.line: s.codes for s in clone.suppressions.values()} == {
-        s.line: s.codes for s in analysis.suppressions.values()
-    }
-    assert clone.outputs == analysis.outputs
-
-
-# ----------------------------------------------------------------------
-# --jobs: the linter dogfooding repro.parallel
-# ----------------------------------------------------------------------
-def test_parallel_parse_matches_serial():
-    serial = analyze_paths([fixture("src")])
-    parallel = analyze_paths([fixture("src")], jobs=2)
-    assert parallel.diagnostics == serial.diagnostics
-    assert parallel.files_checked == serial.files_checked
-
-
-# ----------------------------------------------------------------------
-# SARIF 2.1.0 export
-# ----------------------------------------------------------------------
-def _validate_sarif_2_1_0(log):
-    """Hand-written structural validation against the SARIF 2.1.0 schema
-    (no jsonschema dependency available): required properties, types and
-    the 1-based region convention."""
-    assert isinstance(log, dict)
-    assert log["version"] == "2.1.0"
-    assert isinstance(log["$schema"], str) and "sarif-2.1.0" in log["$schema"]
-    assert isinstance(log["runs"], list) and log["runs"]
-    for run in log["runs"]:
-        driver = run["tool"]["driver"]
-        assert isinstance(driver["name"], str) and driver["name"]
-        for rule in driver.get("rules", []):
-            assert isinstance(rule["id"], str) and rule["id"]
-            assert isinstance(rule["shortDescription"]["text"], str)
-        assert isinstance(run["results"], list)
-        for result in run["results"]:
-            assert isinstance(result["ruleId"], str)
-            assert result["level"] in {"none", "note", "warning", "error"}
-            assert isinstance(result["message"]["text"], str) and result["message"]["text"]
-            for location in result["locations"]:
-                physical = location["physicalLocation"]
-                uri = physical["artifactLocation"]["uri"]
-                assert isinstance(uri, str) and "\\" not in uri
-                region = physical["region"]
-                assert isinstance(region["startLine"], int) and region["startLine"] >= 1
-                assert isinstance(region["startColumn"], int) and region["startColumn"] >= 1
-
-
-def test_sarif_export_validates_and_roundtrips(tmp_path):
-    report = analyze_paths([fixture("src")])
-    assert report.diagnostics, "fixture tree should produce findings"
-    log = sarif_report(report.diagnostics)
-    _validate_sarif_2_1_0(log)
-    # rule ids cover every reported code, results match 1:1
-    codes = {d.code for d in report.diagnostics}
-    assert {r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]} == codes
-    assert len(log["runs"][0]["results"]) == len(report.diagnostics)
-
-    out = tmp_path / "report.sarif"
-    write_sarif(str(out), report.diagnostics)
-    _validate_sarif_2_1_0(json.loads(out.read_text()))
-
-
-def test_sarif_columns_are_one_based():
-    report = analyze_paths([fixture("src")], select=["REP102"])
-    finding = next(d for d in report.diagnostics if "_RESULTS" in d.message)
-    log = sarif_report([finding])
-    region = log["runs"][0]["results"][0]["locations"][0]["physicalLocation"]["region"]
-    assert region["startColumn"] == finding.column + 1
-
-
-# ----------------------------------------------------------------------
-# baseline workflow
-# ----------------------------------------------------------------------
-def test_baseline_freezes_existing_debt(tmp_path):
-    baseline_path = str(tmp_path / "baseline.json")
-    report = rep1xx_over_fixtures()
-    assert report.error_count > 0
-    count = write_baseline(baseline_path, report.diagnostics)
-    assert count == len(report.diagnostics)
-
-    accepted = load_baseline(baseline_path)
-    gated = analyze_paths([fixture("src")], select=REP1XX, baseline=sorted(accepted))
-    assert gated.exit_code == 0
-    assert gated.baselined == count
-
-    # a *new* finding is not covered by the frozen debt
-    kept, dropped = apply_baseline(report.diagnostics, set())
-    assert kept == report.diagnostics and dropped == 0
-
-
-def test_baseline_rejects_malformed_files(tmp_path):
-    bogus = tmp_path / "baseline.json"
-    bogus.write_text(json.dumps({"schema": "something-else"}))
-    with pytest.raises(LintConfigError, match="not a repro-lint baseline"):
-        load_baseline(str(bogus))
-    with pytest.raises(LintConfigError, match="not found"):
-        load_baseline(str(tmp_path / "missing.json"))
-
-
-def test_cli_baseline_flags(tmp_path, capsys):
-    baseline = str(tmp_path / "baseline.json")
-    assert lint_main([fixture("src"), "--write-baseline", baseline]) == 0
-    assert "accepted findings" in capsys.readouterr().out
-    assert lint_main([fixture("src"), "--baseline", baseline]) == 0
-    assert "baselined" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -327,15 +148,16 @@ def test_cli_unknown_select_lists_the_catalogue(capsys):
     assert "REP999" in err and "REP101" in err
 
 
-def test_cli_select_rep1xx_and_sarif(tmp_path, capsys):
-    sarif = tmp_path / "out.sarif"
-    code = lint_main(
-        [fixture("src"), "--select", ",".join(REP1XX), "--sarif", str(sarif)]
-    )
+def test_cli_select_rep1xx_and_sarif(capsys):
+    code = lint_main([fixture("src"), "--select", ",".join(REP1XX)])
     assert code == 1  # the fixtures violate on purpose
-    _validate_sarif_2_1_0(json.loads(sarif.read_text()))
     out = capsys.readouterr().out
     assert "REP101" in out
+    # an unknown flag such as --sarif is a usage error, never silently ignored
+    with pytest.raises(SystemExit) as excinfo:
+        lint_main([fixture("src"), "--sarif", "out.sarif"])
+    assert excinfo.value.code == 2
+    assert "--sarif" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +169,6 @@ def test_repo_tree_is_rep1xx_clean():
         for name in ("src", "benchmarks", "examples")
         if os.path.exists(os.path.join(REPO_ROOT, name))
     ]
-    report = analyze_paths(targets, select=REP1XX)
+    report = lint_paths(targets, select=REP1XX)
     messages = "\n".join(d.format() for d in report.diagnostics)
     assert report.exit_code == 0, f"inter-procedural findings:\n{messages}"

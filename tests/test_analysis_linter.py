@@ -50,10 +50,11 @@ def test_all_rules_registered_with_metadata():
     diagnostics = lint_source("x = 1\n")  # forces rule registration
     assert diagnostics == []
     expected = {
-        "REP001", "REP002", "REP003", "REP004",
+        "REP001", "REP002", "REP003",
         "REP005", "REP006", "REP007", "REP008",
     }
     assert expected.issubset(set(RULES.names()))
+    assert "REP004" not in RULES  # direct pool submissions are REP101's
     for code in expected:
         entry = RULES.entry(code)
         assert entry.metadata["summary"]
@@ -64,6 +65,21 @@ def test_syntax_error_reports_parse_diagnostic():
     diagnostics = lint_source("def broken(:\n", path="bad.py")
     assert [d.code for d in diagnostics] == [PARSE_ERROR_CODE]
     assert diagnostics[0].severity == "error"
+
+
+@pytest.mark.parametrize(
+    "content, position",
+    [(b"x = 1\ny = '\xff'\n", {"line": 2, "column": 5}), (b"x = 1\x00\n", {"line": 1})],
+    ids=["non-utf8-byte", "null-byte"],
+)
+def test_bad_bytes_are_a_parse_diagnostic(tmp_path, capsys, content, position):
+    bad = tmp_path / "bad.py"
+    bad.write_bytes(content)
+    assert lint_main([str(bad), "--format", "json"]) == 1
+    (diagnostic,) = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diagnostic["code"] == PARSE_ERROR_CODE
+    assert diagnostic["message"].startswith("file does not parse")
+    assert {key: diagnostic[key] for key in position} == position
 
 
 def test_unknown_select_code_rejected():
@@ -141,13 +157,6 @@ def test_rep003_backward_without_release():
     assert codes_and_lines(diagnostics) == [("REP003", 7)]
 
 
-def test_rep004_pool_picklability():
-    diagnostics = lint_file(fixture("src", "repro", "fix_rep004.py"))
-    assert codes_and_lines(diagnostics) == [("REP004", 11), ("REP004", 16)]
-    assert "lambda" in diagnostics[0].message
-    assert "local_fn" in diagnostics[1].message
-
-
 def test_rep005_env_reads():
     diagnostics = lint_file(fixture("src", "repro", "fix_rep005.py"))
     assert codes_and_lines(diagnostics) == [("REP005", 9), ("REP005", 10), ("REP005", 11)]
@@ -211,7 +220,7 @@ def test_lint_paths_report_counts():
     assert report.exit_code == 1
     summary = report.summary()
     for code in (
-        "REP001", "REP002", "REP003", "REP004",
+        "REP001", "REP002", "REP003",
         "REP005", "REP006", "REP007", "REP008",
     ):
         assert summary.get(code), f"expected {code} findings in the fixture tree"
@@ -257,11 +266,20 @@ def test_cli_usage_errors(capsys):
     assert "no paths" in err and "REP999" in err
 
 
+def test_cli_unwritable_report_is_a_usage_error(tmp_path, capsys):
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
+    missing = tmp_path / "no_such_dir" / "lint-report.json"
+    assert lint_main([str(clean), "--report", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "repro-lint: error: cannot write --report" in err
+
+
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in (
-        "REP001", "REP002", "REP003", "REP004",
+        "REP001", "REP002", "REP003",
         "REP005", "REP006", "REP007", "REP008",
     ):
         assert code in out
