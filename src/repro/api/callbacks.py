@@ -5,16 +5,17 @@ kinds of events: the sampling operator Ξ refreshing the decidable set Ω,
 the operator Υ rebuilding the self-supervision graph, periodic evaluation,
 and the end of each epoch.  Everything the paper *observes about* training
 — the Λ_FR / Λ_FD traces (Tables 6-7), the learning-dynamics curves
-(Figures 4-6, 9), graph snapshots, verbosity, early stopping — is a
+(Figures 4-6, 9), graph snapshots, progress lines, early stopping — is a
 listener on those events, not part of the loop itself.
 
 This module makes that explicit: :class:`RethinkCallback` defines the event
 interface, concrete callbacks implement each tracking concern, and
 :data:`CALLBACKS` registers them by name so a serialised
 :class:`~repro.api.spec.RunSpec` can request them declaratively
-(``{"name": "fr_fd"}``).  :func:`callbacks_from_config` maps the legacy
-``track_*`` booleans of :class:`~repro.core.rethink.RethinkConfig` onto
-callbacks, which is how the old configuration surface keeps working.
+(``{"name": "fr_fd"}``).  Callbacks are the only way to switch tracking
+on: :class:`~repro.core.rethink.RethinkConfig` has no tracking fields, and
+its ``stop_at_convergence`` only decides whether the trainer adds
+:class:`ConvergenceStopping` ahead of the given callbacks.
 """
 
 from __future__ import annotations
@@ -412,23 +413,3 @@ def resolve_callbacks(specs: Sequence[CallbackSpec]) -> List[RethinkCallback]:
             raise SpecError(f"cannot resolve callback spec {spec!r}")
     return resolved
 
-
-def callbacks_from_config(config) -> List[RethinkCallback]:
-    """Map the legacy ``RethinkConfig`` tracking switches onto callbacks.
-
-    This preserves the behaviour (and the event ordering) of the original
-    monolithic training loop: dynamics before FR/FD at evaluation time,
-    snapshots and verbosity after, convergence checked last.
-    """
-    callbacks: List[RethinkCallback] = []
-    if config.track_dynamics:
-        callbacks.append(DynamicsTracker())
-    if config.track_fr or config.track_fd:
-        callbacks.append(FRFDTracker(track_fr=config.track_fr, track_fd=config.track_fd))
-    if config.snapshot_graph_every is not None:
-        callbacks.append(GraphSnapshotRecorder(every=config.snapshot_graph_every))
-    if config.verbose:
-        callbacks.append(ProgressLogger(every=20))
-    if config.stop_at_convergence:
-        callbacks.append(ConvergenceStopping())
-    return callbacks

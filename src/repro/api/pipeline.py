@@ -396,11 +396,11 @@ class Pipeline:
         from repro.api.callbacks import resolve_callbacks
         from repro.core.rethink import RethinkConfig, RethinkTrainer
         from repro.experiments.config import rethink_hyperparameters
-        from repro.graph.sparse import sparse_threshold_overrides
         from repro.metrics.report import evaluate_clustering
         from repro.models.registry import MODELS, build_model
         from repro.observability import span
         from repro.parallel import dataset_cache_info
+        from repro.store import disabled_stats, warm_pretrain
 
         start = time.perf_counter()
         with span("pipeline.dataset", dataset=spec.dataset.name):
@@ -425,59 +425,42 @@ class Pipeline:
             settings.update(spec.rethink.overrides)
             config = RethinkConfig(**settings)
 
-        # Apply any configured sparse-backend thresholds to the whole trial
-        # (pretraining included — the trainer re-applies them inside fit for
-        # callers that drive RethinkTrainer directly).
-        with sparse_threshold_overrides(
-            config.sparse_node_threshold if config is not None else None,
-            config.sparse_density_threshold if config is not None else None,
-        ):
-            from repro.store import disabled_stats, warm_pretrain
+        if self._pretrained_state is not None:
+            with span("pipeline.pretrained_state"):
+                pretrain_stats = self._apply_pretrained_state(model) or disabled_stats()
+        else:
+            # Keyed like load_dataset_cached: registry trials by their
+            # dataset spec, explicit graphs by content fingerprint.  The
+            # variant deliberately stays out of the key, so a D / R-D pair
+            # shares one snapshot.
+            with span("pipeline.pretrain", epochs=spec.training.pretrain_epochs):
+                pretrain_stats = warm_pretrain(
+                    model,
+                    graph,
+                    spec.training.pretrain_epochs,
+                    store=self._resolve_store(),
+                    dataset=None if self._graph is not None else spec.dataset.to_dict(),
+                    spec=spec.to_dict(),
+                )
 
-            if self._pretrained_state is not None:
-                with span("pipeline.pretrained_state"):
-                    pretrain_stats = self._apply_pretrained_state(model) or disabled_stats()
+        history = None
+        if spec.variant == "base":
+            if MODELS.metadata(spec.model.name).get("group") == "second":
+                with span("pipeline.fit_clustering"):
+                    model.fit_clustering(graph, epochs=spec.training.clustering_epochs)
+        else:
+            callbacks = resolve_callbacks(spec.callbacks) + list(self._callback_objects)
+            trainer = RethinkTrainer(model, config, callbacks=callbacks)
+            with span("pipeline.fit"):
+                history = trainer.fit(graph, pretrained=True)
+
+        report = None
+        if graph.labels is not None:
+            if history is not None and history.final_report is not None:
+                report = history.final_report
             else:
-                # Keyed like load_dataset_cached: registry trials by their
-                # dataset spec, explicit graphs by content fingerprint.  The
-                # sparse thresholds join the key because they change the
-                # pretraining numerics; the variant deliberately does not,
-                # so a D / R-D pair shares one snapshot.
-                with span("pipeline.pretrain", epochs=spec.training.pretrain_epochs):
-                    pretrain_stats = warm_pretrain(
-                        model,
-                        graph,
-                        spec.training.pretrain_epochs,
-                        store=self._resolve_store(),
-                        dataset=None if self._graph is not None else spec.dataset.to_dict(),
-                        config={
-                            "sparse": [
-                                config.sparse_node_threshold if config is not None else None,
-                                config.sparse_density_threshold if config is not None else None,
-                            ]
-                        },
-                        spec=spec.to_dict(),
-                        verbose=config.verbose if config is not None else False,
-                    )
-
-            history = None
-            if spec.variant == "base":
-                if MODELS.metadata(spec.model.name).get("group") == "second":
-                    with span("pipeline.fit_clustering"):
-                        model.fit_clustering(graph, epochs=spec.training.clustering_epochs)
-            else:
-                callbacks = resolve_callbacks(spec.callbacks) + list(self._callback_objects)
-                trainer = RethinkTrainer(model, config, callbacks=callbacks)
-                with span("pipeline.fit"):
-                    history = trainer.fit(graph, pretrained=True)
-
-            report = None
-            if graph.labels is not None:
-                if history is not None and history.final_report is not None:
-                    report = history.final_report
-                else:
-                    with span("pipeline.evaluate"):
-                        report = evaluate_clustering(graph.labels, model.predict_labels(graph))
+                with span("pipeline.evaluate"):
+                    report = evaluate_clustering(graph.labels, model.predict_labels(graph))
         runtime = time.perf_counter() - start
         return RunResult(
             spec=spec,

@@ -27,6 +27,16 @@ from repro.errors import SpecError, UnknownVariantError
 #: the two trial variants: the original model D and its R- version.
 VARIANTS = ("base", "rethink")
 
+#: retired RethinkConfig tracking switches and the callback spec that
+#: replaces each; naming one as a rethink override is a SpecError.
+RETIRED_OVERRIDES = {
+    "track_fr": '{"name": "fr_fd", "track_fd": false}',
+    "track_fd": '{"name": "fr_fd", "track_fr": false}',
+    "track_dynamics": '"dynamics"',
+    "snapshot_graph_every": '{"name": "graph_snapshots", "every": N}',
+    "verbose": '"progress"',
+}
+
 
 def _check_unknown_keys(data: Dict[str, Any], allowed, what: str) -> None:
     unknown = set(data) - set(allowed)
@@ -127,7 +137,8 @@ class RethinkSpec:
     from the Appendix-C tables for the (dataset, model) pair
     (:func:`repro.experiments.config.rethink_hyperparameters`);
     ``overrides`` then overlays any :class:`~repro.core.rethink.RethinkConfig`
-    field on top.  Unknown override names are rejected at spec-parse time.
+    field on top.  Unknown override names are rejected at spec-parse time;
+    the retired tracking switches name their replacement callback.
     """
 
     overrides: Dict[str, Any] = field(default_factory=dict)
@@ -136,6 +147,13 @@ class RethinkSpec:
     def __post_init__(self) -> None:
         from repro.core.rethink import RethinkConfig
 
+        retired = [name for name in sorted(self.overrides) if name in RETIRED_OVERRIDES]
+        if retired:
+            replacements = "; ".join(f"{name} -> {RETIRED_OVERRIDES[name]}" for name in retired)
+            raise SpecError(
+                f"retired rethink override(s), list the callback(s) under "
+                f"\"callbacks\" instead: {replacements}"
+            )
         allowed = {f.name for f in fields(RethinkConfig)}
         _check_unknown_keys(self.overrides, allowed, "rethink override")
 

@@ -14,14 +14,13 @@
 * training stops when ``|Ω| ≥ convergence_fraction · N`` (paper: 0.9).
 
 The loop itself is deliberately minimal: everything observational — the
-Λ_FR / Λ_FD traces, learning-dynamics curves, graph snapshots, verbosity,
-and the convergence-based early stop — is implemented as callbacks (see
-:mod:`repro.api.callbacks`) listening on the loop's events
+Λ_FR / Λ_FD traces, learning-dynamics curves, graph snapshots, progress
+lines, and the convergence-based early stop — is implemented as callbacks
+(see :mod:`repro.api.callbacks`) listening on the loop's events
 (``on_omega_update``, ``on_graph_transform``, ``on_evaluate``,
-``on_epoch_end``).  The ``track_*`` switches on :class:`RethinkConfig` are
-kept for backward compatibility and are translated into the equivalent
-callbacks; new code should pass callbacks explicitly or use
-:class:`repro.api.Pipeline`.
+``on_epoch_end``).  :class:`RethinkConfig` holds only what the loop reads;
+``stop_at_convergence`` is the one switch that adds a callback
+(:class:`~repro.api.callbacks.ConvergenceStopping`).
 """
 
 from __future__ import annotations
@@ -74,12 +73,6 @@ class RethinkConfig:
     #: seed of the batch shuffles / neighbour sampling; None derives it from
     #: the model seed so equal specs give identical minibatch sequences.
     sampler_seed: Optional[int] = None
-    # Sparse-backend auto-promotion thresholds ---------------------------
-    #: override the ≥256-node / ≤25%-density CSR promotion thresholds for
-    #: every propagation_matrix call made during this fit (None keeps the
-    #: REPRO_SPARSE_* environment variables / module defaults).
-    sparse_node_threshold: Optional[int] = None
-    sparse_density_threshold: Optional[float] = None
     # Ablation switches -------------------------------------------------
     protection_delay: int = 0
     single_step_transform: bool = False
@@ -89,13 +82,8 @@ class RethinkConfig:
     use_margin_criterion: bool = True
     use_sampling: bool = True
     use_graph_transform: bool = True
-    # Tracking (legacy switches, translated into callbacks) --------------
-    track_fr: bool = False
-    track_fd: bool = False
-    track_dynamics: bool = False
+    #: cadence of the ``on_evaluate`` event (and always the last epoch).
     evaluate_every: int = 10
-    snapshot_graph_every: Optional[int] = None
-    verbose: bool = False
 
     @property
     def resolved_alpha2(self) -> float:
@@ -134,10 +122,6 @@ class RethinkConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value!r}")
-        if self.snapshot_graph_every is not None and self.snapshot_graph_every < 1:
-            raise ConfigError(
-                f"snapshot_graph_every must be >= 1 or None, got {self.snapshot_graph_every!r}"
-            )
         if not 0.0 < self.convergence_fraction <= 1.0:
             raise ConfigError(
                 f"convergence_fraction must lie in (0, 1], got {self.convergence_fraction!r}"
@@ -156,17 +140,6 @@ class RethinkConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value!r}")
-        if self.sparse_node_threshold is not None and self.sparse_node_threshold < 0:
-            raise ConfigError(
-                f"sparse_node_threshold must be >= 0, got {self.sparse_node_threshold!r}"
-            )
-        if self.sparse_density_threshold is not None and not (
-            0.0 <= self.sparse_density_threshold <= 1.0
-        ):
-            raise ConfigError(
-                f"sparse_density_threshold must lie in [0, 1], "
-                f"got {self.sparse_density_threshold!r}"
-            )
         if self.gamma is not None and self.gamma < 0.0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma!r}")
         if model_group == "second" and self.gamma is None and model_gamma is None:
@@ -225,9 +198,9 @@ class RethinkTrainer:
     config:
         The R- hyper-parameters; validated eagerly against the model.
     callbacks:
-        Extra :class:`~repro.api.callbacks.RethinkCallback` instances (or
-        registered callback names / spec dicts) appended after the
-        callbacks derived from the config's legacy ``track_*`` switches.
+        :class:`~repro.api.callbacks.RethinkCallback` instances (or
+        registered callback names / spec dicts), run in order after the
+        ``ConvergenceStopping`` that ``stop_at_convergence`` adds.
     """
 
     def __init__(
@@ -318,9 +291,7 @@ class RethinkTrainer:
         Each epoch is a stream of :class:`~repro.minibatch.loaders.Minibatch`
         blocks from the configured loader — by default the whole graph as
         one batch — while Ξ and Υ keep operating on full-graph state
-        refreshed at epoch boundaries.  Any configured sparse-backend
-        thresholds apply to every ``propagation_matrix`` call made inside
-        the fit.
+        refreshed at epoch boundaries.
 
         Pretraining goes through the warm-start store, so direct trainer
         users get the same caching as pipelines: with ``REPRO_STORE_DIR``
@@ -330,22 +301,16 @@ class RethinkTrainer:
         :attr:`pretrain_cache_`.
         """
         from repro.analysis.sanitizers import autograd_leak_check
-        from repro.graph.sparse import sparse_threshold_overrides
         from repro.store import warm_pretrain
 
         config = self.config
-        thresholds = [config.sparse_node_threshold, config.sparse_density_threshold]
-        with sparse_threshold_overrides(*thresholds), autograd_leak_check(
-            "RethinkTrainer.fit"
-        ), _span("trainer.fit", sampler=config.sampler, epochs=config.epochs):
+        with autograd_leak_check("RethinkTrainer.fit"), _span(
+            "trainer.fit", sampler=config.sampler, epochs=config.epochs
+        ):
             if not pretrained:
                 with _span("trainer.pretrain", epochs=config.pretrain_epochs):
                     self.pretrain_cache_ = warm_pretrain(
-                        self.model,
-                        graph,
-                        config.pretrain_epochs,
-                        config={"sparse": thresholds},
-                        verbose=config.verbose,
+                        self.model, graph, config.pretrain_epochs
                     )
             return self._train(graph)
 
@@ -387,8 +352,8 @@ class RethinkTrainer:
         """
         from repro.api.callbacks import (
             CallbackList,
+            ConvergenceStopping,
             EvaluationContext,
-            callbacks_from_config,
             resolve_callbacks,
         )
         from repro.graph.sparse import adjacency_backend
@@ -429,9 +394,8 @@ class RethinkTrainer:
         gamma = model.gamma if config.gamma is None else config.gamma
         history = self.history_ = RethinkHistory()
         self.stop_training = False
-        callbacks = CallbackList(
-            callbacks_from_config(config) + resolve_callbacks(self.callbacks)
-        )
+        stopping = [ConvergenceStopping()] if config.stop_at_convergence else []
+        callbacks = CallbackList(stopping + resolve_callbacks(self.callbacks))
         callbacks.set_trainer(self)
 
         sampling = self.last_sampling_ = self._apply_sampling(embeddings, 0, num_nodes)

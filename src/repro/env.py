@@ -32,8 +32,6 @@ __all__ = [
     "ENV_VARS",
     "STORE_DIR_ENV",
     "DATASET_CACHE_SIZE_ENV",
-    "SPARSE_NODE_THRESHOLD_ENV",
-    "SPARSE_DENSITY_THRESHOLD_ENV",
     "BENCH_JOBS_ENV",
     "SANITIZE_ENV",
     "TRIAL_TIMEOUT_ENV",
@@ -87,20 +85,6 @@ DATASET_CACHE_SIZE_ENV = _register(
     "8",
     "Max entries of the per-process dataset LRU used by pool workers; "
     "0 disables caching.",
-)
-SPARSE_NODE_THRESHOLD_ENV = _register(
-    "REPRO_SPARSE_NODE_THRESHOLD",
-    "int",
-    "256",
-    "Minimum node count before a dense adjacency is auto-promoted to the "
-    "CSR backend.",
-)
-SPARSE_DENSITY_THRESHOLD_ENV = _register(
-    "REPRO_SPARSE_DENSITY_THRESHOLD",
-    "float",
-    "0.25",
-    "Maximum edge density at which a dense adjacency is auto-promoted to "
-    "the CSR backend.",
 )
 BENCH_JOBS_ENV = _register(
     "REPRO_BENCH_JOBS",

@@ -151,43 +151,32 @@ def run_rethink_model(
 def _shared_pretrain_state(model_name, dataset_name, graph, config, seed):
     """The fairness-protocol pretraining snapshot, warm-started when possible.
 
-    With an active artifact store (``REPRO_STORE_DIR``) the shared
-    pretraining of a (model, dataset, seed) cell is computed once ever: the
-    key excludes the variant, so the D and R-D trials — and every later
-    sweep over the same cell — reuse one stored snapshot.  Without a store
-    this matches the historical behaviour (pretrain in-process, hand the
-    state to both trials).  Either way the trial models keep their own
-    freshly seeded RNG streams, so warm results are bitwise identical to
-    cold ones.
+    Pretraining goes through :func:`repro.store.warm_pretrain`, keyed like a
+    ``Pipeline.warm_start`` trial of the same (dataset, model, seed, epochs)
+    cell.  With an active artifact store (``REPRO_STORE_DIR``) a cell is
+    pretrained once ever: the key excludes the variant, so the D and R-D
+    trials — and every later sweep over the cell — reuse one snapshot, and
+    a corrupt snapshot degrades to cold pretraining with a warning.  The
+    trials get a :class:`~repro.store.Snapshot` of the pretrained model
+    (its ``state_dict()`` without a store) and keep their own freshly
+    seeded RNG streams, so warm results are bitwise identical to cold ones.
     """
-    from repro.store import Snapshot, active_store, pretrain_cache_key
+    from repro.store import Snapshot, warm_pretrain
 
-    store = active_store()
     pretrain_model = build_model(
         model_name, graph.num_features, graph.num_clusters, seed=seed
     )
-    if store is None:
-        pretrain_model.pretrain(graph, epochs=config.pretrain_epochs)
-        return pretrain_model.state_dict(), {
-            "enabled": False, "hit": False, "key": None, "store": None,
-        }
-    key = pretrain_cache_key(
+    stats = warm_pretrain(
         pretrain_model,
+        graph,
         config.pretrain_epochs,
         dataset={"name": dataset_name, "seed": config.base_seed, "options": {}},
     )
-    snapshot = store.get(key, default=None)
-    hit = snapshot is not None
-    if not hit:
-        pretrain_model.pretrain(graph, epochs=config.pretrain_epochs)
-        snapshot = Snapshot.capture(
-            pretrain_model,
-            epoch=config.pretrain_epochs,
-            phase="pretrain",
-            metadata={"model": model_name, "dataset": dataset_name, "seed": seed},
-        )
-        store.put(key, snapshot)
-    stats = {"enabled": True, "hit": hit, "key": key, "store": store.root}
+    if not stats["enabled"]:
+        return pretrain_model.state_dict(), stats
+    snapshot = Snapshot.capture(
+        pretrain_model, epoch=config.pretrain_epochs, phase="pretrain"
+    )
     return snapshot, stats
 
 

@@ -13,29 +13,24 @@ the handful of operations the hot path needs:
 * sparse @ dense multiplication (``spmm``) in O(|E| d),
 * cached degrees and a cached transpose (for the autograd backward pass).
 
-The class is deliberately numpy-only: the library has no scipy dependency
-and the CI image installs numpy + pytest alone.  Everything downstream
-dispatches on the adjacency type, so dense arrays keep working unchanged;
+The class is deliberately numpy-only, like the rest of the library (numpy
+is its one runtime dependency).  Everything downstream dispatches on the
+adjacency type, so dense arrays keep working unchanged;
 :func:`propagation_matrix` is the single place that decides which backend a
 model uses.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Optional, Tuple, Union
 
 import numpy as np
-
-from repro import env as repro_env
 
 __all__ = [
     "SparseAdjacency",
     "as_sparse_adjacency",
     "adjacency_backend",
     "propagation_matrix",
-    "resolved_sparse_thresholds",
-    "sparse_threshold_overrides",
     "SPARSE_NODE_THRESHOLD",
     "SPARSE_DENSITY_THRESHOLD",
 ]
@@ -46,61 +41,6 @@ SPARSE_NODE_THRESHOLD = 256
 
 #: above this edge density CSR stops paying for itself.
 SPARSE_DENSITY_THRESHOLD = 0.25
-
-#: environment variables overriding the two constants above (read per call,
-#: so a worker process can be reconfigured without touching code).  Declared
-#: in :mod:`repro.env`; re-exported here for backwards compatibility.
-SPARSE_NODE_THRESHOLD_ENV = repro_env.SPARSE_NODE_THRESHOLD_ENV
-SPARSE_DENSITY_THRESHOLD_ENV = repro_env.SPARSE_DENSITY_THRESHOLD_ENV
-
-# Process-wide programmatic overrides, set via sparse_threshold_overrides().
-# Resolution order: explicit argument > override > environment > constant.
-_node_threshold_override: Optional[int] = None
-_density_threshold_override: Optional[float] = None
-
-
-def resolved_sparse_thresholds() -> Tuple[int, float]:
-    """The effective (node, density) auto-promotion thresholds.
-
-    Each threshold resolves, in order, from the programmatic override
-    (:func:`sparse_threshold_overrides`), the ``REPRO_SPARSE_NODE_THRESHOLD``
-    / ``REPRO_SPARSE_DENSITY_THRESHOLD`` environment variables, and finally
-    the module constants.
-    """
-    node = _node_threshold_override
-    if node is None:
-        node = repro_env.env_int(SPARSE_NODE_THRESHOLD_ENV, SPARSE_NODE_THRESHOLD)  # repro: noqa[REP104] documented dynamic threshold; workers inherit the parent env
-    density = _density_threshold_override
-    if density is None:
-        density = repro_env.env_float(  # repro: noqa[REP104] documented dynamic threshold; workers inherit the parent env
-            SPARSE_DENSITY_THRESHOLD_ENV, SPARSE_DENSITY_THRESHOLD
-        )
-    return int(node), float(density)
-
-
-@contextmanager
-def sparse_threshold_overrides(
-    node_threshold: Optional[int] = None,
-    density_threshold: Optional[float] = None,
-):
-    """Temporarily override the auto-promotion thresholds process-wide.
-
-    ``None`` leaves the corresponding threshold untouched, so the context is
-    a no-op unless at least one value is given.  Used by the trainers to
-    apply :class:`~repro.core.rethink.RethinkConfig` threshold settings to
-    every ``propagation_matrix`` call made during a fit (including the ones
-    inside ``model.embed`` / ``model.pretrain``).
-    """
-    global _node_threshold_override, _density_threshold_override
-    previous = (_node_threshold_override, _density_threshold_override)
-    if node_threshold is not None:
-        _node_threshold_override = int(node_threshold)  # repro: noqa[REP102] test-only override, per process, restored in finally
-    if density_threshold is not None:
-        _density_threshold_override = float(density_threshold)  # repro: noqa[REP102] test-only override, per process, restored in finally
-    try:
-        yield
-    finally:
-        _node_threshold_override, _density_threshold_override = previous
 
 
 class SparseAdjacency:
@@ -503,41 +443,29 @@ def as_sparse_adjacency(
     return SparseAdjacency.from_dense(adjacency)
 
 
-def _should_promote(
-    dense: np.ndarray,
-    node_threshold: Optional[int],
-    density_threshold: Optional[float],
-) -> bool:
+def _should_promote(dense: np.ndarray) -> bool:
     """Whether a dense adjacency crosses the CSR auto-promotion thresholds."""
-    resolved_node, resolved_density = resolved_sparse_thresholds()
-    if node_threshold is None:
-        node_threshold = resolved_node
-    if density_threshold is None:
-        density_threshold = resolved_density
     n = dense.shape[0]
     if n == 0:
         return False
     density = float(np.count_nonzero(dense)) / (n * n)
-    return n >= node_threshold and density <= density_threshold
+    return n >= SPARSE_NODE_THRESHOLD and density <= SPARSE_DENSITY_THRESHOLD
 
 
 def adjacency_backend(
     adjacency: Union[np.ndarray, SparseAdjacency],
-    node_threshold: Optional[int] = None,
-    density_threshold: Optional[float] = None,
 ) -> Union[np.ndarray, SparseAdjacency]:
     """The *unnormalised* adjacency in the backend the thresholds pick.
 
     Sparse input stays sparse; dense input is converted to CSR exactly when
-    :func:`propagation_matrix` would promote it (same thresholds, same
-    resolution order), and returned unchanged otherwise.  This is how the
-    minibatch trainer chooses the representation of the self-supervision
-    graph it slices per batch.
+    :func:`propagation_matrix` would promote it, and returned unchanged
+    otherwise.  This is how the minibatch trainer chooses the
+    representation of the self-supervision graph it slices per batch.
     """
     if isinstance(adjacency, SparseAdjacency):
         return adjacency
     dense = np.asarray(adjacency, dtype=np.float64)
-    if _should_promote(dense, node_threshold, density_threshold):
+    if _should_promote(dense):
         return SparseAdjacency.from_dense(dense)
     return dense
 
@@ -545,28 +473,22 @@ def adjacency_backend(
 def propagation_matrix(
     adjacency: Union[np.ndarray, SparseAdjacency],
     self_loops: bool = True,
-    node_threshold: Optional[int] = None,
-    density_threshold: Optional[float] = None,
 ) -> Union[np.ndarray, SparseAdjacency]:
     """Normalised GCN propagation matrix with automatic backend choice.
 
     Sparse input stays sparse.  Dense input is promoted to
-    :class:`SparseAdjacency` when the graph is large (≥ ``node_threshold``
-    nodes) and sparse (density ≤ ``density_threshold``); otherwise the dense
+    :class:`SparseAdjacency` when the graph is large (≥
+    :data:`SPARSE_NODE_THRESHOLD` nodes) and sparse (density ≤
+    :data:`SPARSE_DENSITY_THRESHOLD`); otherwise the dense
     :func:`~repro.graph.laplacian.normalize_adjacency` result is returned, so
     small graphs keep the exact BLAS code path (and bit-identical results).
-
-    The thresholds resolve at call time through
-    :func:`resolved_sparse_thresholds` — explicit arguments beat the
-    :func:`sparse_threshold_overrides` context (set e.g. from
-    ``RethinkConfig``), which beats the ``REPRO_SPARSE_*`` environment
-    variables, which beat the module constants.
+    The backend therefore depends on the input graph alone.
     """
     from repro.graph.laplacian import normalize_adjacency
 
     if isinstance(adjacency, SparseAdjacency):
         return adjacency.normalize(self_loops=self_loops)
     dense = np.asarray(adjacency, dtype=np.float64)
-    if _should_promote(dense, node_threshold, density_threshold):
+    if _should_promote(dense):
         return SparseAdjacency.from_dense(dense).normalize(self_loops=self_loops)
     return normalize_adjacency(dense, self_loops=self_loops)

@@ -4,9 +4,10 @@ The paper uses the Hungarian algorithm ``AH`` to map predicted cluster ids to
 ground-truth classes both for the ACC metric and for building the supervised
 counterpart ``Q' = AH(Q, P)`` used by the Λ_FR / Λ_FD diagnostics.
 
-A self-contained O(n³) implementation is provided; when scipy is available
-its ``linear_sum_assignment`` is used as the fast path and the pure-Python
-version acts as a cross-check in tests.
+The self-contained O(n³) solver below is the only one: the cost matrices
+are K × K with K the number of clusters (at most 7 for the bundled
+datasets), small enough for a pure-Python solver.  The tests check it
+against scipy's ``linear_sum_assignment``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - import guard
-    from scipy.optimize import linear_sum_assignment as _scipy_lsa
-except ImportError:  # pragma: no cover
-    _scipy_lsa = None
 
 
 def hungarian_algorithm(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -104,11 +100,7 @@ def hungarian_matching(
     num_classes = int(max(true_labels.max(), predicted_labels.max())) + 1
     contingency = np.zeros((num_classes, num_classes))
     np.add.at(contingency, (predicted_labels, true_labels), 1.0)
-    cost = contingency.max() - contingency
-    if _scipy_lsa is not None:
-        rows, cols = _scipy_lsa(cost)
-    else:  # pragma: no cover - exercised only without scipy
-        rows, cols = hungarian_algorithm(cost)
+    rows, cols = hungarian_algorithm(contingency.max() - contingency)
     return {int(r): int(c) for r, c in zip(rows, cols)}
 
 

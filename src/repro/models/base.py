@@ -35,7 +35,6 @@ from repro.nn.layers import GraphConvolution
 from repro.nn.module import Module
 from repro.nn.optim import Adam, train_step
 from repro.nn.tensor import Tensor, no_grad
-from repro.observability.log import get_logger
 
 
 def _copy_or_none(array) -> Optional[np.ndarray]:
@@ -463,7 +462,6 @@ class GAEClusteringModel(Module):
         graph: AttributedGraph,
         epochs: int = 200,
         optimizer: Optional[Adam] = None,
-        verbose: bool = False,
     ) -> PretrainResult:
         """Self-supervised pretraining on the raw input graph."""
         features, adj_norm = self.prepare_inputs(graph)
@@ -475,13 +473,9 @@ class GAEClusteringModel(Module):
             return {**self.training_losses(z, graph.adjacency), "z": z}
 
         with autograd_leak_check(f"{self.__class__.__name__}.pretrain"):
-            for epoch in range(epochs):
+            for _ in range(epochs):
                 loss = train_step(optimizer, forward, self.pretrain_step_hook)["loss"].item()
                 history.losses.append(loss)
-                if verbose and epoch % 20 == 0:
-                    get_logger("pretrain").info(
-                        "[pretrain:%s] epoch %d loss %.4f", self.__class__.__name__, epoch, loss
-                    )
         return history
 
     def pretrain_step_hook(self, step: Dict[str, Tensor]) -> None:
@@ -496,18 +490,16 @@ class GAEClusteringModel(Module):
         graph: AttributedGraph,
         pretrain_epochs: int = 200,
         clustering_epochs: int = 200,
-        verbose: bool = False,
     ) -> "GAEClusteringModel":
         """Full training: pretraining followed by the model's clustering phase."""
-        self.pretrain(graph, epochs=pretrain_epochs, verbose=verbose)
-        self.fit_clustering(graph, epochs=clustering_epochs, verbose=verbose)
+        self.pretrain(graph, epochs=pretrain_epochs)
+        self.fit_clustering(graph, epochs=clustering_epochs)
         return self
 
     def fit_clustering(
         self,
         graph: AttributedGraph,
         epochs: int = 200,
-        verbose: bool = False,
     ) -> Dict[str, List[float]]:
         """Clustering phase (the vanilla one; R- runs through RethinkTrainer).
 
@@ -537,8 +529,4 @@ class GAEClusteringModel(Module):
                     self.refresh_clustering(self.embed_inputs(features, adj_norm))
                 for name, term in train_step(optimizer, forward).items():
                     history[name].append(term.item())
-                if verbose and epoch % 20 == 0:
-                    get_logger("pretrain").info(
-                        "[%s] epoch %d loss %.4f", self.__class__.__name__, epoch, history["loss"][-1]
-                    )
         return history

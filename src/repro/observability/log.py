@@ -1,12 +1,11 @@
 """The library logger: where residual ``print()`` output was routed.
 
 REP008 bans ``print()`` in library code (``src/repro/``, CLIs exempt) —
-progress lines from pretraining loops and the ``ProgressLogger`` callback
-now go through :func:`get_logger` instead.  The logger writes plain
-messages to stdout at INFO level by default, so ``verbose=True`` output
-looks exactly as before, but a host application can reconfigure, silence or
-redirect the ``repro`` logger hierarchy with the standard ``logging`` API —
-something ``print()`` never allowed.
+the ``progress`` callback (:class:`~repro.api.callbacks.ProgressLogger`)
+writes its lines through :func:`get_logger` instead.  The logger writes
+plain messages to stdout at INFO level by default, and a host application
+can reconfigure, silence or redirect the ``repro`` logger hierarchy with the
+standard ``logging`` API — something ``print()`` never allowed.
 """
 
 from __future__ import annotations

@@ -95,7 +95,6 @@ def pretrain_key(
     model: Any,
     seed: int,
     pretrain_epochs: int,
-    config: Any = None,
 ) -> str:
     """Key of a shared pretraining snapshot.
 
@@ -103,8 +102,8 @@ def pretrain_key(
     makes D and R-D share pretraining weights, so both variants of a pair
     resolve to the same snapshot.  ``dataset`` is either a dataset-spec dict
     (registry trials) or a :func:`graph_fingerprint` (explicit graphs);
-    ``config`` carries anything else that changes the pretraining numerics
-    (e.g. sparse-backend promotion thresholds).
+    ``model`` is the model's configuration signature.  Nothing else changes
+    the pretraining numerics: the dense/CSR backend follows from the graph.
     """
     return config_hash(
         {
@@ -113,7 +112,6 @@ def pretrain_key(
             "model": model,
             "seed": int(seed),
             "pretrain_epochs": int(pretrain_epochs),
-            "config": config,
         }
     )
 

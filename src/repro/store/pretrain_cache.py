@@ -43,7 +43,6 @@ def pretrain_cache_key(
     pretrain_epochs: int,
     dataset: Optional[Dict[str, Any]] = None,
     graph: Any = None,
-    config: Any = None,
 ) -> str:
     """Stable key of one pretraining run.
 
@@ -60,7 +59,6 @@ def pretrain_cache_key(
         model=model.config_signature(),
         seed=getattr(model, "seed", 0),
         pretrain_epochs=pretrain_epochs,
-        config=config,
     )
 
 
@@ -70,9 +68,7 @@ def warm_pretrain(
     pretrain_epochs: int,
     store: Optional[ArtifactStore] = None,
     dataset: Optional[Dict[str, Any]] = None,
-    config: Any = None,
     spec: Optional[Dict[str, Any]] = None,
-    verbose: bool = False,
 ) -> Dict[str, Any]:
     """Pretrain ``model`` on ``graph``, served from ``store`` when possible.
 
@@ -92,14 +88,12 @@ def warm_pretrain(
     store = store if store is not None else active_store()
     start = time.perf_counter()
     if store is None:
-        model.pretrain(graph, epochs=pretrain_epochs, verbose=verbose)
+        model.pretrain(graph, epochs=pretrain_epochs)
         stats = disabled_stats()
         stats["seconds"] = time.perf_counter() - start
         return stats
 
-    key = pretrain_cache_key(
-        model, pretrain_epochs, dataset=dataset, graph=graph, config=config
-    )
+    key = pretrain_cache_key(model, pretrain_epochs, dataset=dataset, graph=graph)
     degraded_reason = None
     quarantined_path = None
     try:
@@ -142,7 +136,7 @@ def warm_pretrain(
                 RuntimeWarning,
                 stacklevel=2,
             )
-        model.pretrain(graph, epochs=pretrain_epochs, verbose=verbose)
+        model.pretrain(graph, epochs=pretrain_epochs)
         snapshot = Snapshot.capture(
             model,
             spec=spec,

@@ -77,6 +77,40 @@ class TestValidation:
         with pytest.raises(SpecError, match="alpha3"):
             RethinkSpec(overrides={"alpha3": 0.1})
 
+    @pytest.mark.parametrize(
+        "name, value, replacement",
+        [
+            ("track_fr", True, '{"name": "fr_fd", "track_fd": false}'),
+            ("track_fd", True, '{"name": "fr_fd", "track_fr": false}'),
+            ("track_dynamics", True, '"dynamics"'),
+            ("snapshot_graph_every", 5, '{"name": "graph_snapshots", "every": N}'),
+            ("verbose", True, '"progress"'),
+        ],
+    )
+    def test_retired_override_names_its_callback(
+        self, name, value, replacement, tmp_path, capsys
+    ):
+        from repro.api import Pipeline
+        from repro.api.callbacks import resolve_callbacks
+        from repro.api.cli import main
+
+        document = {
+            "dataset": "brazil_air_sim",
+            "model": "gae",
+            "rethink": {"overrides": {name: value}},
+        }
+        with pytest.raises(SpecError, match=name) as error:
+            RunSpec.from_json(json.dumps(document))
+        assert replacement in str(error.value)
+        with pytest.raises(SpecError, match=name):
+            Pipeline().dataset("brazil_air_sim").model("gae").rethink(**{name: value})
+        path = tmp_path / "trial.json"
+        path.write_text(json.dumps(document))
+        assert main([str(path)]) == 2
+        assert replacement in capsys.readouterr().err
+        # the named replacement is a working callback spec
+        assert len(resolve_callbacks([json.loads(replacement.replace("N", "5"))])) == 1
+
     def test_invalid_json_raises_spec_error(self):
         with pytest.raises(SpecError, match="invalid JSON"):
             RunSpec.from_json("{not json")

@@ -1,4 +1,8 @@
-"""Tests for the Hungarian matching and the ACC / NMI / ARI metrics."""
+"""Tests for the Hungarian matching and the ACC / NMI / ARI metrics.
+
+scipy's ``linear_sum_assignment`` is a test-only oracle for the library's
+own solver (``pip install -e .[test]`` brings it in).
+"""
 
 from __future__ import annotations
 
@@ -25,6 +29,16 @@ class TestHungarian:
             rows_a, cols_a = hungarian_algorithm(cost)
             rows_b, cols_b = linear_sum_assignment(cost)
             assert cost[rows_a, cols_a].sum() == pytest.approx(cost[rows_b, cols_b].sum())
+
+    def test_tie_heavy_costs_match_scipy_total(self, rng):
+        # Small integer costs tie a lot: the two solvers may pick different
+        # optimal matchings, but never a different total cost.
+        for _ in range(1000):
+            cost = rng.integers(0, 4, size=(7, 7)).astype(np.float64)
+            rows_a, cols_a = hungarian_algorithm(cost)
+            rows_b, cols_b = linear_sum_assignment(cost)
+            assert sorted(cols_a) == list(range(7))
+            assert cost[rows_a, cols_a].sum() == cost[rows_b, cols_b].sum()
 
     def test_pure_implementation_rectangular(self, rng):
         cost = rng.random((3, 6))

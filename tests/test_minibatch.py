@@ -245,7 +245,7 @@ class TestBuildLoader:
 # ----------------------------------------------------------------------
 # trainer integration
 # ----------------------------------------------------------------------
-def _fit(model_name, dataset_graph, sampler, seed=0, epochs=6, **overrides):
+def _fit(model_name, dataset_graph, sampler, seed=0, epochs=6, callbacks=None, **overrides):
     model = build_model(
         model_name, dataset_graph.num_features, dataset_graph.num_clusters, seed=seed
     )
@@ -258,7 +258,7 @@ def _fit(model_name, dataset_graph, sampler, seed=0, epochs=6, **overrides):
         sampler=sampler,
         **overrides,
     )
-    trainer = RethinkTrainer(model, config)
+    trainer = RethinkTrainer(model, config, callbacks=callbacks)
     return trainer, trainer.fit(dataset_graph)
 
 
@@ -389,20 +389,22 @@ class TestTrackingCallbacksOnPromotedGraph:
 
     @pytest.mark.parametrize("sampler", ["full", "cluster"])
     @pytest.mark.parametrize(
-        "tracking",
-        [{"track_fd": True}, {"track_dynamics": True}, {"snapshot_graph_every": 1}],
+        "callback",
+        [{"name": "fr_fd", "track_fr": False}, "dynamics", {"name": "graph_snapshots", "every": 1}],
         ids=["fd", "dynamics", "snapshots"],
     )
-    def test_callbacks_get_dense_graphs(self, cora_graph, sampler, tracking):
+    def test_callbacks_get_dense_graphs(self, cora_graph, sampler, callback):
         trainer, history = _fit(
-            "dgae", cora_graph, sampler=sampler, epochs=2, evaluate_every=1, **tracking
+            "dgae", cora_graph, sampler=sampler, epochs=2, evaluate_every=1, callbacks=[callback]
         )
         n = cora_graph.num_nodes
-        if "track_fd" in tracking:
+        name = callback if isinstance(callback, str) else callback["name"]
+        if name == "fr_fd":
             assert len(history.fd_rethought) == 2 and all(np.isfinite(history.fd_rethought))
-        if "track_dynamics" in tracking:
+            assert history.fr_rethought == []
+        if name == "dynamics":
             assert len(history.link_stats) == 2 and len(history.accuracy_all) == 2
-        if "snapshot_graph_every" in tracking:
+        if name == "graph_snapshots":
             assert sorted(history.graph_snapshots) == [0, 1]
             for snapshot in history.graph_snapshots.values():
                 assert isinstance(snapshot, np.ndarray) and snapshot.shape == (n, n)
@@ -426,12 +428,6 @@ class TestConfigValidation:
             RethinkConfig(fanout=0).validate()
         with pytest.raises(ConfigError):
             RethinkConfig(num_hops=0).validate()
-
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ConfigError):
-            RethinkConfig(sparse_node_threshold=-1).validate()
-        with pytest.raises(ConfigError):
-            RethinkConfig(sparse_density_threshold=1.5).validate()
 
     def test_sampler_flows_through_spec_roundtrip(self):
         spec = (

@@ -1,5 +1,5 @@
-"""Tests for the worker-side dataset memoisation and the configurable
-sparse-backend promotion thresholds (PR satellites).
+"""Tests for the worker-side dataset memoisation and the fixed
+sparse-backend promotion thresholds.
 
 The load-once guarantee is asserted two ways: in-process (a counting
 dataset builder registered for the test is called exactly once across
@@ -16,12 +16,6 @@ import pytest
 from repro.api import Pipeline
 from repro.core.rethink import RethinkConfig, RethinkTrainer
 from repro.datasets.registry import DATASETS
-from repro.graph.sparse import (
-    SparseAdjacency,
-    propagation_matrix,
-    resolved_sparse_thresholds,
-    sparse_threshold_overrides,
-)
 from repro.models import build_model
 from repro.parallel import (
     clear_dataset_cache,
@@ -168,57 +162,12 @@ class TestPoolErrorSurfacing:
 
 
 # ----------------------------------------------------------------------
-# configurable sparse promotion thresholds
+# sparse promotion thresholds
 # ----------------------------------------------------------------------
 class TestSparseThresholds:
-    def test_defaults(self):
-        assert resolved_sparse_thresholds() == (256, 0.25)
-
-    def test_env_vars_override_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_NODE_THRESHOLD", "10")
-        monkeypatch.setenv("REPRO_SPARSE_DENSITY_THRESHOLD", "1.0")
-        assert resolved_sparse_thresholds() == (10, 1.0)
-        dense = np.zeros((20, 20))
-        dense[0, 1] = dense[1, 0] = 1.0
-        assert isinstance(propagation_matrix(dense), SparseAdjacency)
-
-    def test_context_overrides_env_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_NODE_THRESHOLD", "1000000")
-        with sparse_threshold_overrides(10, 1.0):
-            assert resolved_sparse_thresholds() == (10, 1.0)
-        assert resolved_sparse_thresholds()[0] == 1000000
-
-    def test_rethink_config_forces_sparse_backend(self, tiny_graph):
-        """90 nodes stays dense by default; config thresholds promote it."""
-        model = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
-        config = RethinkConfig(
-            epochs=2,
-            pretrain_epochs=1,
-            stop_at_convergence=False,
-            sparse_node_threshold=10,
-            sparse_density_threshold=1.0,
-        )
-        trainer = RethinkTrainer(model, config)
-        trainer.fit(tiny_graph)
-        assert isinstance(trainer.adj_norm_, SparseAdjacency)
-        # and the process-wide default is untouched afterwards
-        assert resolved_sparse_thresholds() == (256, 0.25)
-
     def test_default_config_keeps_small_graph_dense(self, tiny_graph):
         model = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
         config = RethinkConfig(epochs=2, pretrain_epochs=1, stop_at_convergence=False)
         trainer = RethinkTrainer(model, config)
         trainer.fit(tiny_graph)
         assert isinstance(trainer.adj_norm_, np.ndarray)
-
-    def test_threshold_spec_roundtrip(self):
-        spec = (
-            Pipeline()
-            .dataset("brazil_air_sim")
-            .model("gae")
-            .rethink(sparse_node_threshold=64, sparse_density_threshold=0.5)
-            .spec()
-        )
-        overrides = Pipeline.from_spec(spec.to_json()).spec().rethink.overrides
-        assert overrides["sparse_node_threshold"] == 64
-        assert overrides["sparse_density_threshold"] == 0.5

@@ -110,8 +110,8 @@ class TestRethinkTrainer:
 
     def test_tracking_fr_fd_and_dynamics(self, tiny_graph):
         model = build_model("dgae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
-        config = small_config(track_fr=True, track_fd=True, track_dynamics=True, evaluate_every=5)
-        trainer = RethinkTrainer(model, config)
+        config = small_config(evaluate_every=5)
+        trainer = RethinkTrainer(model, config, callbacks=["dynamics", "fr_fd"])
         history = trainer.fit(tiny_graph)
         assert len(history.fr_rethought) == len(history.fr_baseline) > 0
         assert len(history.fd_rethought) == len(history.fd_baseline) > 0
@@ -121,7 +121,9 @@ class TestRethinkTrainer:
 
     def test_graph_snapshots_recorded(self, tiny_graph):
         model = build_model("dgae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
-        trainer = RethinkTrainer(model, small_config(snapshot_graph_every=5))
+        trainer = RethinkTrainer(
+            model, small_config(), callbacks=[{"name": "graph_snapshots", "every": 5}]
+        )
         history = trainer.fit(tiny_graph)
         assert 0 in history.graph_snapshots
         assert history.graph_snapshots[0].shape == tiny_graph.adjacency.shape

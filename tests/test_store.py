@@ -118,7 +118,6 @@ class TestKeys:
         assert key == pretrain_key(**base)
         assert key != pretrain_key(**{**base, "seed": 1})
         assert key != pretrain_key(**{**base, "pretrain_epochs": 11})
-        assert key != pretrain_key(**{**base, "config": {"sparse": [100, 0.1]}})
 
     def test_pretrain_cache_key_shared_across_variants(self, tiny_graph):
         # The cache key has no variant coordinate at all: two models built

@@ -236,6 +236,38 @@ class TestRunnerWarmStart:
         ):
             assert a.report == b.report == c.report
 
+    def test_corrupt_snapshot_degrades_to_cold(self, tmp_path):
+        config = ExperimentConfig(
+            num_trials=1, pretrain_epochs=2, clustering_epochs=2, rethink_epochs=2
+        )
+        first = run_model_pair("gae", "brazil_air_sim", config, store_dir=str(tmp_path))
+        key = first.base_trials[0].extra["pretrain_cache"]["key"]
+        with open(ArtifactStore(str(tmp_path))._object_path(key), "ab") as handle:
+            handle.write(b"bitrot")
+        with pytest.warns(RuntimeWarning, match="degraded to cold"):
+            second = run_model_pair(
+                "gae", "brazil_air_sim", config, store_dir=str(tmp_path)
+            )
+        for trial in second.base_trials + second.rethink_trials:
+            stats = trial.extra["pretrain_cache"]
+            assert stats["degraded"] and not stats["hit"]
+        for a, b in zip(
+            first.base_trials + first.rethink_trials,
+            second.base_trials + second.rethink_trials,
+        ):
+            assert a.report == b.report
+
+    def test_pipeline_warm_start_hits_the_runner_snapshot(self, tmp_path):
+        """Runner and Pipeline key a (dataset, model, seed, epochs) cell alike."""
+        config = ExperimentConfig(
+            num_trials=1, pretrain_epochs=3, clustering_epochs=2, rethink_epochs=2
+        )
+        pair = run_model_pair("gae", "brazil_air_sim", config, store_dir=str(tmp_path))
+        result = tiny_pipeline().training(pretrain_epochs=3).warm_start(str(tmp_path)).run()
+        stats = result.extra["pretrain_cache"]
+        assert stats["hit"]
+        assert stats["key"] == pair.base_trials[0].extra["pretrain_cache"]["key"]
+
 
 class TestCli:
     def _write_spec(self, tmp_path):
