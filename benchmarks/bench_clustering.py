@@ -9,11 +9,9 @@ follow-up kernel work on the clustering side of the R-GAE procedure:
 * **gmm_fit** — the GEMM-based :class:`~repro.clustering.GaussianMixture`
   (broadcast ``_log_prob``, loop-free variance M-step, batched k-means
   init) against the historical per-component loops (target ≥ 3×),
-* **upsilon_transform** — the Υ operator on the CSR backend the substrate
-  uses at N = 2000 (vectorised edge-set operations on the COO arrays)
-  against the historical per-reliable-node / per-neighbour dense loop
-  (target ≥ 4×); the vectorised dense→dense path is reported as a
-  supplementary row (the full N² scan + copy bounds it, no gate),
+* **upsilon_transform** — the Υ operator on the CSR graph at N = 2000
+  (vectorised edge-set operations on the COO arrays) against the
+  historical per-reliable-node / per-neighbour dense loop (target ≥ 4×),
 * **trials_parallel** (optional, ``--trials-jobs N``) — the end-to-end
   multi-seed executor :func:`repro.parallel.run_seeded`: bitwise equality
   of per-seed results is always asserted; the ≥ 2.5× wall-clock target is
@@ -316,10 +314,6 @@ def bench_upsilon(repeats: int, seed: int) -> Dict:
             lambda: build_clustering_oriented_graph(sparse, assignments, reliable, embeddings),
             repeats,
         ),
-        "dense_path_seconds": measure(
-            lambda: build_clustering_oriented_graph(dense, assignments, reliable, embeddings),
-            repeats,
-        ),
     }
 
 
@@ -456,11 +450,6 @@ def main(argv=None) -> int:
             f"{row['vectorised_seconds'] * 1e3:9.1f}ms {row['speedup']:7.1f}x "
             f"{row['target']:6.1f}x"
         )
-        if name == "upsilon_transform":
-            print(
-                f"{'  (dense->dense path)':>22} {'':>10} "
-                f"{row['dense_path_seconds'] * 1e3:9.1f}ms"
-            )
         if scale > 0 and row["speedup"] < row["target"] * scale:
             failures.append(
                 f"{name}: {row['speedup']:.1f}x < required "

@@ -58,11 +58,9 @@ def random_training_graph(n: int, avg_degree: float, seed: int) -> AttributedGra
     valid = rows < cols
     keys = np.unique(rows[valid] * n + cols[valid])[:num_edges]
     edges = np.stack([keys // n, keys % n], axis=1)
-    dense = SparseAdjacency.from_edges(edges, n).to_dense()
-    np.clip(dense, 0.0, 1.0, out=dense)
     features = rng.standard_normal((n, FEATURE_DIM))
     return AttributedGraph(
-        adjacency=dense,
+        adjacency=SparseAdjacency.from_edges(edges, n),
         features=features,
         labels=None,
         name=f"bench_{n}",
@@ -148,7 +146,7 @@ def main(argv=None) -> int:
     )
     for n in sizes:
         graph = random_training_graph(n, args.avg_degree, args.seed)
-        num_edges = int(graph.adjacency.sum()) // 2
+        num_edges = graph.num_edges
         row: Dict = {"num_nodes": n, "num_edges": num_edges, "paths": {}}
         paths = {}
         if n <= args.full_max:

@@ -27,16 +27,9 @@ import numpy as np
 
 from repro.api.registry import Registry
 from repro.errors import SpecError
+from repro.graph.sparse import SparseAdjacency
 from repro.observability.log import get_logger
 from repro.observability.tracer import trace_event
-
-
-def _dense(matrix) -> np.ndarray:
-    """A self-supervision graph as a dense array (sampled loaders keep Υ's
-    output in CSR on promoted graphs; callbacks densify it when they read it)."""
-    from repro.graph.sparse import SparseAdjacency
-
-    return matrix.to_dense() if isinstance(matrix, SparseAdjacency) else matrix
 
 
 class EvaluationContext:
@@ -72,9 +65,9 @@ class EvaluationContext:
 
     @property
     def self_supervision_graph(self) -> np.ndarray:
-        """The current ``A_self_clus`` as a dense array."""
+        """The current ``A_self_clus`` as a dense array (Υ builds it in CSR)."""
         if self._self_supervision_graph is None:
-            self._self_supervision_graph = _dense(self.trainer.self_supervision_graph_)
+            self._self_supervision_graph = self.trainer.self_supervision_graph_.to_dense()
         return self._self_supervision_graph
 
 
@@ -111,9 +104,9 @@ class RethinkCallback:
     def on_omega_update(self, epoch: int, sampling) -> None:
         """Fired whenever Ξ recomputes the decidable set Ω."""
 
-    def on_graph_transform(self, epoch: int, graph_matrix: np.ndarray) -> None:
-        """Fired whenever Υ rebuilds the self-supervision graph (a
-        ``SparseAdjacency`` on promoted graphs under sampled loaders)."""
+    def on_graph_transform(self, epoch: int, graph_matrix: SparseAdjacency) -> None:
+        """Fired whenever Υ rebuilds the self-supervision graph (a CSR
+        ``SparseAdjacency``)."""
 
     # -- evaluation ----------------------------------------------------
     def on_evaluate(self, epoch: int, context: EvaluationContext) -> None:
@@ -154,7 +147,7 @@ class CallbackList(RethinkCallback):
         for callback in self.callbacks:
             callback.on_omega_update(epoch, sampling)
 
-    def on_graph_transform(self, epoch: int, graph_matrix: np.ndarray) -> None:
+    def on_graph_transform(self, epoch: int, graph_matrix: SparseAdjacency) -> None:
         for callback in self.callbacks:
             callback.on_graph_transform(epoch, graph_matrix)
 
@@ -205,16 +198,19 @@ class FRFDTracker(RethinkCallback):
                 feature_randomness_metric(model, features, adj_norm, oracle, None)
             )
         if self.track_fd:
+            # Λ_FD compares reconstruction gradients, so the graphs go dense.
             oracle_graph = build_clustering_oriented_graph(
                 graph.adjacency, oracle, np.arange(graph.num_nodes), embeddings
-            )
+            ).to_dense()
             history.fd_rethought.append(
                 feature_drift_metric(
                     model, features, adj_norm, context.self_supervision_graph, oracle_graph
                 )
             )
             history.fd_baseline.append(
-                feature_drift_metric(model, features, adj_norm, graph.adjacency, oracle_graph)
+                feature_drift_metric(
+                    model, features, adj_norm, graph.adjacency.to_dense(), oracle_graph
+                )
             )
 
 
@@ -249,7 +245,9 @@ class DynamicsTracker(RethinkCallback):
             float(np.mean(correct[~mask])) if (~mask).any() else 0.0
         )
         history.link_stats.append(
-            edge_difference(graph.adjacency, context.self_supervision_graph, graph.labels)
+            edge_difference(
+                graph.adjacency.to_dense(), context.self_supervision_graph, graph.labels
+            )
         )
 
 
@@ -265,7 +263,7 @@ class GraphSnapshotRecorder(RethinkCallback):
     def on_epoch_end(self, epoch: int, logs: Dict[str, float]) -> None:
         if epoch % self.every == 0:
             history = self.trainer.history_
-            history.graph_snapshots[epoch] = _dense(self.trainer.self_supervision_graph_).copy()
+            history.graph_snapshots[epoch] = self.trainer.self_supervision_graph_.to_dense()
 
 
 @CALLBACKS.register("progress", description="periodic stdout progress line")

@@ -53,7 +53,7 @@ class AGC:
 
     def fit_predict(self, graph: AttributedGraph) -> np.ndarray:
         """Adaptively choose the filter order and return cluster labels."""
-        adj_norm = normalize_adjacency(graph.adjacency, self_loops=True)
+        adj_norm = normalize_adjacency(graph.adjacency.to_dense(), self_loops=True)
         # Low-pass filter G = I - L_sym / 2 = (I + A_norm) / 2.
         filter_matrix = (np.eye(graph.num_nodes) + adj_norm) / 2.0
         features = graph.row_normalized_features()

@@ -42,7 +42,7 @@ class AGE:
         self.embedding_: Optional[np.ndarray] = None
 
     def _smooth(self, graph: AttributedGraph) -> np.ndarray:
-        adj_norm = normalize_adjacency(graph.adjacency, self_loops=True)
+        adj_norm = normalize_adjacency(graph.adjacency.to_dense(), self_loops=True)
         filter_matrix = (np.eye(graph.num_nodes) + adj_norm) / 2.0
         smoothed = graph.row_normalized_features()
         for _ in range(self.smoothing_order):

@@ -52,7 +52,7 @@ class MGAE:
         return np.tanh(hidden @ weights)
 
     def fit(self, graph: AttributedGraph) -> "MGAE":
-        adj_norm = normalize_adjacency(graph.adjacency, self_loops=True)
+        adj_norm = normalize_adjacency(graph.adjacency.to_dense(), self_loops=True)
         hidden = graph.row_normalized_features()
         for _ in range(self.num_layers):
             hidden = adj_norm @ hidden

@@ -56,7 +56,7 @@ class TADW:
 
     def fit(self, graph: AttributedGraph) -> "TADW":
         rng = np.random.default_rng(self.seed)
-        proximity = self._proximity_matrix(graph.adjacency)
+        proximity = self._proximity_matrix(graph.adjacency.to_dense())
         text = self._reduced_text(graph.row_normalized_features())
         k = self.embedding_dim // 2
         n = graph.num_nodes

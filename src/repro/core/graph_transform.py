@@ -17,14 +17,12 @@ O(N (d + K) + |E| (N + K)).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict
 
 import numpy as np
 
 from repro.graph.sparse import SparseAdjacency
 from repro.observability.tracer import span as _span
-
-AdjacencyLike = Union[np.ndarray, SparseAdjacency]
 
 
 def _cluster_centroid_nodes(
@@ -59,22 +57,21 @@ def _cluster_centroid_nodes(
 
 
 def build_clustering_oriented_graph(
-    adjacency: AdjacencyLike,
+    adjacency: SparseAdjacency,
     assignments: np.ndarray,
     reliable_nodes: np.ndarray,
     embeddings: np.ndarray,
     add_edges: bool = True,
     drop_edges: bool = True,
-) -> AdjacencyLike:
+) -> SparseAdjacency:
     """Apply Υ once and return the clustering-oriented graph ``A_self_clus``.
 
     Parameters
     ----------
     adjacency:
-        The *original* sparse input graph A (Algorithm 2 always starts from
-        it).  Dense arrays and :class:`~repro.graph.sparse.SparseAdjacency`
-        are both accepted; the result matches the input backend, and the
-        sparse path runs in O(|E| + |Ω|) without materialising (N, N).
+        The *original* sparse input graph A in CSR (Algorithm 2 always
+        starts from it).  Υ runs edge-wise in O(|E| + |Ω|) and returns a
+        new CSR matrix.
     assignments:
         (N, K) clustering assignment matrix P (soft or hard).
     reliable_nodes:
@@ -96,80 +93,6 @@ def build_clustering_oriented_graph(
 
 
 def _apply_upsilon(
-    adjacency: AdjacencyLike,
-    assignments: np.ndarray,
-    reliable_nodes: np.ndarray,
-    embeddings: np.ndarray,
-    add_edges: bool = True,
-    drop_edges: bool = True,
-) -> AdjacencyLike:
-    if isinstance(adjacency, SparseAdjacency):
-        return _build_clustering_oriented_graph_sparse(
-            adjacency,
-            assignments,
-            reliable_nodes,
-            embeddings,
-            add_edges=add_edges,
-            drop_edges=drop_edges,
-        )
-    adjacency = np.asarray(adjacency, dtype=np.float64)  # repro: noqa[REP002] dense half of the dual-path dispatch; the SparseAdjacency branch above handles CSR inputs, this only normalises already-dense arrays
-    assignments = np.asarray(assignments, dtype=np.float64)
-    reliable_nodes = np.asarray(reliable_nodes, dtype=np.int64)
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    num_clusters = assignments.shape[1]
-    hard = np.argmax(assignments, axis=1)
-
-    result = adjacency.copy()
-    if reliable_nodes.size == 0:
-        return result
-
-    # Both edit operations are applied as vectorised edge-set operations on
-    # the COO view of the dense matrix (the same scheme as the sparse path
-    # below).  They commute: drop_edge only removes edges whose reliable
-    # endpoints disagree on the cluster, add_edge only inserts same-cluster
-    # (node, centroid) edges, so neither can affect the other.
-    reliable_mask = np.zeros(adjacency.shape[0], dtype=bool)
-    reliable_mask[reliable_nodes] = True
-
-    if drop_edges:
-        # The bool view makes the edge scan one pass over N²/8 bytes
-        # instead of the 8-byte floats.
-        rows, cols = np.nonzero(adjacency != 0)
-        disagree = (
-            reliable_mask[rows] & reliable_mask[cols] & (hard[rows] != hard[cols])
-        )
-        # Zero both directions, like the historical per-neighbour loop did
-        # (a no-op for the reverse entry when the input is symmetric).
-        result[rows[disagree], cols[disagree]] = 0.0
-        result[cols[disagree], rows[disagree]] = 0.0
-
-    if add_edges:
-        centroid_nodes = _cluster_centroid_nodes(
-            embeddings, hard, reliable_nodes, num_clusters
-        )
-        centroid_of = np.full(num_clusters, -1, dtype=np.int64)
-        for cluster, node in centroid_nodes.items():
-            centroid_of[cluster] = node
-        clusters = hard[reliable_nodes]
-        centroids = centroid_of[clusters]
-        valid = (centroids >= 0) & (centroids != reliable_nodes)
-        # Centroid nodes are reliable members of their own cluster, so the
-        # agreement check (hard[centroid] == cluster) always holds; it is
-        # kept to mirror Algorithm 2 line by line.
-        valid &= hard[np.where(valid, centroids, 0)] == clusters
-        sources = reliable_nodes[valid]
-        targets = centroids[valid]
-        # Same-cluster entries are untouched by the drops above, so checking
-        # ``result`` here is identical to the historical check against the
-        # partially edited matrix.
-        absent = result[sources, targets] == 0.0
-        sources, targets = sources[absent], targets[absent]
-        result[sources, targets] = 1.0
-        result[targets, sources] = 1.0
-    return result
-
-
-def _build_clustering_oriented_graph_sparse(
     adjacency: SparseAdjacency,
     assignments: np.ndarray,
     reliable_nodes: np.ndarray,
@@ -177,13 +100,13 @@ def _build_clustering_oriented_graph_sparse(
     add_edges: bool = True,
     drop_edges: bool = True,
 ) -> SparseAdjacency:
-    """Edge-wise Υ over a CSR adjacency.
+    """Edge-wise Υ over the COO triples of a CSR adjacency.
 
-    The dense loop above is order-independent: drop_edge only removes edges
-    whose reliable endpoints disagree on the cluster, and add_edge only
-    inserts same-cluster (node, centroid) edges, so neither operation can
-    affect the other.  That lets the sparse path apply both as vectorised
-    set operations on the COO triples.
+    Algorithm 2 edits node by node, but its two operations commute:
+    drop_edge only removes edges whose reliable endpoints disagree on the
+    cluster, and add_edge only inserts same-cluster (node, centroid) edges,
+    so neither can affect the other.  Both therefore run as vectorised set
+    operations on the edge list.
     """
     assignments = np.asarray(assignments, dtype=np.float64)
     reliable_nodes = np.asarray(reliable_nodes, dtype=np.int64)
@@ -200,6 +123,7 @@ def _build_clustering_oriented_graph_sparse(
     reliable_mask[reliable_nodes] = True
 
     if drop_edges:
+        # Both directions of a disagreeing pair go, as in Algorithm 2.
         keep = ~(
             reliable_mask[rows] & reliable_mask[cols] & (hard[rows] != hard[cols])
         )
@@ -215,21 +139,20 @@ def _build_clustering_oriented_graph_sparse(
             centroid_of[cluster] = node
         centroids = centroid_of[hard[reliable_nodes]]
         valid = (centroids >= 0) & (centroids != reliable_nodes)
-        # Centroid nodes are reliable members of their own cluster, so the
-        # dense path's agreement check (hard[centroid] == cluster) always
-        # holds; it is re-checked here to stay byte-for-byte equivalent.
+        # Centroid nodes are reliable members of their own cluster, so
+        # Algorithm 2's agreement check (hard[centroid] == cluster) always
+        # holds; it is kept to mirror the algorithm line by line.
         valid &= hard[np.where(valid, centroids, 0)] == hard[reliable_nodes]
         sources = reliable_nodes[valid]
         targets = centroids[valid]
-        # The dense path only fires an add when (node, centroid) is absent
-        # after the drops, and a fired add writes *both* directions with 1.0
-        # (overwriting any existing reverse entry).  Reproduce that exactly:
+        # An add fires only when (node, centroid) is absent after the drops,
+        # and a fired add writes *both* directions with 1.0, overwriting any
+        # existing reverse entry (this matters for weighted or asymmetric A).
         fired = ~np.isin(sources * num_nodes + targets, rows * num_nodes + cols)
         sources, targets = sources[fired], targets[fired]
         added_rows = np.concatenate([sources, targets])
         added_cols = np.concatenate([targets, sources])
-        # Added edges listed first so they win the dedup below, matching the
-        # dense path's overwrite semantics.
+        # Added edges listed first so they win the dedup below.
         rows = np.concatenate([added_rows, rows])
         cols = np.concatenate([added_cols, cols])
         values = np.concatenate([np.ones(added_rows.shape[0]), values])
@@ -257,11 +180,11 @@ class GraphTransformOperator:
 
     def __call__(
         self,
-        adjacency: np.ndarray,
+        adjacency: SparseAdjacency,
         assignments: np.ndarray,
         reliable_nodes: np.ndarray,
         embeddings: np.ndarray,
-    ) -> np.ndarray:
+    ) -> SparseAdjacency:
         return build_clustering_oriented_graph(
             adjacency,
             assignments,

@@ -35,6 +35,7 @@ from repro.core.graph_transform import GraphTransformOperator
 from repro.core.sampling import SamplingOperator, SamplingResult
 from repro.errors import ConfigError
 from repro.graph.graph import AttributedGraph
+from repro.graph.sparse import SparseAdjacency
 from repro.metrics.report import ClusteringReport, evaluate_clustering
 from repro.models.base import GAEClusteringModel
 from repro.nn.optim import Adam, train_step
@@ -224,9 +225,8 @@ class RethinkTrainer:
         self.transform = GraphTransformOperator(
             add_edges=self.config.add_edges, drop_edges=self.config.drop_edges
         )
-        #: latest clustering-oriented self-supervision graph built by Υ
-        #: (dense on the whole-graph loader, else in A's backend).
-        self.self_supervision_graph_ = None
+        #: latest clustering-oriented self-supervision graph built by Υ (CSR).
+        self.self_supervision_graph_: Optional[SparseAdjacency] = None
         #: latest sampling result produced by Ξ.
         self.last_sampling_: Optional[SamplingResult] = None
         #: history of the current / most recent fit (visible to callbacks).
@@ -263,16 +263,13 @@ class RethinkTrainer:
 
     def _apply_transform(
         self,
-        adjacency,
+        adjacency: SparseAdjacency,
         num_nodes: int,
         embeddings: np.ndarray,
         sampling: SamplingResult,
-    ):
-        """Run Υ, honouring the single-step and use_graph_transform ablations.
-
-        ``adjacency`` is the original input graph A in either backend (Υ
-        produces the matching backend).
-        """
+    ) -> SparseAdjacency:
+        """Run Υ on the original input graph A, honouring the single-step
+        and use_graph_transform ablations."""
         if not self.config.use_graph_transform:
             return adjacency.copy()
         nodes = sampling.reliable_nodes
@@ -316,16 +313,8 @@ class RethinkTrainer:
 
     def _supervision_block(self, node_ids: np.ndarray) -> np.ndarray:
         """Dense (B, B) block of the self-supervision graph for a batch."""
-        from repro.graph.sparse import SparseAdjacency
-
-        graph_matrix = self.self_supervision_graph_
-        if isinstance(graph_matrix, SparseAdjacency):
-            return graph_matrix.induced_subgraph(node_ids).to_dense()  # repro: noqa[REP002] densifies the induced (B, B) batch block, O(B²) not O(N²) — the supervision loss consumes dense per-batch blocks by design
-        n = graph_matrix.shape[0]
-        if node_ids.shape[0] == n and np.array_equal(node_ids, np.arange(n)):
-            # Full batch in original order: skip the O(N²) fancy-indexed copy.
-            return graph_matrix
-        return graph_matrix[np.ix_(node_ids, node_ids)]
+        block = self.self_supervision_graph_.induced_subgraph(node_ids)
+        return block.to_dense()  # repro: noqa[REP002] densifies the induced (B, B) batch block, O(B²) not O(N²) — the supervision loss consumes dense per-batch blocks by design
 
     def _batch_losses(
         self, batch, target: Optional[np.ndarray], reliable_mask: np.ndarray, gamma: float
@@ -356,7 +345,6 @@ class RethinkTrainer:
             EvaluationContext,
             resolve_callbacks,
         )
-        from repro.graph.sparse import adjacency_backend
         from repro.minibatch.loaders import build_loader
 
         config = self.config
@@ -381,15 +369,6 @@ class RethinkTrainer:
             seed=model.seed if config.sampler_seed is None else config.sampler_seed,
             inputs=(features, adj_norm),
         )
-        # Υ reads the original graph A.  The whole-graph loss needs the
-        # dense (N, N) target anyway, so that loader keeps A dense;
-        # sampled loaders use whichever backend the thresholds pick, so a
-        # promoted graph never materialises the dense A_self_clus.
-        if config.sampler == "full":
-            base_adjacency = graph.adjacency
-        else:
-            base_adjacency = adjacency_backend(graph.adjacency)
-
         optimizer = Adam(model.parameters(), lr=model.learning_rate)
         gamma = model.gamma if config.gamma is None else config.gamma
         history = self.history_ = RethinkHistory()
@@ -400,7 +379,7 @@ class RethinkTrainer:
 
         sampling = self.last_sampling_ = self._apply_sampling(embeddings, 0, num_nodes)
         self.self_supervision_graph_ = self._apply_transform(
-            base_adjacency, num_nodes, embeddings, sampling
+            graph.adjacency, num_nodes, embeddings, sampling
         )
         callbacks.on_train_begin(graph, history)
 
@@ -423,7 +402,7 @@ class RethinkTrainer:
                 if refresh_graph:
                     with _span("trainer.graph_transform", epoch=epoch):
                         self.self_supervision_graph_ = self._apply_transform(
-                            base_adjacency, num_nodes, embeddings, sampling
+                            graph.adjacency, num_nodes, embeddings, sampling
                         )
                     callbacks.on_graph_transform(epoch, self.self_supervision_graph_)
 

@@ -12,19 +12,23 @@ from typing import Optional
 
 import numpy as np
 
+from repro.graph.sparse import SparseAdjacency
 
-def degree_one_hot_features(adjacency: np.ndarray, max_degree: Optional[int] = None) -> np.ndarray:
+
+def degree_one_hot_features(
+    adjacency: SparseAdjacency, max_degree: Optional[int] = None
+) -> np.ndarray:
     """One-hot encoding of the (capped) node degree.
 
     Parameters
     ----------
     adjacency:
-        Binary symmetric adjacency matrix.
+        Binary symmetric CSR adjacency matrix.
     max_degree:
         Degrees above this value are clamped into the last bucket.  When
         ``None`` the maximum observed degree is used.
     """
-    degrees = np.asarray(adjacency, dtype=np.float64).sum(axis=1).astype(int)
+    degrees = adjacency.out_degrees().astype(int)
     if max_degree is None:
         max_degree = int(degrees.max()) if degrees.size else 0
     capped = np.minimum(degrees, max_degree)

@@ -20,7 +20,8 @@ from repro.api.pipeline import Pipeline
 from repro.core.rethink import RethinkConfig, RethinkTrainer
 from repro.experiments.config import ExperimentConfig, rethink_hyperparameters
 from repro.graph.graph import AttributedGraph
-from repro.graph.stats import star_subgraph_count
+from repro.graph.sparse import SparseAdjacency
+from repro.graph.stats import edge_count, star_subgraph_count
 from repro.metrics.report import evaluate_clustering
 from repro.models import build_model
 from repro.models.registry import model_group
@@ -66,13 +67,13 @@ def learning_dynamics_study(
         .run()
     )
     history = result.history
-    snapshots_summary = {
-        epoch: {
-            "num_edges": int(np.triu(snapshot > 0, k=1).sum()),
-            "star_subgraphs": star_subgraph_count(snapshot),
+    snapshots_summary = {}
+    for epoch, snapshot in history.graph_snapshots.items():
+        sparse = SparseAdjacency.from_dense(snapshot)
+        snapshots_summary[epoch] = {
+            "num_edges": edge_count(sparse),
+            "star_subgraphs": star_subgraph_count(sparse),
         }
-        for epoch, snapshot in history.graph_snapshots.items()
-    }
     return {
         "history": history,
         "graph_snapshot_summary": snapshots_summary,

@@ -1,11 +1,7 @@
 """Graph substrate: containers, normalisation, generators and graph edits."""
 
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import (
-    SparseAdjacency,
-    as_sparse_adjacency,
-    propagation_matrix,
-)
+from repro.graph.sparse import SparseAdjacency, propagation_matrix
 from repro.graph.laplacian import (
     degree_vector,
     degree_matrix,
@@ -41,7 +37,6 @@ from repro.graph.io import save_graph_npz, load_graph_npz
 __all__ = [
     "AttributedGraph",
     "SparseAdjacency",
-    "as_sparse_adjacency",
     "propagation_matrix",
     "laplacian_quadratic_form_dense",
     "degree_vector",

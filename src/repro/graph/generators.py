@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.graph import AttributedGraph
+from repro.graph.sparse import SparseAdjacency
 
 
 def _cluster_sizes(num_nodes: int, proportions: Sequence[float]) -> np.ndarray:
@@ -38,28 +39,56 @@ def _cluster_sizes(num_nodes: int, proportions: Sequence[float]) -> np.ndarray:
     return sizes
 
 
+#: rows of the (N, N) uniform draw sampled at a time; row blocks consume the
+#: generator stream exactly like one (N, N) draw.
+ROW_BLOCK = 256
+
+
+def _sample_edges(
+    labels: np.ndarray,
+    p_intra: float,
+    p_inter: float,
+    rng: np.random.Generator,
+    propensity: Optional[np.ndarray] = None,
+) -> SparseAdjacency:
+    """Symmetric CSR adjacency keeping edge ``(i, j), i < j`` when ``u_ij < p_ij``.
+
+    The uniforms ``u`` are drawn one row block at a time, so the graph and
+    the generator state afterwards equal those of a single
+    ``rng.random((N, N))`` draw while memory stays O(ROW_BLOCK · N).
+    """
+    n = labels.shape[0]
+    sources, targets = [], []
+    for start in range(0, n, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        probs = np.where(labels[block, None] == labels[None, :], p_intra, p_inter)
+        if propensity is not None:
+            probs = np.clip(probs * propensity[block, None] * propensity[None, :], 0.0, 1.0)
+        rows, cols = np.nonzero(rng.random(probs.shape) < probs)
+        rows += start
+        sources.append(rows[cols > rows])
+        targets.append(cols[cols > rows])
+    edges = np.stack([np.concatenate(sources), np.concatenate(targets)], axis=1)
+    return SparseAdjacency.from_edges(edges, n)
+
+
 def stochastic_block_model(
     num_nodes: int,
     proportions: Sequence[float],
     p_intra: float,
     p_inter: float,
     rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[SparseAdjacency, np.ndarray]:
     """Sample an undirected SBM adjacency matrix and its label vector.
 
-    Returns ``(adjacency, labels)`` where ``adjacency`` is binary symmetric
-    with zero diagonal.
+    Returns ``(adjacency, labels)`` where ``adjacency`` is a binary
+    symmetric CSR matrix with zero diagonal.
     """
     if not (0.0 <= p_inter <= p_intra <= 1.0):
         raise ValueError("expected 0 <= p_inter <= p_intra <= 1")
     sizes = _cluster_sizes(num_nodes, proportions)
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    same = labels[:, None] == labels[None, :]
-    probs = np.where(same, p_intra, p_inter)
-    upper = rng.random((num_nodes, num_nodes)) < probs
-    upper = np.triu(upper, k=1)
-    adjacency = (upper | upper.T).astype(np.float64)
-    return adjacency, labels
+    return _sample_edges(labels, p_intra, p_inter, rng), labels
 
 
 def degree_corrected_sbm(
@@ -69,7 +98,7 @@ def degree_corrected_sbm(
     p_inter: float,
     rng: np.random.Generator,
     degree_exponent: float = 2.5,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[SparseAdjacency, np.ndarray]:
     """SBM with heavy-tailed node propensities (hub structure).
 
     The air-traffic networks used in the paper have hub airports with very
@@ -81,13 +110,7 @@ def degree_corrected_sbm(
     labels = np.repeat(np.arange(len(sizes)), sizes)
     propensity = rng.pareto(degree_exponent, size=num_nodes) + 1.0
     propensity = propensity / propensity.mean()
-    same = labels[:, None] == labels[None, :]
-    base = np.where(same, p_intra, p_inter)
-    probs = np.clip(base * propensity[:, None] * propensity[None, :], 0.0, 1.0)
-    upper = rng.random((num_nodes, num_nodes)) < probs
-    upper = np.triu(upper, k=1)
-    adjacency = (upper | upper.T).astype(np.float64)
-    return adjacency, labels
+    return _sample_edges(labels, p_intra, p_inter, rng, propensity), labels
 
 
 def planted_partition_features(

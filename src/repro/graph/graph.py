@@ -3,14 +3,32 @@
 The paper works with a non-directed attributed graph ``G = (V, E, X)`` with
 adjacency matrix ``A`` (binary, symmetric, zero diagonal), node feature
 matrix ``X`` and, for evaluation only, ground-truth cluster labels ``y``.
+``A`` is held in CSR; code that needs the (N, N) array calls
+``graph.adjacency.to_dense()`` itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
+
+from repro.graph.sparse import SparseAdjacency
+
+
+def _canonical(adjacency: Union[np.ndarray, SparseAdjacency]) -> SparseAdjacency:
+    """``adjacency`` as CSR with sorted rows (dense input is converted once)."""
+    if not isinstance(adjacency, SparseAdjacency):
+        return SparseAdjacency.from_dense(adjacency)
+    n = adjacency.num_nodes
+    rows, cols, values = adjacency.coo()
+    keys = rows * n + cols
+    if np.all(np.diff(keys) > 0):
+        return adjacency
+    if np.unique(keys).shape[0] != keys.shape[0]:
+        raise ValueError("adjacency has duplicate entries")
+    return SparseAdjacency.from_coo(rows, cols, values, n)
 
 
 @dataclass
@@ -20,7 +38,8 @@ class AttributedGraph:
     Attributes
     ----------
     adjacency:
-        (N, N) binary symmetric matrix with zero diagonal.
+        (N, N) binary symmetric CSR matrix with zero diagonal and sorted
+        rows; a dense array passed to the constructor is converted.
     features:
         (N, J) node feature matrix.
     labels:
@@ -32,14 +51,14 @@ class AttributedGraph:
         Free-form dictionary (generator parameters, number of clusters, ...).
     """
 
-    adjacency: np.ndarray
+    adjacency: SparseAdjacency
     features: np.ndarray
     labels: Optional[np.ndarray] = None
     name: str = "graph"
     metadata: Dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
+        self.adjacency = _canonical(self.adjacency)
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -50,7 +69,7 @@ class AttributedGraph:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.adjacency.num_nodes
 
     @property
     def num_features(self) -> int:
@@ -59,7 +78,7 @@ class AttributedGraph:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges (each counted once)."""
-        return int(np.triu(self.adjacency, k=1).sum())
+        return self.adjacency.nnz // 2
 
     @property
     def num_clusters(self) -> int:
@@ -77,49 +96,46 @@ class AttributedGraph:
     # validation and edits
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural invariants; raise ``ValueError`` on violation."""
+        """Check structural invariants in O(|E|); raise ``ValueError`` on violation."""
         a = self.adjacency
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if self.features.ndim != 2 or self.features.shape[0] != a.shape[0]:
+        n = a.num_nodes
+        if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError(
                 "features must be (N, J) with N matching the adjacency "
-                f"(got {self.features.shape} vs N={a.shape[0]})"
+                f"(got {self.features.shape} vs N={n})"
             )
-        if not np.allclose(a, a.T):
-            raise ValueError("adjacency must be symmetric (undirected graph)")
-        if np.any(np.diag(a) != 0):
+        rows, cols, values = a.coo()
+        if np.any(values != 1.0):
+            raise ValueError("adjacency must be binary (every stored entry 1.0)")
+        if np.any(rows == cols):
             raise ValueError("adjacency must have a zero diagonal (no self loops)")
-        if np.any((a != 0) & (a != 1)):
-            raise ValueError("adjacency must be binary")
-        if self.labels is not None and self.labels.shape[0] != a.shape[0]:
+        # Rows are sorted, so the (row, col) keys are ascending; a symmetric
+        # matrix lists exactly the same keys with the roles swapped.
+        if not np.array_equal(rows * n + cols, np.sort(cols * n + rows)):
+            raise ValueError("adjacency must be symmetric (undirected graph)")
+        if self.labels is not None and self.labels.shape[0] != n:
             raise ValueError("labels length must match the number of nodes")
 
     def copy(self) -> "AttributedGraph":
         """Deep copy of the graph."""
-        return AttributedGraph(
-            adjacency=self.adjacency.copy(),
-            features=self.features.copy(),
-            labels=None if self.labels is None else self.labels.copy(),
-            name=self.name,
-            metadata=dict(self.metadata),
-        )
+        return self.with_features(self.features)
 
-    def with_adjacency(self, adjacency: np.ndarray) -> "AttributedGraph":
+    def with_adjacency(
+        self, adjacency: Union[np.ndarray, SparseAdjacency]
+    ) -> "AttributedGraph":
         """Return a copy of the graph with a replacement adjacency matrix."""
-        return AttributedGraph(
-            adjacency=np.asarray(adjacency, dtype=np.float64).copy(),
-            features=self.features.copy(),
-            labels=None if self.labels is None else self.labels.copy(),
-            name=self.name,
-            metadata=dict(self.metadata),
-        )
+        return self._copy_with(adjacency, self.features)
 
     def with_features(self, features: np.ndarray) -> "AttributedGraph":
         """Return a copy of the graph with a replacement feature matrix."""
+        return self._copy_with(self.adjacency.copy(), features)
+
+    def _copy_with(
+        self, adjacency: Union[np.ndarray, SparseAdjacency], features: np.ndarray
+    ) -> "AttributedGraph":
         return AttributedGraph(
-            adjacency=self.adjacency.copy(),
-            features=np.asarray(features, dtype=np.float64).copy(),
+            adjacency=adjacency,
+            features=np.array(features, dtype=np.float64),
             labels=None if self.labels is None else self.labels.copy(),
             name=self.name,
             metadata=dict(self.metadata),
@@ -127,12 +143,14 @@ class AttributedGraph:
 
     def neighbors(self, node: int) -> np.ndarray:
         """Indices of nodes adjacent to ``node``."""
-        return np.flatnonzero(self.adjacency[node])
+        a = self.adjacency
+        return a.indices[a.indptr[node] : a.indptr[node + 1]].copy()
 
     def edge_list(self) -> np.ndarray:
-        """(E, 2) array of undirected edges with i < j."""
-        rows, cols = np.nonzero(np.triu(self.adjacency, k=1))
-        return np.stack([rows, cols], axis=1)
+        """(E, 2) array of undirected edges with i < j, in row-major order."""
+        rows, cols, _ = self.adjacency.coo()
+        upper = cols > rows
+        return np.stack([rows[upper], cols[upper]], axis=1)
 
     def row_normalized_features(self) -> np.ndarray:
         """Features row-normalised by their Euclidean norm (paper Section 5.1)."""

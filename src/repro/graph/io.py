@@ -14,11 +14,11 @@ PathLike = Union[str, Path]
 
 
 def save_graph_npz(graph: AttributedGraph, path: PathLike) -> None:
-    """Serialise a graph (adjacency, features, labels, metadata) to ``path``."""
+    """Serialise a graph (dense adjacency, features, labels, metadata) to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = {
-        "adjacency": graph.adjacency,
+        "adjacency": graph.adjacency.to_dense(),
         "features": graph.features,
         "name": np.array(graph.name),
         "metadata_json": np.array(json.dumps(graph.metadata, default=str)),

@@ -14,14 +14,15 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.graph.graph import AttributedGraph
+from repro.graph.sparse import SparseAdjacency
 
 
 def add_random_edges(
     graph: AttributedGraph, num_edges: int, rng: np.random.Generator
 ) -> AttributedGraph:
     """Connect ``num_edges`` uniformly random, currently unlinked node pairs."""
-    adjacency = graph.adjacency.copy()
-    n = adjacency.shape[0]
+    # The candidates are the unlinked pairs, so this edit is O(N²) by definition.
+    adjacency = graph.adjacency.to_dense()
     candidates = np.argwhere(np.triu(adjacency == 0, k=1))
     if candidates.shape[0] < num_edges:
         raise ValueError("not enough unlinked pairs to add the requested edges")
@@ -35,14 +36,14 @@ def drop_random_edges(
     graph: AttributedGraph, num_edges: int, rng: np.random.Generator
 ) -> AttributedGraph:
     """Remove ``num_edges`` uniformly random existing edges."""
-    adjacency = graph.adjacency.copy()
-    existing = np.argwhere(np.triu(adjacency == 1, k=1))
+    existing = graph.edge_list()
     if existing.shape[0] < num_edges:
         raise ValueError("graph does not have enough edges to drop")
-    chosen = existing[rng.choice(existing.shape[0], size=num_edges, replace=False)]
-    adjacency[chosen[:, 0], chosen[:, 1]] = 0.0
-    adjacency[chosen[:, 1], chosen[:, 0]] = 0.0
-    return graph.with_adjacency(adjacency)
+    keep = np.ones(existing.shape[0], dtype=bool)
+    keep[rng.choice(existing.shape[0], size=num_edges, replace=False)] = False
+    return graph.with_adjacency(
+        SparseAdjacency.from_edges(existing[keep], graph.num_nodes)
+    )
 
 
 def add_feature_noise(

@@ -1,23 +1,23 @@
-"""CSR sparse adjacency backend for the propagation hot path.
+"""CSR sparse adjacency: the one graph format of the library.
 
-Every GCN propagation, adjacency normalisation and Laplacian quadratic form
-in this code base was originally computed over dense ``(N, N)`` matrices,
-which costs O(N² d) time and O(N²) memory per step.  Real attributed graphs
-are extremely sparse (|E| ≪ N²), so this module provides a compressed
-sparse row (CSR) representation — :class:`SparseAdjacency` — together with
-the handful of operations the hot path needs:
+Every graph this code base trains on is stored as a compressed sparse row
+(CSR) matrix — :class:`SparseAdjacency` — from the moment it enters an
+:class:`~repro.graph.graph.AttributedGraph`.  Real attributed graphs are
+extremely sparse (|E| ≪ N²), so the class carries the handful of
+operations the training path needs, each in O(|E|) per feature column:
 
 * construction from a dense matrix, a COO triple or an undirected edge list,
 * symmetric normalisation ``D^{-1/2} (A + I) D^{-1/2}`` with the same
   isolated-node handling as the dense :func:`repro.graph.laplacian.normalize_adjacency`,
 * sparse @ dense multiplication (``spmm``) in O(|E| d),
-* cached degrees and a cached transpose (for the autograd backward pass).
+* cached degrees and a cached transpose (for the autograd backward pass),
+* induced subgraphs and neighbour sampling for the minibatch loaders.
 
 The class is deliberately numpy-only, like the rest of the library (numpy
-is its one runtime dependency).  Everything downstream dispatches on the
-adjacency type, so dense arrays keep working unchanged;
-:func:`propagation_matrix` is the single place that decides which backend a
-model uses.
+is its one runtime dependency).  Code that needs an (N, N) array by
+definition calls :meth:`SparseAdjacency.to_dense` itself;
+:func:`propagation_matrix` is the single place that decides whether a
+whole graph propagates through CSR or through a dense BLAS matrix.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import numpy as np
 
 __all__ = [
     "SparseAdjacency",
-    "as_sparse_adjacency",
-    "adjacency_backend",
     "propagation_matrix",
     "SPARSE_NODE_THRESHOLD",
     "SPARSE_DENSITY_THRESHOLD",
@@ -92,6 +90,8 @@ class SparseAdjacency:
             )
         if self.data.shape != self.indices.shape:
             raise ValueError("data and indices must have the same length")
+        if self.indptr[0] != 0 or self.indptr[-1] != self.nnz or np.any(np.diff(self.indptr) < 0):
+            raise ValueError("indptr must start at 0, never decrease and end at nnz")
         if self.indices.size and (
             self.indices.min() < 0 or self.indices.max() >= self.shape[1]
         ):
@@ -434,61 +434,23 @@ class SparseAdjacency:
         return total
 
 
-def as_sparse_adjacency(
-    adjacency: Union[np.ndarray, SparseAdjacency]
-) -> SparseAdjacency:
-    """Coerce to :class:`SparseAdjacency` (no copy if already sparse)."""
-    if isinstance(adjacency, SparseAdjacency):
-        return adjacency
-    return SparseAdjacency.from_dense(adjacency)
-
-
-def _should_promote(dense: np.ndarray) -> bool:
-    """Whether a dense adjacency crosses the CSR auto-promotion thresholds."""
-    n = dense.shape[0]
-    if n == 0:
-        return False
-    density = float(np.count_nonzero(dense)) / (n * n)
-    return n >= SPARSE_NODE_THRESHOLD and density <= SPARSE_DENSITY_THRESHOLD
-
-
-def adjacency_backend(
-    adjacency: Union[np.ndarray, SparseAdjacency],
-) -> Union[np.ndarray, SparseAdjacency]:
-    """The *unnormalised* adjacency in the backend the thresholds pick.
-
-    Sparse input stays sparse; dense input is converted to CSR exactly when
-    :func:`propagation_matrix` would promote it, and returned unchanged
-    otherwise.  This is how the minibatch trainer chooses the
-    representation of the self-supervision graph it slices per batch.
-    """
-    if isinstance(adjacency, SparseAdjacency):
-        return adjacency
-    dense = np.asarray(adjacency, dtype=np.float64)
-    if _should_promote(dense):
-        return SparseAdjacency.from_dense(dense)
-    return dense
-
-
 def propagation_matrix(
-    adjacency: Union[np.ndarray, SparseAdjacency],
+    adjacency: SparseAdjacency,
     self_loops: bool = True,
 ) -> Union[np.ndarray, SparseAdjacency]:
-    """Normalised GCN propagation matrix with automatic backend choice.
+    """Normalised GCN propagation matrix of a whole graph.
 
-    Sparse input stays sparse.  Dense input is promoted to
-    :class:`SparseAdjacency` when the graph is large (≥
-    :data:`SPARSE_NODE_THRESHOLD` nodes) and sparse (density ≤
-    :data:`SPARSE_DENSITY_THRESHOLD`); otherwise the dense
-    :func:`~repro.graph.laplacian.normalize_adjacency` result is returned, so
-    small graphs keep the exact BLAS code path (and bit-identical results).
-    The backend therefore depends on the input graph alone.
+    Large (≥ :data:`SPARSE_NODE_THRESHOLD` nodes) and sparse (density ≤
+    :data:`SPARSE_DENSITY_THRESHOLD`) graphs propagate through the CSR
+    normalisation; smaller or denser ones get the dense
+    :func:`~repro.graph.laplacian.normalize_adjacency` result, so they keep
+    the exact BLAS code path (and bit-identical results).  The backend
+    therefore depends on the graph alone.  Minibatch blocks normalise
+    themselves with :meth:`SparseAdjacency.normalize` instead.
     """
     from repro.graph.laplacian import normalize_adjacency
 
-    if isinstance(adjacency, SparseAdjacency):
+    n = adjacency.num_nodes
+    if n >= SPARSE_NODE_THRESHOLD and adjacency.density <= SPARSE_DENSITY_THRESHOLD:
         return adjacency.normalize(self_loops=self_loops)
-    dense = np.asarray(adjacency, dtype=np.float64)
-    if _should_promote(dense):
-        return SparseAdjacency.from_dense(dense).normalize(self_loops=self_loops)
-    return normalize_adjacency(dense, self_loops=self_loops)
+    return normalize_adjacency(adjacency.to_dense(), self_loops=self_loops)

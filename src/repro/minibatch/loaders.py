@@ -35,11 +35,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import (
-    SparseAdjacency,
-    as_sparse_adjacency,
-    propagation_matrix,
-)
+from repro.graph.sparse import SparseAdjacency, propagation_matrix
 from repro.minibatch.partition import ClusterPartitioner, GraphPartition
 from repro.observability.tracer import span as _span
 
@@ -73,7 +69,8 @@ class Minibatch:
     node_ids: np.ndarray
     #: (B, J) row-normalised feature slice.
     features: np.ndarray
-    #: per-batch GCN propagation matrix over the induced block (dense or CSR).
+    #: GCN propagation matrix of the block: CSR for sampled blocks, the
+    #: whole graph's :func:`~repro.graph.sparse.propagation_matrix` otherwise.
     adj_norm: Union[np.ndarray, SparseAdjacency]
     #: global ids of the seed nodes that spawned the batch (== node_ids for
     #: full-batch and cluster loaders; a prefix of node_ids for neighbour
@@ -167,7 +164,7 @@ def _induced_minibatch(
         return Minibatch(
             node_ids=node_ids,
             features=features[node_ids],
-            adj_norm=propagation_matrix(block, self_loops=True),
+            adj_norm=block.normalize(self_loops=True),
             seed_ids=seed_ids,
             num_nodes_total=sparse.num_nodes,
         )
@@ -202,7 +199,6 @@ class NeighborLoader(MinibatchLoader):
         self.fanout = int(fanout)
         self.num_hops = int(num_hops)
         self.seed = int(seed)
-        self._sparse = as_sparse_adjacency(graph.adjacency)
         self._features = graph.row_normalized_features()
 
     @property
@@ -220,10 +216,10 @@ class NeighborLoader(MinibatchLoader):
                 for _ in range(self.num_hops):
                     if frontier.size == 0:
                         break
-                    _, sampled = self._sparse.sample_neighbors(frontier, self.fanout, rng)
+                    _, sampled = self.graph.adjacency.sample_neighbors(frontier, self.fanout, rng)
                     frontier = np.setdiff1d(sampled, block_nodes, assume_unique=False)
                     block_nodes = np.concatenate([block_nodes, frontier])
-            yield _induced_minibatch(self._sparse, self._features, block_nodes, seeds)
+            yield _induced_minibatch(self.graph.adjacency, self._features, block_nodes, seeds)
 
     def describe(self) -> str:
         return (
@@ -255,7 +251,6 @@ class ClusterLoader(MinibatchLoader):
         self.graph = graph
         self.seed = int(seed)
         self.shuffle = bool(shuffle)
-        self._sparse = as_sparse_adjacency(graph.adjacency)
         self._features = graph.row_normalized_features()
         if partition is None:
             if num_parts is None:
@@ -267,11 +262,11 @@ class ClusterLoader(MinibatchLoader):
                     raise ValueError(f"batch_size must be >= 1, got {batch_size}")
                 num_parts = max(1, -(-graph.num_nodes // int(batch_size)))
             partition = ClusterPartitioner(num_parts, seed=self.seed).partition(
-                self._sparse
+                graph.adjacency
             )
         self.partition = partition
         self._batches: List[Minibatch] = [
-            _induced_minibatch(self._sparse, self._features, part, part)
+            _induced_minibatch(graph.adjacency, self._features, part, part)
             for part in partition.parts
         ]
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List
 
 import numpy as np
 
-from repro.graph.sparse import SparseAdjacency, as_sparse_adjacency
+from repro.graph.sparse import SparseAdjacency
 
 __all__ = ["ClusterPartitioner", "GraphPartition"]
 
@@ -68,12 +68,9 @@ class ClusterPartitioner:
         self.num_parts = int(num_parts)
         self.seed = int(seed)
 
-    def partition(
-        self, adjacency: Union[np.ndarray, SparseAdjacency]
-    ) -> GraphPartition:
-        """Partition the node set of ``adjacency``."""
-        sparse = as_sparse_adjacency(adjacency)
-        num_nodes = sparse.num_nodes
+    def partition(self, adjacency: SparseAdjacency) -> GraphPartition:
+        """Partition the node set of the CSR ``adjacency``."""
+        num_nodes = adjacency.num_nodes
         if num_nodes == 0:
             return GraphPartition(parts=[], num_nodes=0, edge_cut_fraction=0.0)
         num_parts = min(self.num_parts, num_nodes)
@@ -86,7 +83,7 @@ class ClusterPartitioner:
         visit_order = rng.permutation(num_nodes)
         cursor = 0
         parts: List[np.ndarray] = []
-        indptr, indices = sparse.indptr, sparse.indices
+        indptr, indices = adjacency.indptr, adjacency.indices
         for part_index in range(num_parts):
             members: List[int] = []
             queue: deque = deque()
@@ -113,7 +110,7 @@ class ClusterPartitioner:
             if members:
                 parts.append(np.sort(np.asarray(members, dtype=np.int64)))
         # The per-part target caps sizes, so every node lands in some part.
-        rows, cols, _ = sparse.coo()
+        rows, cols, _ = adjacency.coo()
         if rows.size:
             cut = float(np.count_nonzero(assignment[rows] != assignment[cols]))
             edge_cut_fraction = cut / rows.size

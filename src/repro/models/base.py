@@ -242,7 +242,7 @@ class GAEClusteringModel(Module):
         """Return (row-normalised features, GCN propagation matrix).
 
         The propagation matrix is a :class:`~repro.graph.sparse.SparseAdjacency`
-        for large sparse graphs and a dense array otherwise (see
+        for large sparse graphs and a dense array for small or dense ones (see
         :func:`~repro.graph.sparse.propagation_matrix`); the GCN layers accept
         both, so callers should treat it as an opaque operator.
         """
@@ -467,10 +467,12 @@ class GAEClusteringModel(Module):
         features, adj_norm = self.prepare_inputs(graph)
         optimizer = optimizer or Adam(self.parameters(), lr=self.learning_rate)
         history = PretrainResult()
+        # The reconstruction target is the dense input graph (unused at 0 epochs).
+        target = graph.adjacency.to_dense() if epochs > 0 else None
 
         def forward() -> Dict[str, Tensor]:
             z = self.encode(features, adj_norm)
-            return {**self.training_losses(z, graph.adjacency), "z": z}
+            return {**self.training_losses(z, target), "z": z}
 
         with autograd_leak_check(f"{self.__class__.__name__}.pretrain"):
             for _ in range(epochs):
@@ -518,10 +520,11 @@ class GAEClusteringModel(Module):
             self.init_clustering(self.embed_inputs(features, adj_norm))
         optimizer = Adam(self.parameters(), lr=self.learning_rate)
         history: Dict[str, List[float]] = {"loss": [], "clustering_loss": [], "reconstruction_loss": []}
+        target = graph.adjacency.to_dense() if epochs > 0 else None
 
         def forward() -> Dict[str, Tensor]:
             z = self.encode(features, adj_norm)
-            return self.training_losses(z, graph.adjacency, self._target, gamma=self.gamma)
+            return self.training_losses(z, target, self._target, gamma=self.gamma)
 
         with autograd_leak_check(f"{self.__class__.__name__}.fit_clustering"):
             for epoch in range(epochs):

@@ -79,12 +79,15 @@ def graph_fingerprint(graph: Any) -> Dict[str, Any]:
     Used when a trial is driven from an explicit graph (no registry dataset
     spec to key on): the adjacency and feature *contents* identify the
     pretraining input, so corrupted/robustness-sweep graphs never alias the
-    clean dataset they were derived from.
+    clean dataset they were derived from.  The adjacency digest covers the
+    CSR structure, which the graph container keeps canonical (sorted rows,
+    every value 1.0).
     """
+    adjacency = graph.adjacency
     return {
         "name": getattr(graph, "name", "graph"),
         "num_nodes": int(graph.num_nodes),
-        "adjacency": array_digest(graph.adjacency),
+        "adjacency": [array_digest(adjacency.indptr), array_digest(adjacency.indices)],
         "features": array_digest(graph.features),
     }
 
@@ -103,7 +106,7 @@ def pretrain_key(
     resolve to the same snapshot.  ``dataset`` is either a dataset-spec dict
     (registry trials) or a :func:`graph_fingerprint` (explicit graphs);
     ``model`` is the model's configuration signature.  Nothing else changes
-    the pretraining numerics: the dense/CSR backend follows from the graph.
+    the pretraining numerics: the propagation backend follows from the graph.
     """
     return config_hash(
         {

@@ -126,13 +126,15 @@ class TestElementaryMetrics:
     def test_elementary_fd_shape(self, rng, tiny_graph):
         z = rng.normal(size=(tiny_graph.num_nodes, 4))
         a_sup = supervision_graph(tiny_graph.labels)
-        values = elementary_fd(z, tiny_graph.adjacency, a_sup)
+        values = elementary_fd(z, tiny_graph.adjacency.to_dense(), a_sup)
         assert values.shape == (tiny_graph.num_nodes,)
         assert np.all(np.isfinite(values))
 
     def test_graph_filter_impact_positive_on_homophilous_graph(self, tiny_graph):
         impact = graph_filter_impact(
-            tiny_graph.row_normalized_features(), tiny_graph.adjacency, tiny_graph.labels
+            tiny_graph.row_normalized_features(),
+            tiny_graph.adjacency.to_dense(),
+            tiny_graph.labels,
         )
         # On a strongly homophilous SBM the filtering helps most nodes.
         assert impact.shape == (tiny_graph.num_nodes,)
@@ -142,32 +144,35 @@ class TestElementaryMetrics:
 class TestGradientMetrics:
     def test_gradient_cosine_of_identical_losses_is_one(self, pretrained_dgae, tiny_graph):
         features, adj_norm = pretrained_dgae.prepare_inputs(tiny_graph)
+        target = tiny_graph.adjacency.to_dense()
 
         def loss():
             z = pretrained_dgae.encode(features, adj_norm, sample=False)
-            return pretrained_dgae.reconstruction_loss(z, tiny_graph.adjacency)
+            return pretrained_dgae.reconstruction_loss(z, target)
 
         assert gradient_cosine(pretrained_dgae, loss, loss) == pytest.approx(1.0, abs=1e-6)
 
     def test_gradient_cosine_of_opposite_losses_is_minus_one(self, pretrained_dgae, tiny_graph):
         features, adj_norm = pretrained_dgae.prepare_inputs(tiny_graph)
+        target = tiny_graph.adjacency.to_dense()
 
         def loss():
             z = pretrained_dgae.encode(features, adj_norm, sample=False)
-            return pretrained_dgae.reconstruction_loss(z, tiny_graph.adjacency)
+            return pretrained_dgae.reconstruction_loss(z, target)
 
         def negative_loss():
             z = pretrained_dgae.encode(features, adj_norm, sample=False)
-            return pretrained_dgae.reconstruction_loss(z, tiny_graph.adjacency) * -1.0
+            return pretrained_dgae.reconstruction_loss(z, target) * -1.0
 
         assert gradient_cosine(pretrained_dgae, loss, negative_loss) == pytest.approx(-1.0, abs=1e-6)
 
     def test_gradient_cosine_clears_model_gradients(self, pretrained_dgae, tiny_graph):
         features, adj_norm = pretrained_dgae.prepare_inputs(tiny_graph)
+        target = tiny_graph.adjacency.to_dense()
 
         def loss():
             z = pretrained_dgae.encode(features, adj_norm, sample=False)
-            return pretrained_dgae.reconstruction_loss(z, tiny_graph.adjacency)
+            return pretrained_dgae.reconstruction_loss(z, target)
 
         gradient_cosine(pretrained_dgae, loss, loss)
         assert np.all(pretrained_dgae.gradient_vector() == 0.0)
@@ -187,9 +192,8 @@ class TestGradientMetrics:
 
     def test_feature_drift_metric_identical_graphs_is_one(self, pretrained_dgae, tiny_graph):
         features, adj_norm = pretrained_dgae.prepare_inputs(tiny_graph)
-        value = feature_drift_metric(
-            pretrained_dgae, features, adj_norm, tiny_graph.adjacency, tiny_graph.adjacency
-        )
+        target = tiny_graph.adjacency.to_dense()
+        value = feature_drift_metric(pretrained_dgae, features, adj_norm, target, target)
         assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_feature_drift_metric_with_oracle_graph(self, pretrained_dgae, tiny_graph):
@@ -199,8 +203,8 @@ class TestGradientMetrics:
         oracle = aligned_oracle_assignments(tiny_graph.labels, assignments)
         oracle_graph = build_clustering_oriented_graph(
             tiny_graph.adjacency, oracle, np.arange(tiny_graph.num_nodes), embeddings
-        )
+        ).to_dense()
         value = feature_drift_metric(
-            pretrained_dgae, features, adj_norm, tiny_graph.adjacency, oracle_graph
+            pretrained_dgae, features, adj_norm, tiny_graph.adjacency.to_dense(), oracle_graph
         )
         assert -1.0 <= value <= 1.0

@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.core.sampling import confidence_scores
 from repro.core.supervision import membership_graph
+from repro.graph.sparse import SparseAdjacency
 from repro.graph.stats import star_subgraph_count
 
 
@@ -129,40 +130,43 @@ class TestGraphTransformOperator:
         assignments = hard_to_one_hot(labels)
         return adjacency, assignments, z, labels
 
+    @staticmethod
+    def _transform(adjacency, *args, **kwargs):
+        """Υ on the CSR form of a dense toy adjacency, densified for asserts."""
+        sparse = SparseAdjacency.from_dense(adjacency)
+        return build_clustering_oriented_graph(sparse, *args, **kwargs).to_dense()
+
     def test_returns_copy_when_no_reliable_nodes(self, rng):
         adjacency, assignments, z, _ = self._setup(rng)
-        out = build_clustering_oriented_graph(adjacency, assignments, np.array([], dtype=int), z)
-        np.testing.assert_allclose(out, adjacency)
-        assert out is not adjacency
+        sparse = SparseAdjacency.from_dense(adjacency)
+        out = build_clustering_oriented_graph(sparse, assignments, np.array([], dtype=int), z)
+        np.testing.assert_allclose(out.to_dense(), adjacency)
+        assert out is not sparse
 
     def test_drops_inter_cluster_edges_between_reliable_nodes(self, rng):
         adjacency, assignments, z, _ = self._setup(rng)
         all_nodes = np.arange(z.shape[0])
-        out = build_clustering_oriented_graph(adjacency, assignments, all_nodes, z)
+        out = self._transform(adjacency, assignments, all_nodes, z)
         assert out[0, 10] == 0.0 and out[5, 15] == 0.0
 
     def test_adds_centroid_edges(self, rng):
         adjacency, assignments, z, _ = self._setup(rng)
         all_nodes = np.arange(z.shape[0])
-        out = build_clustering_oriented_graph(adjacency, assignments, all_nodes, z)
+        out = self._transform(adjacency, assignments, all_nodes, z)
         added = (out > adjacency).sum()
         assert added > 0
 
     def test_result_is_symmetric_binary(self, rng):
         adjacency, assignments, z, _ = self._setup(rng)
-        out = build_clustering_oriented_graph(adjacency, assignments, np.arange(z.shape[0]), z)
+        out = self._transform(adjacency, assignments, np.arange(z.shape[0]), z)
         np.testing.assert_allclose(out, out.T)
         assert set(np.unique(out)).issubset({0.0, 1.0})
 
     def test_add_only_and_drop_only_toggles(self, rng):
         adjacency, assignments, z, _ = self._setup(rng)
         nodes = np.arange(z.shape[0])
-        add_only = build_clustering_oriented_graph(
-            adjacency, assignments, nodes, z, drop_edges=False
-        )
-        drop_only = build_clustering_oriented_graph(
-            adjacency, assignments, nodes, z, add_edges=False
-        )
+        add_only = self._transform(adjacency, assignments, nodes, z, drop_edges=False)
+        drop_only = self._transform(adjacency, assignments, nodes, z, add_edges=False)
         # add-only never removes existing edges.
         assert np.all(add_only >= adjacency)
         # drop-only never adds edges.
@@ -172,15 +176,15 @@ class TestGraphTransformOperator:
         adjacency, assignments, z, _ = self._setup(rng)
         nodes = np.arange(z.shape[0])
         out = GraphTransformOperator(add_edges=False, drop_edges=False)(
-            adjacency, assignments, nodes, z
+            SparseAdjacency.from_dense(adjacency), assignments, nodes, z
         )
-        np.testing.assert_allclose(out, adjacency)
+        np.testing.assert_allclose(out.to_dense(), adjacency)
 
     def test_full_transform_creates_star_subgraphs(self, rng):
         # With all nodes reliable, no prior edges, the output should contain
         # K star-shaped sub-graphs (the Figure 4 end state).
         z, labels = two_blob_embeddings(rng, n_per=12)
-        adjacency = np.zeros((z.shape[0], z.shape[0]))
+        adjacency = SparseAdjacency.from_dense(np.zeros((z.shape[0], z.shape[0])))
         assignments = hard_to_one_hot(labels)
         out = build_clustering_oriented_graph(adjacency, assignments, np.arange(z.shape[0]), z)
         assert star_subgraph_count(out, min_leaves=3) == 2
@@ -188,7 +192,7 @@ class TestGraphTransformOperator:
     def test_respects_original_graph_as_base(self, rng):
         adjacency, assignments, z, _ = self._setup(rng)
         nodes = np.arange(z.shape[0])
-        out = build_clustering_oriented_graph(adjacency, assignments, nodes, z)
+        out = self._transform(adjacency, assignments, nodes, z)
         # intra-cluster original edges between reliable nodes must survive
         assert out[2, 3] == 1.0 and out[12, 13] == 1.0
 

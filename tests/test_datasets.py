@@ -14,6 +14,7 @@ from repro.datasets import (
     load_dataset,
     row_normalize,
 )
+from repro.graph.sparse import SparseAdjacency
 from repro.graph.stats import homophily
 
 
@@ -32,12 +33,12 @@ class TestRegistry:
     def test_determinism_per_seed(self):
         a = load_dataset("brazil_air_sim", seed=1)
         b = load_dataset("brazil_air_sim", seed=1)
-        np.testing.assert_allclose(a.adjacency, b.adjacency)
+        np.testing.assert_allclose(a.adjacency.to_dense(), b.adjacency.to_dense())
 
     def test_different_seeds_differ(self):
         a = load_dataset("brazil_air_sim", seed=1)
         b = load_dataset("brazil_air_sim", seed=2)
-        assert not np.allclose(a.adjacency, b.adjacency)
+        assert not np.allclose(a.adjacency.to_dense(), b.adjacency.to_dense())
 
     @pytest.mark.parametrize(
         "name,clusters",
@@ -82,14 +83,16 @@ class TestFeatures:
         adjacency = np.zeros((4, 4))
         adjacency[0, 1] = adjacency[1, 0] = 1.0
         adjacency[1, 2] = adjacency[2, 1] = 1.0
-        features = degree_one_hot_features(adjacency)
+        features = degree_one_hot_features(SparseAdjacency.from_dense(adjacency))
         assert features.shape == (4, 3)  # max degree 2 -> columns 0..2
         np.testing.assert_allclose(features.sum(axis=1), 1.0)
         assert features[1, 2] == 1.0  # node 1 has degree 2
 
     def test_degree_one_hot_caps_at_max_degree(self):
         adjacency = np.ones((5, 5)) - np.eye(5)
-        features = degree_one_hot_features(adjacency, max_degree=2)
+        features = degree_one_hot_features(
+            SparseAdjacency.from_dense(adjacency), max_degree=2
+        )
         assert features.shape == (5, 3)
         np.testing.assert_allclose(features[:, 2], 1.0)
 

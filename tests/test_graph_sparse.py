@@ -2,9 +2,10 @@
 
 The backbone of this file is the sparse-vs-dense equivalence suite: every
 operation the hot path was rewired onto (normalisation, spmm, GCN
-forward/backward, the Laplacian quadratic form and the Υ graph transform)
-must agree with the dense reference to 1e-10 on random graphs, including
-graphs with isolated nodes.
+forward/backward and the Laplacian quadratic form) must agree with the
+dense reference to 1e-10 on random graphs, including graphs with isolated
+nodes; the Υ graph transform must match the historical dense loop
+``_reference_upsilon`` entry by entry.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import pytest
 from repro.core.graph_transform import build_clustering_oriented_graph
 from repro.graph import (
     SparseAdjacency,
-    as_sparse_adjacency,
     laplacian_quadratic_form,
     laplacian_quadratic_form_dense,
     normalize_adjacency,
@@ -25,6 +25,7 @@ from repro.graph.graph import AttributedGraph
 from repro.models import GAE
 from repro.nn import GraphConvolution, spmm
 from repro.nn.tensor import Tensor
+from test_kernel_equivalence import _reference_upsilon
 
 TOL = 1e-10
 
@@ -78,9 +79,12 @@ class TestSparseAdjacencyConstruction:
         with pytest.raises(ValueError):
             SparseAdjacency.from_coo([0], [7], [1.0], num_nodes=3)
 
-    def test_as_sparse_adjacency_is_identity_on_sparse(self, adjacency):
-        sparse = SparseAdjacency.from_dense(adjacency)
-        assert as_sparse_adjacency(sparse) is sparse
+    @pytest.mark.parametrize("indptr", [[0, 1, 1], [1, 1, 2], [0, 2, 1], [0, 1, 3]])
+    def test_malformed_indptr_raises(self, indptr):
+        """indptr must start at 0, never decrease and end at nnz; otherwise
+        entries would silently land in the wrong rows."""
+        with pytest.raises(ValueError, match="indptr"):
+            SparseAdjacency(np.ones(2), np.array([1, 0]), np.array(indptr), (2, 2))
 
     def test_degrees_and_transpose(self, adjacency):
         sparse = SparseAdjacency.from_dense(adjacency)
@@ -260,7 +264,7 @@ class TestGraphTransformEquivalence:
         embeddings = rng.standard_normal((n, 6))
         reliable = rng.choice(n, size=n // 2, replace=False)
 
-        dense_result = build_clustering_oriented_graph(
+        dense_result = _reference_upsilon(
             adjacency, assignments, reliable, embeddings,
             add_edges=add_edges, drop_edges=drop_edges,
         )
@@ -273,8 +277,8 @@ class TestGraphTransformEquivalence:
 
     def test_sparse_matches_dense_on_asymmetric_weighted_input(self, rng):
         """Υ's dense loop only adds a star edge when (node, centroid) is
-        absent, but writes *both* directions when it fires; the sparse path
-        must reproduce that even for asymmetric or weighted inputs."""
+        absent, but writes *both* directions when it fires; the CSR Υ must
+        reproduce that even for asymmetric or weighted inputs."""
         n = 40
         weights = (rng.random((n, n)) * (rng.random((n, n)) < 0.12)).astype(np.float64)
         np.fill_diagonal(weights, 0.0)
@@ -283,9 +287,7 @@ class TestGraphTransformEquivalence:
         embeddings = rng.standard_normal((n, 4))
         reliable = rng.choice(n, size=25, replace=False)
 
-        dense_result = build_clustering_oriented_graph(
-            weights, assignments, reliable, embeddings
-        )
+        dense_result = _reference_upsilon(weights, assignments, reliable, embeddings)
         sparse_result = build_clustering_oriented_graph(
             SparseAdjacency.from_dense(weights), assignments, reliable, embeddings
         )
@@ -303,11 +305,12 @@ class TestGraphTransformEquivalence:
 
 class TestPropagationMatrixDispatch:
     def test_small_graphs_stay_dense(self, adjacency):
-        assert isinstance(propagation_matrix(adjacency), np.ndarray)
+        sparse = SparseAdjacency.from_dense(adjacency)
+        assert isinstance(propagation_matrix(sparse), np.ndarray)
 
     def test_large_sparse_graphs_go_sparse(self, rng):
         big = random_adjacency(rng, n=300, p=0.02, isolated=0)
-        result = propagation_matrix(big)
+        result = propagation_matrix(SparseAdjacency.from_dense(big))
         assert isinstance(result, SparseAdjacency)
         np.testing.assert_allclose(
             result.to_dense(), normalize_adjacency(big, self_loops=True), atol=TOL
@@ -315,11 +318,7 @@ class TestPropagationMatrixDispatch:
 
     def test_dense_graphs_stay_dense_regardless_of_size(self, rng):
         big = random_adjacency(rng, n=300, p=0.6, isolated=0)
-        assert isinstance(propagation_matrix(big), np.ndarray)
-
-    def test_sparse_input_stays_sparse(self, adjacency):
-        sparse = SparseAdjacency.from_dense(adjacency)
-        assert isinstance(propagation_matrix(sparse), SparseAdjacency)
+        assert isinstance(propagation_matrix(SparseAdjacency.from_dense(big)), np.ndarray)
 
     def test_model_trains_on_sparse_backend(self, rng):
         """End to end: a GAE pretrain step over the sparse propagation path."""

@@ -30,7 +30,25 @@ from repro.graph import (
     stochastic_block_model,
     connected_components,
 )
+from repro.graph.generators import ROW_BLOCK, _cluster_sizes
+from repro.graph.sparse import SparseAdjacency
 from repro.graph.stats import describe
+
+
+def _one_shot_sbm(num_nodes, proportions, p_intra, p_inter, rng, degree_exponent=None):
+    """The historical SBM generators: one (N, N) uniform draw whose upper
+    triangle is mirrored; ``degree_exponent`` switches to the
+    degree-corrected variant."""
+    sizes = _cluster_sizes(num_nodes, proportions)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    same = labels[:, None] == labels[None, :]
+    probs = np.where(same, p_intra, p_inter)
+    if degree_exponent is not None:
+        propensity = rng.pareto(degree_exponent, size=num_nodes) + 1.0
+        propensity = propensity / propensity.mean()
+        probs = np.clip(probs * propensity[:, None] * propensity[None, :], 0.0, 1.0)
+    upper = np.triu(rng.random((num_nodes, num_nodes)) < probs, k=1)
+    return (upper | upper.T).astype(np.float64), labels
 
 
 class TestAttributedGraph:
@@ -76,11 +94,11 @@ class TestAttributedGraph:
 
     def test_copy_is_independent(self, tiny_graph):
         clone = tiny_graph.copy()
-        clone.adjacency[0, 1] = 1.0 - clone.adjacency[0, 1]
-        assert clone.adjacency[0, 1] != tiny_graph.adjacency[0, 1]
+        clone.adjacency.data[0] = 1.0 - clone.adjacency.data[0]
+        assert clone.adjacency.data[0] != tiny_graph.adjacency.data[0]
 
     def test_with_adjacency_keeps_features(self, tiny_graph):
-        new_adj = np.zeros_like(tiny_graph.adjacency)
+        new_adj = np.zeros((tiny_graph.num_nodes, tiny_graph.num_nodes))
         modified = tiny_graph.with_adjacency(new_adj)
         assert modified.num_edges == 0
         np.testing.assert_allclose(modified.features, tiny_graph.features)
@@ -90,6 +108,28 @@ class TestAttributedGraph:
         assert edges.shape[1] == 2
         node = int(edges[0, 0])
         assert edges[0, 1] in tiny_graph.neighbors(node)
+
+    def test_sorts_unsorted_csr_rows(self):
+        # Edges (0, 1) and (0, 2), with row 0 listing its columns backwards.
+        unsorted = SparseAdjacency(
+            np.ones(4), np.array([2, 1, 0, 0]), np.array([0, 2, 3, 4]), (3, 3)
+        )
+        graph = AttributedGraph(unsorted, np.zeros((3, 2)))
+        np.testing.assert_array_equal(graph.adjacency.indices, [1, 2, 0, 0])
+        np.testing.assert_array_equal(graph.adjacency.to_dense(), unsorted.to_dense())
+        assert graph.num_edges == 2
+
+    def test_rejects_duplicate_csr_entries(self):
+        duplicated = SparseAdjacency(
+            np.ones(4), np.array([1, 1, 0, 0]), np.array([0, 2, 4, 4]), (3, 3)
+        )
+        with pytest.raises(ValueError, match="duplicate"):
+            AttributedGraph(duplicated, np.zeros((3, 2)))
+
+    def test_rejects_asymmetric_csr(self):
+        one_way = SparseAdjacency(np.ones(1), np.array([1]), np.array([0, 1, 1]), (2, 2))
+        with pytest.raises(ValueError, match="symmetric"):
+            AttributedGraph(one_way, np.zeros((2, 2)))
 
     def test_row_normalized_features_unit_norm(self, tiny_graph):
         normalized = tiny_graph.row_normalized_features()
@@ -101,7 +141,7 @@ class TestAttributedGraph:
 class TestLaplacian:
     def test_degree_vector_matches_row_sums(self, tiny_graph):
         np.testing.assert_allclose(
-            degree_vector(tiny_graph.adjacency), tiny_graph.adjacency.sum(axis=1)
+            degree_vector(tiny_graph.adjacency), tiny_graph.adjacency.to_dense().sum(axis=1)
         )
 
     def test_degree_matrix_is_diagonal(self, tiny_graph):
@@ -113,11 +153,11 @@ class TestLaplacian:
         np.testing.assert_allclose(np.diag(add_self_loops(adjacency)), 1.0)
 
     def test_normalized_adjacency_symmetric(self, tiny_graph):
-        norm = normalize_adjacency(tiny_graph.adjacency)
+        norm = normalize_adjacency(tiny_graph.adjacency.to_dense())
         np.testing.assert_allclose(norm, norm.T, atol=1e-12)
 
     def test_normalized_adjacency_spectral_radius_at_most_one(self, tiny_graph):
-        norm = normalize_adjacency(tiny_graph.adjacency, self_loops=True)
+        norm = normalize_adjacency(tiny_graph.adjacency.to_dense(), self_loops=True)
         eigenvalues = np.linalg.eigvalsh(norm)
         assert eigenvalues.max() <= 1.0 + 1e-9
 
@@ -173,8 +213,30 @@ class TestGenerators:
 
     def test_degree_corrected_sbm_has_hubs(self, rng):
         adjacency, _ = degree_corrected_sbm(200, [0.25] * 4, 0.1, 0.02, rng, degree_exponent=2.0)
-        degrees = adjacency.sum(axis=1)
+        degrees = adjacency.out_degrees()
         assert degrees.max() > 3.0 * degrees.mean()
+
+    @pytest.mark.parametrize("num_nodes", [ROW_BLOCK // 2 + 1, 2 * ROW_BLOCK + 37])
+    @pytest.mark.parametrize("degree_exponent", [None, 2.0])
+    def test_row_blocks_reproduce_the_one_shot_draw(self, num_nodes, degree_exponent):
+        """Row-block sampling yields the graph, the labels and the generator
+        state of one (N, N) draw, so seeds keep giving the same graphs."""
+        proportions, p_intra, p_inter = [0.5, 0.3, 0.2], 0.08, 0.01
+        reference_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        expected, expected_labels = _one_shot_sbm(
+            num_nodes, proportions, p_intra, p_inter, reference_rng, degree_exponent
+        )
+        if degree_exponent is None:
+            adjacency, labels = stochastic_block_model(
+                num_nodes, proportions, p_intra, p_inter, rng
+            )
+        else:
+            adjacency, labels = degree_corrected_sbm(
+                num_nodes, proportions, p_intra, p_inter, rng, degree_exponent
+            )
+        np.testing.assert_array_equal(adjacency.to_dense(), expected)
+        np.testing.assert_array_equal(labels, expected_labels)
+        assert rng.random() == reference_rng.random()
 
     def test_planted_features_no_empty_rows(self, rng):
         labels = np.repeat(np.arange(3), 20)
@@ -196,7 +258,7 @@ class TestGenerators:
     def test_attributed_sbm_deterministic_per_seed(self):
         a = attributed_sbm_graph(50, [0.5, 0.5], 0.2, 0.02, 30, 5, 0.3, 0.01, seed=3)
         b = attributed_sbm_graph(50, [0.5, 0.5], 0.2, 0.02, 30, 5, 0.3, 0.01, seed=3)
-        np.testing.assert_allclose(a.adjacency, b.adjacency)
+        np.testing.assert_allclose(a.adjacency.to_dense(), b.adjacency.to_dense())
         np.testing.assert_allclose(a.features, b.features)
 
     def test_attributed_sbm_degree_onehot_mode(self):
@@ -270,16 +332,18 @@ class TestStats:
         assert 0.0 < value < 1.0
 
     def test_density_empty_graph(self):
-        assert density(np.zeros((1, 1))) == 0.0
+        assert density(SparseAdjacency.from_dense(np.zeros((1, 1)))) == 0.0
 
     def test_homophily_perfect_for_block_diagonal(self):
         adjacency = np.zeros((4, 4))
         adjacency[0, 1] = adjacency[1, 0] = 1.0
         adjacency[2, 3] = adjacency[3, 2] = 1.0
-        assert homophily(adjacency, np.array([0, 0, 1, 1])) == 1.0
+        sparse = SparseAdjacency.from_dense(adjacency)
+        assert homophily(sparse, np.array([0, 0, 1, 1])) == 1.0
 
     def test_homophily_zero_edges(self):
-        assert homophily(np.zeros((3, 3)), np.array([0, 1, 2])) == 0.0
+        empty = SparseAdjacency.from_dense(np.zeros((3, 3)))
+        assert homophily(empty, np.array([0, 1, 2])) == 0.0
 
     def test_connected_components_partition(self, tiny_graph):
         components = connected_components(tiny_graph.adjacency)
@@ -290,7 +354,7 @@ class TestStats:
         adjacency = np.zeros((5, 5))
         for leaf in range(1, 5):
             adjacency[0, leaf] = adjacency[leaf, 0] = 1.0
-        assert star_subgraph_count(adjacency) == 1
+        assert star_subgraph_count(SparseAdjacency.from_dense(adjacency)) == 1
 
     def test_describe_contains_expected_keys(self, tiny_graph):
         summary = describe(tiny_graph)
@@ -303,7 +367,7 @@ class TestGraphIO:
         path = tmp_path / "graph.npz"
         save_graph_npz(tiny_graph, path)
         loaded = load_graph_npz(path)
-        np.testing.assert_allclose(loaded.adjacency, tiny_graph.adjacency)
+        np.testing.assert_allclose(loaded.adjacency.to_dense(), tiny_graph.adjacency.to_dense())
         np.testing.assert_allclose(loaded.features, tiny_graph.features)
         np.testing.assert_array_equal(loaded.labels, tiny_graph.labels)
         assert loaded.name == tiny_graph.name

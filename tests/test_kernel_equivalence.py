@@ -370,16 +370,17 @@ class TestUpsilonEquivalence:
         (True, True), (True, False), (False, True), (False, False),
     ])
     def test_dense_matches_loop_reference(self, rng, add_edges, drop_edges):
+        """Υ on CSR matches the historical dense loop for every toggle pair."""
         dense, assignments, reliable, embeddings = _upsilon_case(rng)
         out = build_clustering_oriented_graph(
-            dense, assignments, reliable, embeddings,
+            SparseAdjacency.from_dense(dense), assignments, reliable, embeddings,
             add_edges=add_edges, drop_edges=drop_edges,
         )
         expected = _reference_upsilon(
             dense, assignments, reliable, embeddings,
             add_edges=add_edges, drop_edges=drop_edges,
         )
-        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out.to_dense(), expected)
 
     def test_sparse_matches_loop_reference(self, rng):
         dense, assignments, reliable, embeddings = _upsilon_case(rng)
@@ -393,9 +394,7 @@ class TestUpsilonEquivalence:
         dense, assignments, reliable, embeddings = _upsilon_case(
             rng, missing_cluster=2
         )
-        out = build_clustering_oriented_graph(dense, assignments, reliable, embeddings)
         expected = _reference_upsilon(dense, assignments, reliable, embeddings)
-        np.testing.assert_array_equal(out, expected)
         sparse_out = build_clustering_oriented_graph(
             SparseAdjacency.from_dense(dense), assignments, reliable, embeddings
         )
@@ -404,9 +403,10 @@ class TestUpsilonEquivalence:
     def test_empty_reliable_set_is_identity(self, rng):
         dense, assignments, _, embeddings = _upsilon_case(rng)
         out = build_clustering_oriented_graph(
-            dense, assignments, np.array([], dtype=np.int64), embeddings
+            SparseAdjacency.from_dense(dense), assignments, np.array([], dtype=np.int64),
+            embeddings,
         )
-        np.testing.assert_array_equal(out, dense)
+        np.testing.assert_array_equal(out.to_dense(), dense)
 
 
 # ----------------------------------------------------------------------

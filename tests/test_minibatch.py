@@ -17,7 +17,8 @@ import pytest
 from repro.api import Pipeline
 from repro.core.rethink import RethinkConfig, RethinkTrainer
 from repro.errors import ConfigError, SpecError
-from repro.graph.sparse import SparseAdjacency, propagation_matrix
+from repro.graph.laplacian import normalize_adjacency
+from repro.graph.sparse import SparseAdjacency
 from repro.minibatch import (
     ClusterLoader,
     ClusterPartitioner,
@@ -122,8 +123,8 @@ class TestClusterPartitioner:
             assert np.all(assignment[part] == index)
 
     def test_more_parts_than_nodes_clamps(self):
-        dense, _ = random_sparse(5, 0.5, 0)
-        partition = ClusterPartitioner(10, seed=0).partition(dense)
+        _, sparse = random_sparse(5, 0.5, 0)
+        partition = ClusterPartitioner(10, seed=0).partition(sparse)
         assert partition.num_parts <= 5
         assert sum(partition.sizes()) == 5
 
@@ -188,15 +189,9 @@ class TestClusterLoader:
         loader = ClusterLoader(tiny_graph, batch_size=32, seed=0, shuffle=False)
         batch = next(loader.epoch_batches(0))
         ids = batch.node_ids
-        expected = propagation_matrix(
-            tiny_graph.adjacency[np.ix_(ids, ids)], self_loops=True
-        )
-        block = batch.adj_norm
-        block = block.to_dense() if isinstance(block, SparseAdjacency) else block
-        expected = (
-            expected.to_dense() if isinstance(expected, SparseAdjacency) else expected
-        )
-        assert np.allclose(block, expected)
+        dense = tiny_graph.adjacency.to_dense()
+        expected = normalize_adjacency(dense[np.ix_(ids, ids)], self_loops=True)
+        assert np.allclose(batch.adj_norm.to_dense(), expected)
         assert np.array_equal(batch.features, tiny_graph.row_normalized_features()[ids])
 
 
@@ -293,10 +288,11 @@ class TestFullBatchEquivalence:
 
     def test_matches_legacy_on_promoted_sparse_graph(self, cora_graph, legacy_loops):
         """cora_sim crosses the CSR promotion threshold: the whole-graph
-        loader still runs Υ on the dense adjacency, like the legacy loop."""
+        loader runs Υ on the CSR adjacency and matches the legacy loop, which
+        ran it on the dense one."""
         for model_name in ("gae", "dgae", "gmm_vgae"):
             trainer, history = _fit(model_name, cora_graph, sampler="full", epochs=4)
-            assert isinstance(trainer.self_supervision_graph_, np.ndarray)
+            assert isinstance(trainer.self_supervision_graph_, SparseAdjacency)
             _assert_matches_recorded(
                 history, legacy_loops["rethink"][f"cora_sim/{model_name}/legacy"]
             )
@@ -384,8 +380,8 @@ class TestMinibatchTraining:
 
 
 class TestTrackingCallbacksOnPromotedGraph:
-    """cora_sim is CSR-promoted, so sampled loaders keep A_self_clus sparse;
-    the tracking callbacks must still see dense matrices."""
+    """Υ keeps A_self_clus in CSR under every loader; the tracking
+    callbacks must still see dense matrices."""
 
     @pytest.mark.parametrize("sampler", ["full", "cluster"])
     @pytest.mark.parametrize(
@@ -412,6 +408,44 @@ class TestTrackingCallbacksOnPromotedGraph:
             if isinstance(final, SparseAdjacency):
                 final = final.to_dense()
             assert np.array_equal(history.graph_snapshots[1], final)
+
+
+class TestMemoryGuard:
+    def test_cluster_epoch_never_holds_a_dense_adjacency(self):
+        """Building a 3000-node graph and running a cluster-loader R- epoch
+        must peak below one dense (N, N) float64 array: the graph, Υ and
+        the loader stay CSR, and only (B, B) batch blocks go dense."""
+        import tracemalloc
+
+        num_nodes = 3000
+        tracemalloc.start()
+        try:
+            graph = attributed_sbm_graph(
+                num_nodes=num_nodes,
+                proportions=[1.0 / 7.0] * 7,
+                p_intra=0.05,
+                p_inter=0.0026,
+                num_features=64,
+                active_per_class=8,
+                signal=0.10,
+                noise=0.010,
+                seed=0,
+                name="sbm3000",
+            )
+            model = build_model("gae", graph.num_features, graph.num_clusters, seed=0)
+            config = RethinkConfig(
+                epochs=1,
+                pretrain_epochs=0,
+                sampler="cluster",
+                batch_size=256,
+                stop_at_convergence=False,
+            )
+            history = RethinkTrainer(model, config).fit(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert history.epochs_run == 1
+        assert peak < num_nodes * num_nodes * 8
 
 
 class TestConfigValidation:

@@ -18,6 +18,7 @@ from repro.core.sampling import select_reliable_nodes
 from repro.core.supervision import aligned_oracle_assignments, membership_graph
 from repro.datasets.features import degree_one_hot_features, row_normalize
 from repro.graph.laplacian import laplacian_quadratic_form, normalize_adjacency
+from repro.graph.sparse import SparseAdjacency
 from repro.metrics import (
     adjusted_rand_index,
     clustering_accuracy,
@@ -126,7 +127,7 @@ class TestGraphProperties:
     @settings(max_examples=50, deadline=None)
     @given(adjacency=random_graph())
     def test_degree_one_hot_rows(self, adjacency):
-        features = degree_one_hot_features(adjacency)
+        features = degree_one_hot_features(SparseAdjacency.from_dense(adjacency))
         np.testing.assert_allclose(features.sum(axis=1), 1.0)
 
     @settings(max_examples=50, deadline=None)
@@ -190,7 +191,9 @@ class TestOperatorProperties:
         embeddings = rng.normal(size=(n, 4))
         assignments = hard_to_one_hot(labels, k)
         reliable = rng.choice(n, size=max(1, n // 2), replace=False)
-        out = build_clustering_oriented_graph(adjacency, assignments, reliable, embeddings)
+        out = build_clustering_oriented_graph(
+            SparseAdjacency.from_dense(adjacency), assignments, reliable, embeddings
+        ).to_dense()
         np.testing.assert_allclose(out, out.T)
         assert set(np.unique(out)).issubset({0.0, 1.0})
         assert np.all(np.diag(out) == 0.0)

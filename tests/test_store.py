@@ -95,12 +95,12 @@ class TestKeys:
 
     def test_graph_fingerprint_distinguishes_corrupted_graphs(self):
         graph = make_tiny_graph()
-        corrupted_adj = graph.adjacency.copy()
+        corrupted_adj = graph.adjacency.to_dense()
         corrupted_adj[0, 1] = 1.0 - corrupted_adj[0, 1]
         corrupted_adj[1, 0] = corrupted_adj[0, 1]
         clean = graph_fingerprint(graph)
         assert clean == graph_fingerprint(graph)
-        corrupted = dict(clean, adjacency=array_digest(corrupted_adj))
+        corrupted = graph_fingerprint(graph.with_adjacency(corrupted_adj))
         assert pretrain_key(
             dataset=clean, model={"class": "GAE"}, seed=0, pretrain_epochs=5
         ) != pretrain_key(
