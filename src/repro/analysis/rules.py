@@ -7,7 +7,8 @@ they are the contracts earlier PRs established, turned into checks:
 REP001    no unseeded randomness in library code (``--jobs`` bitwise
           determinism; repro.parallel)
 REP002    no dense materialization on the CSR hot paths
-          (repro.core / repro.nn / repro.minibatch; PR-2 contract)
+          (repro.core / repro.nn / repro.minibatch / repro.models,
+          whose reconstruction loss reads its target in CSR)
 REP003    every ``backward()`` paired with ``release_graph()`` /
           ``no_grad()`` in the same scope (the PR-4 leak class)
 REP005    every environment read goes through :mod:`repro.env`
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 #: dotted prefixes of the CSR-only packages guarded by REP002.
-_SPARSE_HOT_PACKAGES = ("repro.core", "repro.nn", "repro.minibatch")
+_SPARSE_HOT_PACKAGES = ("repro.core", "repro.nn", "repro.minibatch", "repro.models")
 
 #: np.random attributes that construct explicitly-seeded generators (fine)
 #: rather than drawing from the process-global stream (not fine).
@@ -138,13 +139,13 @@ def check_unseeded_randomness(ctx: ModuleContext) -> Iterator[RuleViolation]:
 @rule(
     "REP002",
     summary="no dense adjacency materialization inside repro.core / "
-    "repro.nn / repro.minibatch without a justified waiver",
+    "repro.nn / repro.minibatch / repro.models without a justified waiver",
 )
 def check_dense_materialization(ctx: ModuleContext) -> Iterator[RuleViolation]:
-    """The PR-2 contract: the propagation/loss hot paths stay O(|E|·d).
+    """The propagation and reconstruction-target hot paths stay O(|E|·d).
     ``to_dense()`` and ``np.asarray(adjacency)`` turn them back into
-    O(N²); intentional dense branches (small-graph dispatch, per-batch
-    blocks) must carry a justified waiver."""
+    O(N²); intentional dense branches (small-graph dispatch, all-pairs
+    theory helpers) must carry a justified waiver."""
     if not ctx.module_is(*_SPARSE_HOT_PACKAGES):
         return
     for node in ast.walk(ctx.tree):

@@ -35,9 +35,9 @@ from repro.observability.tracer import trace_event
 class EvaluationContext:
     """Lazy view of the trainer state handed to ``on_evaluate``.
 
-    Embeddings and the dense self-supervision graph are only computed when
-    a callback actually reads them (once per event), so an evaluation event
-    costs nothing when no tracking callback is attached.
+    Embeddings are only computed when a callback actually reads them (once
+    per event), so an evaluation event costs nothing when no tracking
+    callback is attached.
     """
 
     def __init__(self, trainer, graph, epoch: int) -> None:
@@ -45,7 +45,6 @@ class EvaluationContext:
         self.graph = graph
         self.epoch = int(epoch)
         self._embeddings: Optional[np.ndarray] = None
-        self._self_supervision_graph: Optional[np.ndarray] = None
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -62,13 +61,6 @@ class EvaluationContext:
     @property
     def history(self):
         return self.trainer.history_
-
-    @property
-    def self_supervision_graph(self) -> np.ndarray:
-        """The current ``A_self_clus`` as a dense array (Υ builds it in CSR)."""
-        if self._self_supervision_graph is None:
-            self._self_supervision_graph = self.trainer.self_supervision_graph_.to_dense()
-        return self._self_supervision_graph
 
 
 class RethinkCallback:
@@ -167,7 +159,8 @@ class FRFDTracker(RethinkCallback):
     Appends to ``history.fr_rethought`` / ``fr_baseline`` (Eq. 4) and
     ``history.fd_rethought`` / ``fd_baseline`` (Eq. 7), comparing the
     operator-driven run against the no-operator baseline from the same
-    state.
+    state.  Λ_FR needs a clustering loss, so first-group models only get
+    the Λ_FD series.
     """
 
     def __init__(self, track_fr: bool = True, track_fd: bool = True) -> None:
@@ -189,7 +182,7 @@ class FRFDTracker(RethinkCallback):
         features, adj_norm = trainer.features_, trainer.adj_norm_
         assignments = model.predict_assignments(embeddings)
         oracle = aligned_oracle_assignments(graph.labels, assignments)
-        if self.track_fr and hasattr(model, "clustering_loss_with_target"):
+        if self.track_fr and model.group == "second":
             reliable = context.sampling.reliable_nodes
             history.fr_rethought.append(
                 feature_randomness_metric(model, features, adj_norm, oracle, reliable)
@@ -198,19 +191,16 @@ class FRFDTracker(RethinkCallback):
                 feature_randomness_metric(model, features, adj_norm, oracle, None)
             )
         if self.track_fd:
-            # Λ_FD compares reconstruction gradients, so the graphs go dense.
             oracle_graph = build_clustering_oriented_graph(
                 graph.adjacency, oracle, np.arange(graph.num_nodes), embeddings
-            ).to_dense()
+            )
             history.fd_rethought.append(
                 feature_drift_metric(
-                    model, features, adj_norm, context.self_supervision_graph, oracle_graph
+                    model, features, adj_norm, trainer.self_supervision_graph_, oracle_graph
                 )
             )
             history.fd_baseline.append(
-                feature_drift_metric(
-                    model, features, adj_norm, graph.adjacency.to_dense(), oracle_graph
-                )
+                feature_drift_metric(model, features, adj_norm, graph.adjacency, oracle_graph)
             )
 
 
@@ -245,9 +235,7 @@ class DynamicsTracker(RethinkCallback):
             float(np.mean(correct[~mask])) if (~mask).any() else 0.0
         )
         history.link_stats.append(
-            edge_difference(
-                graph.adjacency.to_dense(), context.self_supervision_graph, graph.labels
-            )
+            edge_difference(graph.adjacency, self.trainer.self_supervision_graph_, graph.labels)
         )
 
 

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.graph.laplacian import normalize_adjacency
+from repro.graph.sparse import SparseAdjacency
 from repro.models.base import GAEClusteringModel
 from repro.nn.tensor import Tensor
 
@@ -95,15 +96,16 @@ def feature_drift_metric(
     model: GAEClusteringModel,
     features: np.ndarray,
     adj_norm: np.ndarray,
-    self_supervision_graph: np.ndarray,
-    oracle_graph: np.ndarray,
+    self_supervision_graph: SparseAdjacency,
+    oracle_graph: SparseAdjacency,
 ) -> float:
     """Λ_FD (Eq. 7).
 
     Compares the gradient of the reconstruction loss against the current
     (operator-built) self-supervision graph with the gradient of the same
     loss against the oracle clustering-oriented graph ``Υ(A, Q', V)``.
-    Values lie in [-1, 1]; higher means less Feature Drift.
+    Both graphs are CSR, as the reconstruction loss reads them.  Values lie
+    in [-1, 1]; higher means less Feature Drift.
     """
 
     def pseudo_loss() -> Tensor:

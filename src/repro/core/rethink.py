@@ -311,11 +311,6 @@ class RethinkTrainer:
                     )
             return self._train(graph)
 
-    def _supervision_block(self, node_ids: np.ndarray) -> np.ndarray:
-        """Dense (B, B) block of the self-supervision graph for a batch."""
-        block = self.self_supervision_graph_.induced_subgraph(node_ids)
-        return block.to_dense()  # repro: noqa[REP002] densifies the induced (B, B) batch block, O(B²) not O(N²) — the supervision loss consumes dense per-batch blocks by design
-
     def _batch_losses(
         self, batch, target: Optional[np.ndarray], reliable_mask: np.ndarray, gamma: float
     ) -> Dict[str, Tensor]:
@@ -326,7 +321,7 @@ class RethinkTrainer:
         z = self.model.encode(batch.features, batch.adj_norm)
         return self.model.training_losses(
             z,
-            self._supervision_block(batch.node_ids),
+            self.self_supervision_graph_.induced_subgraph(batch.node_ids),
             None if target is None else target[batch.node_ids],
             batch.local_indices_of(reliable_mask),
             gamma,

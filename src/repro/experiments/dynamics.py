@@ -59,7 +59,7 @@ def learning_dynamics_study(
             "dynamics",
             {
                 "name": "fr_fd",
-                "track_fr": track_fr and model_group(model_name) == "second",
+                "track_fr": track_fr,
                 "track_fd": track_fd,
             },
             {"name": "graph_snapshots", "every": snapshot_every},

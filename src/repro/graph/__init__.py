@@ -28,7 +28,6 @@ from repro.graph.stats import (
     edge_count,
     density,
     homophily,
-    intra_cluster_edge_fraction,
     connected_components,
     star_subgraph_count,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "edge_count",
     "density",
     "homophily",
-    "intra_cluster_edge_fraction",
     "connected_components",
     "star_subgraph_count",
     "save_graph_npz",

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.graph.graph import AttributedGraph
 from repro.graph.sparse import SparseAdjacency
+from repro.graph.stats import _upper_edges
 
 
 def add_random_edges(
@@ -72,39 +73,43 @@ def drop_random_features(
 
 
 def edge_difference(
-    original: np.ndarray, modified: np.ndarray, labels: np.ndarray
+    original: SparseAdjacency, modified: SparseAdjacency, labels: np.ndarray
 ) -> Dict[str, int]:
-    """Compare two adjacency matrices and classify added/deleted links.
+    """Compare two adjacencies and classify added/deleted links.
 
     Returns the counts the paper plots in Figure 9 (d)-(f): total links of
     the modified graph, links added relative to ``original`` and links
     deleted, each split into *true* (same ground-truth label) and *false*
-    (different labels) links.
+    (different labels) links.  A link is a positive entry above the
+    diagonal; the two edge sets are compared as sorted ``i·N + j`` keys, in
+    O(|E| log |E|).
     """
-    original = np.triu(np.asarray(original) > 0, k=1)
-    modified = np.triu(np.asarray(modified) > 0, k=1)
+    n = original.num_nodes
     labels = np.asarray(labels)
-    same_label = labels[:, None] == labels[None, :]
 
-    added = modified & ~original
-    deleted = original & ~modified
+    def _keys(adjacency: SparseAdjacency) -> np.ndarray:
+        rows, cols = _upper_edges(adjacency)
+        return np.unique(rows * n + cols)
 
-    def _split(mask: np.ndarray) -> Tuple[int, int]:
-        true_links = int(np.sum(mask & same_label))
-        false_links = int(np.sum(mask & ~same_label))
-        return true_links, false_links
+    links, original_links = _keys(modified), _keys(original)
+    added = np.setdiff1d(links, original_links, assume_unique=True)
+    deleted = np.setdiff1d(original_links, links, assume_unique=True)
 
-    total_true, total_false = _split(modified)
+    def _split(keys: np.ndarray) -> Tuple[int, int]:
+        true_links = int(np.count_nonzero(labels[keys // n] == labels[keys % n]))
+        return true_links, keys.shape[0] - true_links
+
+    total_true, total_false = _split(links)
     added_true, added_false = _split(added)
     deleted_true, deleted_false = _split(deleted)
     return {
-        "total_links": int(modified.sum()),
+        "total_links": int(links.shape[0]),
         "total_true_links": total_true,
         "total_false_links": total_false,
-        "added_links": int(added.sum()),
+        "added_links": int(added.shape[0]),
         "added_true_links": added_true,
         "added_false_links": added_false,
-        "deleted_links": int(deleted.sum()),
+        "deleted_links": int(deleted.shape[0]),
         "deleted_true_links": deleted_true,
         "deleted_false_links": deleted_false,
     }

@@ -47,11 +47,6 @@ def homophily(adjacency: SparseAdjacency, labels: np.ndarray) -> float:
     return float(np.count_nonzero(labels[rows] == labels[cols]) / rows.shape[0])
 
 
-def intra_cluster_edge_fraction(adjacency: SparseAdjacency, labels: np.ndarray) -> float:
-    """Alias of :func:`homophily` with the paper's terminology."""
-    return homophily(adjacency, labels)
-
-
 def connected_components(adjacency: SparseAdjacency) -> List[np.ndarray]:
     """Connected components as lists of node indices (BFS, no networkx needed)."""
     n = adjacency.num_nodes

@@ -29,7 +29,7 @@ from repro.analysis.sanitizers import autograd_leak_check
 from repro.clustering.assignments import estimate_cluster_moments
 from repro.clustering.kmeans import KMeans
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import propagation_matrix
+from repro.graph.sparse import SparseAdjacency, propagation_matrix
 from repro.nn import functional as F
 from repro.nn.layers import GraphConvolution
 from repro.nn.module import Module
@@ -41,18 +41,16 @@ def _copy_or_none(array) -> Optional[np.ndarray]:
     return None if array is None else np.array(array, copy=True)
 
 
-def reconstruction_weights(adjacency: np.ndarray) -> Tuple[float, float]:
-    """Positive-class weight and loss normalisation for a sparse adjacency.
+def reconstruction_weights(num_nodes: int, positives: float) -> Tuple[float, float]:
+    """Positive-class weight and loss normalisation of an (N, N) target
+    whose entries sum to ``positives``.
 
     Real graphs are extremely sparse, so the standard GAE implementation
     re-weights positive entries by ``#neg / #pos`` and scales the mean loss
     by ``N² / (2 #neg)``.  Both factors are recomputed whenever the
     self-supervision graph changes (the Υ operator adds and removes edges).
     """
-    adjacency = np.asarray(adjacency)
-    n = adjacency.shape[0]
-    positives = float(adjacency.sum())
-    total = float(n * n)
+    total = float(num_nodes * num_nodes)
     negatives = total - positives
     if positives == 0.0:
         return 1.0, 1.0
@@ -272,10 +270,6 @@ class GAEClusteringModel(Module):
         self._last_log_sigma = None
         return z
 
-    def reconstruction_logits(self, z: Tensor) -> Tensor:
-        """Decoder logits ``Z Z^T`` (apply sigmoid for probabilities)."""
-        return z @ z.T
-
     def embed(self, graph: AttributedGraph) -> np.ndarray:
         """Deterministic embeddings (posterior mean) as a numpy array."""
         return self.embed_inputs(*self.prepare_inputs(graph))
@@ -295,18 +289,26 @@ class GAEClusteringModel(Module):
     # ------------------------------------------------------------------
     # losses
     # ------------------------------------------------------------------
-    def reconstruction_loss(self, z: Tensor, target_adjacency: np.ndarray) -> Tensor:
+    def reconstruction_loss(self, z: Tensor, target_adjacency: SparseAdjacency) -> Tensor:
         """Weighted BCE between ``sigmoid(Z Z^T)`` and ``target_adjacency``.
 
-        The target includes self loops (as in the reference implementations)
-        and its sparsity determines the positive weight and normalisation.
+        The target includes self loops (as in the reference implementations),
+        its values are clipped to [0, 1], and its sparsity determines the
+        positive weight ``w`` and the normalisation.  With ``x = Z Z^T``, the
+        per-pair loss ``w·y·softplus(−x) + (1−y)·softplus(x)`` equals
+        ``softplus(x) + y·((w−1)·softplus(x) − w·x)``, so the loss is one
+        softplus over all pairs plus a term gathered at the target's stored
+        entries: the target stays CSR.
         """
-        target = np.asarray(target_adjacency, dtype=np.float64)
-        target = target + np.eye(target.shape[0])
-        np.clip(target, 0.0, 1.0, out=target)
-        pos_weight, norm = reconstruction_weights(target)
-        logits = self.reconstruction_logits(z)
-        return F.binary_cross_entropy_with_logits(logits, target, pos_weight=pos_weight, norm=norm)
+        target = target_adjacency.add_self_loops()
+        y = np.clip(target.data, 0.0, 1.0)
+        n = target.num_nodes
+        pos_weight, norm = reconstruction_weights(n, float(y.sum()))
+        logits = z @ z.T
+        softplus = logits.softplus()
+        rows, cols = target.row_indices(), target.indices
+        edges = (softplus[rows, cols] * (pos_weight - 1.0) - logits[rows, cols] * pos_weight) * y
+        return (softplus.sum() + edges.sum()) * (norm / (n * n))
 
     def regularization_loss(self, z: Tensor) -> Optional[Tensor]:
         """Model-specific extra loss (KL divergence, adversarial penalty).
@@ -380,7 +382,7 @@ class GAEClusteringModel(Module):
     def training_losses(
         self,
         z: Tensor,
-        target_adjacency: np.ndarray,
+        target_adjacency: SparseAdjacency,
         target: Optional[np.ndarray] = None,
         node_indices: Optional[np.ndarray] = None,
         gamma: float = 1.0,
@@ -467,12 +469,10 @@ class GAEClusteringModel(Module):
         features, adj_norm = self.prepare_inputs(graph)
         optimizer = optimizer or Adam(self.parameters(), lr=self.learning_rate)
         history = PretrainResult()
-        # The reconstruction target is the dense input graph (unused at 0 epochs).
-        target = graph.adjacency.to_dense() if epochs > 0 else None
 
         def forward() -> Dict[str, Tensor]:
             z = self.encode(features, adj_norm)
-            return {**self.training_losses(z, target), "z": z}
+            return {**self.training_losses(z, graph.adjacency), "z": z}
 
         with autograd_leak_check(f"{self.__class__.__name__}.pretrain"):
             for _ in range(epochs):
@@ -520,11 +520,10 @@ class GAEClusteringModel(Module):
             self.init_clustering(self.embed_inputs(features, adj_norm))
         optimizer = Adam(self.parameters(), lr=self.learning_rate)
         history: Dict[str, List[float]] = {"loss": [], "clustering_loss": [], "reconstruction_loss": []}
-        target = graph.adjacency.to_dense() if epochs > 0 else None
 
         def forward() -> Dict[str, Tensor]:
             z = self.encode(features, adj_norm)
-            return self.training_losses(z, target, self._target, gamma=self.gamma)
+            return self.training_losses(z, graph.adjacency, self._target, gamma=self.gamma)
 
         with autograd_leak_check(f"{self.__class__.__name__}.fit_clustering"):
             for epoch in range(epochs):

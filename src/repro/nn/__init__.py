@@ -8,8 +8,7 @@ engine.  It provides exactly what the paper's models need:
 * Functional ops (``relu``, ``sigmoid``, ``softplus``, reductions, matmul,
   and the sparse propagation primitive :func:`~repro.nn.functional.spmm`).
 * Layers — :class:`~repro.nn.layers.Dense`,
-  :class:`~repro.nn.layers.GraphConvolution`,
-  :class:`~repro.nn.layers.InnerProductDecoder`.
+  :class:`~repro.nn.layers.GraphConvolution`, :class:`~repro.nn.layers.MLP`.
 * Optimizers — :class:`~repro.nn.optim.SGD`, :class:`~repro.nn.optim.Adam` —
   and :func:`~repro.nn.optim.train_step`, the one gradient step of every
   training loop.
@@ -26,7 +25,7 @@ from repro.nn.tensor import Tensor, no_grad
 from repro.nn import functional
 from repro.nn.functional import spmm
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Dense, GraphConvolution, InnerProductDecoder, MLP
+from repro.nn.layers import Dense, GraphConvolution, MLP
 from repro.nn.init import glorot_uniform, zeros, normal
 from repro.nn.optim import SGD, Adam, Optimizer, train_step
 
@@ -39,7 +38,6 @@ __all__ = [
     "Parameter",
     "Dense",
     "GraphConvolution",
-    "InnerProductDecoder",
     "MLP",
     "glorot_uniform",
     "zeros",

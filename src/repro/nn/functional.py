@@ -1,9 +1,11 @@
 """Functional wrappers around :class:`~repro.nn.tensor.Tensor` operations.
 
 These mirror the ``torch.nn.functional`` style API the original code base
-uses, plus the loss functions specific to graph auto-encoders (dense binary
-cross-entropy over the reconstructed adjacency, KL terms for the variational
-models, and the KL clustering loss of DGAE).
+uses, plus the loss functions of the model family (binary cross-entropy
+from logits for the adversarial discriminator, KL terms for the variational
+models, and the KL clustering loss of DGAE).  The weighted reconstruction
+loss lives on :meth:`~repro.models.base.GAEClusteringModel.reconstruction_loss`,
+which reads its target in CSR.
 """
 
 from __future__ import annotations
@@ -96,55 +98,17 @@ def softmax(x: ArrayOrTensor, axis: int = -1) -> Tensor:
     return exps / exps.sum(axis=axis, keepdims=True)
 
 
-def binary_cross_entropy_with_logits(
-    logits: ArrayOrTensor,
-    targets: ArrayOrTensor,
-    pos_weight: Optional[float] = None,
-    norm: float = 1.0,
-) -> Tensor:
+def binary_cross_entropy_with_logits(logits: ArrayOrTensor, targets: ArrayOrTensor) -> Tensor:
     """Mean binary cross-entropy computed from logits.
 
-    This is the reconstruction loss of all GAE models: ``logits`` is the
-    dense matrix ``Z Z^T`` and ``targets`` the (possibly rewritten)
-    self-supervision adjacency matrix.  ``pos_weight`` re-weights positive
-    entries, which the original implementations use to counter the extreme
-    sparsity of real graphs.  ``norm`` is a scalar multiplier applied to the
-    final mean (the usual ``N^2 / (2 * #neg)`` normalisation).
+    ``mean(softplus(x) − y·x)`` is ``−mean(y·log σ(x) + (1−y)·log(1−σ(x)))``
+    without evaluating a logarithm of a saturated sigmoid.
     """
     logits = as_tensor(logits)
     targets_arr = np.asarray(
         targets.data if isinstance(targets, Tensor) else targets, dtype=np.float64
     )
-    targets_t = Tensor(targets_arr)
-    # log(1 + exp(logits)) - targets * logits, optionally with pos_weight on
-    # the positive term: -[w*y*log(sig) + (1-y)*log(1-sig)].
-    if pos_weight is None:
-        losses = logits.softplus() - targets_t * logits
-    else:
-        w = float(pos_weight)
-        # -(w*y*log(s) + (1-y)*log(1-s))
-        #  = (1 + (w-1)*y) * softplus(logits) - w*y*logits   [derivation below]
-        # log(s) = -softplus(-x), log(1-s) = -softplus(x)
-        # loss = w*y*softplus(-x) + (1-y)*softplus(x)
-        neg_logits = -logits
-        losses = targets_t * (w * neg_logits.softplus()) + (1.0 - targets_t) * logits.softplus()
-    return losses.mean() * norm
-
-
-def binary_cross_entropy_sum(logits: ArrayOrTensor, targets: ArrayOrTensor) -> Tensor:
-    """Summed (not averaged) BCE from logits.
-
-    The theoretical decompositions in the paper (Proposition 1, Theorem 1)
-    are stated for the *sum* over all node pairs, so the analysis code uses
-    this variant.
-    """
-    logits = as_tensor(logits)
-    targets_arr = np.asarray(
-        targets.data if isinstance(targets, Tensor) else targets, dtype=np.float64
-    )
-    targets_t = Tensor(targets_arr)
-    losses = logits.softplus() - targets_t * logits
-    return losses.sum()
+    return (logits.softplus() - Tensor(targets_arr) * logits).mean()
 
 
 def gaussian_kl_divergence(mu: Tensor, log_sigma: Tensor) -> Tensor:
@@ -169,25 +133,3 @@ def kl_divergence_rows(p: ArrayOrTensor, q: ArrayOrTensor, eps: float = 1e-12) -
     p_safe = p + eps
     q_safe = q + eps
     return (p * (p_safe.log() - q_safe.log())).sum()
-
-
-def mean_squared_error(pred: ArrayOrTensor, target: ArrayOrTensor) -> Tensor:
-    """Mean squared error between two arrays."""
-    pred = as_tensor(pred)
-    target_t = as_tensor(target).detach()
-    diff = pred - target_t
-    return (diff * diff).mean()
-
-
-def frobenius_norm_squared(x: ArrayOrTensor) -> Tensor:
-    """Squared Frobenius norm of a matrix."""
-    x = as_tensor(x)
-    return (x * x).sum()
-
-
-def pairwise_squared_distances(z: np.ndarray) -> np.ndarray:
-    """Dense (N, N) matrix of squared Euclidean distances (numpy only)."""
-    sq = np.sum(z ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * z @ z.T
-    np.maximum(d2, 0.0, out=d2)
-    return d2

@@ -4,8 +4,6 @@
 * :class:`GraphConvolution` — Kipf & Welling GCN layer
   ``H' = act(A_norm H W + b)`` where ``A_norm`` is the symmetrically
   normalised adjacency (a constant for a given graph).
-* :class:`InnerProductDecoder` — the GAE decoder ``sigmoid(Z Z^T)``
-  (exposed as logits ``Z Z^T`` so losses can be computed stably).
 * :class:`MLP` — a stack of dense layers, used by the adversarial
   discriminator of ARGAE/ARVGAE and by the theory experiments on extra
   encoder/decoder layers.
@@ -107,26 +105,6 @@ class GraphConvolution(Module):
         if self.activation is not None:
             out = self.activation(out)
         return out
-
-
-class InnerProductDecoder(Module):
-    """GAE decoder producing reconstruction logits ``Z Z^T``.
-
-    ``sigmoid`` is deliberately *not* applied here: downstream losses use the
-    logits directly for numerical stability, matching
-    ``binary_cross_entropy_with_logits``.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def forward(self, z: Tensor) -> Tensor:
-        z = as_tensor(z)
-        return z @ z.T
-
-    def probabilities(self, z: Tensor) -> Tensor:
-        """Return ``sigmoid(Z Z^T)``, the reconstructed adjacency."""
-        return F.sigmoid(self.forward(z))
 
 
 class MLP(Module):

@@ -12,7 +12,7 @@ The telemetry substrate of the library, gated by ``REPRO_TRACE`` /
 * :mod:`~repro.observability.collect` — per-trial capture in pool workers
   and the sorted-by-trial-key sweep merge.
 * :mod:`~repro.observability.exporters` — Chrome trace-event JSON (loadable
-  in Perfetto), JSONL event streams, and the ``trace-summary`` breakdown.
+  in Perfetto) and the ``trace-summary`` breakdown.
 * :mod:`~repro.observability.log` — the ``repro`` logger hierarchy that
   library code uses instead of ``print()`` (enforced by lint rule REP008).
 """
@@ -28,12 +28,10 @@ from repro.observability.exporters import (
     TRACE_SCHEMA,
     chrome_trace,
     format_trace_summary,
-    jsonl_events,
     load_trace_events,
     store_trace_path,
     summarize_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.observability.log import get_logger
 from repro.observability.metrics import (
@@ -92,8 +90,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "chrome_trace",
     "write_chrome_trace",
-    "jsonl_events",
-    "write_jsonl",
     "load_trace_events",
     "summarize_trace",
     "format_trace_summary",

@@ -1,4 +1,4 @@
-"""Telemetry exporters: Chrome trace-event JSON and JSONL event streams.
+"""Telemetry exporters: Chrome trace-event JSON and its per-stage summary.
 
 The merged telemetry of a sweep (see ``repro.parallel.run_sweep``) is a
 plain dict::
@@ -12,8 +12,7 @@ plain dict::
 (``{"traceEvents": [...]}``, ``"X"`` complete events with microsecond
 timestamps) that https://ui.perfetto.dev loads directly — each trial gets
 its own ``pid`` lane named by its store key, the supervisor gets lane 0.
-:func:`jsonl_events` is the line-oriented alternative for log shippers.
-:func:`summarize_trace` aggregates either form into the per-stage
+:func:`summarize_trace` aggregates its events into the per-stage
 time/alloc table behind ``repro-run trace-summary``.
 """
 
@@ -21,14 +20,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 __all__ = [
     "TRACE_SCHEMA",
     "chrome_trace",
     "write_chrome_trace",
-    "jsonl_events",
-    "write_jsonl",
     "load_trace_events",
     "summarize_trace",
     "format_trace_summary",
@@ -101,51 +98,6 @@ def write_chrome_trace(path: str, telemetry: Dict[str, Any]) -> str:
     os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(chrome_trace(telemetry), handle)
-    return path
-
-
-def jsonl_events(telemetry: Dict[str, Any]) -> Iterator[str]:
-    """One JSON line per span event plus one ``metrics`` line per unit."""
-    for _, label, unit in _lanes(telemetry):
-        events: List[Dict[str, Any]] = []
-        for node in unit.get("spans", []):
-            _flatten_spans(node, label, events)
-        for event in events:
-            yield json.dumps(event, sort_keys=True)
-        metrics = unit.get("metrics")
-        if metrics:
-            yield json.dumps({"event": "metrics", "unit": label, "metrics": metrics}, sort_keys=True)
-
-
-def _flatten_spans(
-    node: Dict[str, Any], unit: str, events: List[Dict[str, Any]], depth: int = 0
-) -> None:
-    record = {
-        "event": "span",
-        "unit": unit,
-        "depth": depth,
-        "name": node.get("name"),
-        "start": node.get("start"),
-        "wall_seconds": node.get("wall_seconds"),
-        "cpu_seconds": node.get("cpu_seconds"),
-        "status": node.get("status", "ok"),
-    }
-    if node.get("attributes"):
-        record["attributes"] = node["attributes"]
-    if node.get("counters"):
-        record["counters"] = node["counters"]
-    events.append(record)
-    for child in node.get("children", []):
-        _flatten_spans(child, unit, events, depth + 1)
-
-
-def write_jsonl(path: str, telemetry: Dict[str, Any]) -> str:
-    """Write the JSONL event stream for ``telemetry`` to ``path``."""
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in jsonl_events(telemetry):
-            handle.write(line + "\n")
     return path
 
 

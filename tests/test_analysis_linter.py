@@ -152,6 +152,15 @@ def test_rep002_scoped_to_hot_packages():
     assert lint_file(fixture("src", "repro", "fix_rep002_out_of_scope.py")) == []
 
 
+def test_rep002_guards_the_models_package():
+    # The reconstruction loss reads its target in CSR; a dense target
+    # densified inside a model must not come back unnoticed.
+    source = "def reconstruction_target(graph):\n    return graph.adjacency.to_dense()\n"
+    diagnostics = lint_source(source, module="repro.models.base")
+    assert codes_and_lines(diagnostics) == [("REP002", 2)]
+    assert lint_source(source, module="repro.experiments.dynamics") == []
+
+
 def test_rep003_backward_without_release():
     diagnostics = lint_file(fixture("src", "repro", "fix_rep003.py"))
     assert codes_and_lines(diagnostics) == [("REP003", 7)]

@@ -144,7 +144,7 @@ class TestElementaryMetrics:
 class TestGradientMetrics:
     def test_gradient_cosine_of_identical_losses_is_one(self, pretrained_dgae, tiny_graph):
         features, adj_norm = pretrained_dgae.prepare_inputs(tiny_graph)
-        target = tiny_graph.adjacency.to_dense()
+        target = tiny_graph.adjacency
 
         def loss():
             z = pretrained_dgae.encode(features, adj_norm, sample=False)
@@ -154,7 +154,7 @@ class TestGradientMetrics:
 
     def test_gradient_cosine_of_opposite_losses_is_minus_one(self, pretrained_dgae, tiny_graph):
         features, adj_norm = pretrained_dgae.prepare_inputs(tiny_graph)
-        target = tiny_graph.adjacency.to_dense()
+        target = tiny_graph.adjacency
 
         def loss():
             z = pretrained_dgae.encode(features, adj_norm, sample=False)
@@ -168,7 +168,7 @@ class TestGradientMetrics:
 
     def test_gradient_cosine_clears_model_gradients(self, pretrained_dgae, tiny_graph):
         features, adj_norm = pretrained_dgae.prepare_inputs(tiny_graph)
-        target = tiny_graph.adjacency.to_dense()
+        target = tiny_graph.adjacency
 
         def loss():
             z = pretrained_dgae.encode(features, adj_norm, sample=False)
@@ -192,7 +192,7 @@ class TestGradientMetrics:
 
     def test_feature_drift_metric_identical_graphs_is_one(self, pretrained_dgae, tiny_graph):
         features, adj_norm = pretrained_dgae.prepare_inputs(tiny_graph)
-        target = tiny_graph.adjacency.to_dense()
+        target = tiny_graph.adjacency
         value = feature_drift_metric(pretrained_dgae, features, adj_norm, target, target)
         assert value == pytest.approx(1.0, abs=1e-6)
 
@@ -203,8 +203,8 @@ class TestGradientMetrics:
         oracle = aligned_oracle_assignments(tiny_graph.labels, assignments)
         oracle_graph = build_clustering_oriented_graph(
             tiny_graph.adjacency, oracle, np.arange(tiny_graph.num_nodes), embeddings
-        ).to_dense()
+        )
         value = feature_drift_metric(
-            pretrained_dgae, features, adj_norm, tiny_graph.adjacency.to_dense(), oracle_graph
+            pretrained_dgae, features, adj_norm, tiny_graph.adjacency, oracle_graph
         )
         assert -1.0 <= value <= 1.0

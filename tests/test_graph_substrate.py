@@ -51,6 +51,22 @@ def _one_shot_sbm(num_nodes, proportions, p_intra, p_inter, rng, degree_exponent
     return (upper | upper.T).astype(np.float64), labels
 
 
+def _dense_edge_difference(original, modified, labels):
+    """Figure 9's link bookkeeping on dense upper triangles (the reference)."""
+    original = np.triu(np.asarray(original) > 0, k=1)
+    modified = np.triu(np.asarray(modified) > 0, k=1)
+    labels = np.asarray(labels)
+    same_label = labels[:, None] == labels[None, :]
+    added = modified & ~original
+    deleted = original & ~modified
+    stats = {}
+    for name, mask in (("total", modified), ("added", added), ("deleted", deleted)):
+        stats[f"{name}_links"] = int(mask.sum())
+        stats[f"{name}_true_links"] = int(np.sum(mask & same_label))
+        stats[f"{name}_false_links"] = int(np.sum(mask & ~same_label))
+    return stats
+
+
 class TestAttributedGraph:
     def test_basic_properties(self, tiny_graph):
         assert tiny_graph.num_nodes == 90
@@ -319,11 +335,33 @@ class TestGraphOps:
         original[0, 2] = original[2, 0] = 1.0  # false link to be deleted
         modified = np.zeros((4, 4))
         modified[0, 1] = modified[1, 0] = 1.0  # true link added
-        stats = edge_difference(original, modified, labels)
+        stats = edge_difference(
+            SparseAdjacency.from_dense(original), SparseAdjacency.from_dense(modified), labels
+        )
         assert stats["added_true_links"] == 1
         assert stats["added_false_links"] == 0
         assert stats["deleted_false_links"] == 1
         assert stats["total_links"] == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    def test_edge_difference_matches_dense_reference(self, seed, symmetric):
+        rng = np.random.default_rng(seed)
+        n = 41
+        labels = rng.integers(0, 3, size=n)
+        original = (rng.random((n, n)) < 0.12).astype(float)
+        # Drop about a third of the links and add new ones elsewhere.
+        modified = original * (rng.random((n, n)) > 0.35) + (rng.random((n, n)) < 0.05)
+        modified = np.minimum(modified, 1.0)
+        if symmetric:
+            original = np.maximum(original, original.T)
+            modified = np.maximum(modified, modified.T)
+        np.fill_diagonal(modified, 1.0)  # stored diagonal entries are not links
+        stats = edge_difference(
+            SparseAdjacency.from_dense(original), SparseAdjacency.from_dense(modified), labels
+        )
+        assert stats == _dense_edge_difference(original, modified, labels)
+        assert stats["added_links"] > 0 and stats["deleted_links"] > 0
 
 
 class TestStats:

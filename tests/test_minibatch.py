@@ -380,8 +380,8 @@ class TestMinibatchTraining:
 
 
 class TestTrackingCallbacksOnPromotedGraph:
-    """Υ keeps A_self_clus in CSR under every loader; the tracking
-    callbacks must still see dense matrices."""
+    """Υ keeps A_self_clus in CSR under every loader; Λ_FD and the link
+    bookkeeping read it in CSR, and graph snapshots stay dense arrays."""
 
     @pytest.mark.parametrize("sampler", ["full", "cluster"])
     @pytest.mark.parametrize(
@@ -413,8 +413,9 @@ class TestTrackingCallbacksOnPromotedGraph:
 class TestMemoryGuard:
     def test_cluster_epoch_never_holds_a_dense_adjacency(self):
         """Building a 3000-node graph and running a cluster-loader R- epoch
-        must peak below one dense (N, N) float64 array: the graph, Υ and
-        the loader stay CSR, and only (B, B) batch blocks go dense."""
+        must peak below one dense (N, N) float64 array: the graph, Υ, the
+        loader and the reconstruction targets stay CSR, and only each
+        batch's (B, B) logits are dense."""
         import tracemalloc
 
         num_nodes = 3000

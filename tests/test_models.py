@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.graph.sparse import SparseAdjacency
 from repro.metrics import clustering_accuracy, evaluate_clustering
 from repro.models import (
     ARGAE,
@@ -19,6 +20,7 @@ from repro.models import (
     reconstruction_weights,
 )
 from repro.models.registry import FIRST_GROUP, SECOND_GROUP
+from repro.nn.tensor import Tensor
 
 
 class TestRegistry:
@@ -52,14 +54,14 @@ class TestRegistry:
 
 class TestBaseMechanics:
     def test_reconstruction_weights_sparse_graph(self):
-        adjacency = np.zeros((10, 10))
-        adjacency[0, 1] = adjacency[1, 0] = 1.0
-        pos_weight, norm = reconstruction_weights(adjacency)
+        # A 10-node target with one undirected edge: 2 positives, 98 negatives.
+        pos_weight, norm = reconstruction_weights(10, 2.0)
         assert pos_weight > 1.0
         assert norm > 0.5
+        assert (pos_weight, norm) == (98.0 / 2.0, 100.0 / 196.0)
 
     def test_reconstruction_weights_empty_graph(self):
-        assert reconstruction_weights(np.zeros((5, 5))) == (1.0, 1.0)
+        assert reconstruction_weights(5, 0.0) == (1.0, 1.0)
 
     def test_prepare_inputs_shapes(self, tiny_graph):
         features, adj_norm = GAE.prepare_inputs(tiny_graph)
@@ -102,6 +104,111 @@ class TestBaseMechanics:
     def test_variational_flag(self):
         assert VGAE(10, 3).variational and not GAE(10, 3).variational
         assert ARVGAE(10, 3).variational and not ARGAE(10, 3).variational
+
+
+def _composite_reconstruction_loss(z: Tensor, target_adjacency: SparseAdjacency) -> Tensor:
+    """The reference: the weighted BCE as the generic op chain computed it.
+
+    Dense target plus I, clipped to [0, 1], its sums giving ``pos_weight``
+    and ``norm``, then ``mean(w·y·softplus(−x) + (1−y)·softplus(x)) · norm``
+    over the dense logits ``x = Z Zᵀ``.
+    """
+    target = target_adjacency.to_dense() + np.eye(target_adjacency.num_nodes)
+    np.clip(target, 0.0, 1.0, out=target)
+    total = float(target.size)
+    positives = float(target.sum())
+    negatives = total - positives
+    pos_weight, norm = 1.0, 1.0
+    if positives > 0.0:
+        pos_weight = negatives / positives
+        norm = total / (2.0 * negatives) if negatives > 0 else 1.0
+    logits = z @ z.T
+    targets = Tensor(target)
+    losses = targets * (pos_weight * (-logits).softplus()) + (1.0 - targets) * logits.softplus()
+    return losses.mean() * norm
+
+
+def _loss_and_gradient(loss_fn, z: np.ndarray, target: SparseAdjacency):
+    z_t = Tensor(z.copy(), requires_grad=True)
+    loss = loss_fn(z_t, target)
+    loss.backward()
+    loss.release_graph()
+    return loss.item(), z_t.grad
+
+
+def _symmetric_target(rng, n: int, p: float) -> np.ndarray:
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    return (upper | upper.T).astype(float)
+
+
+def _reconstruction_targets():
+    rng = np.random.default_rng(11)
+    sparse = _symmetric_target(rng, 23, 0.15)
+    with_diagonal = _symmetric_target(rng, 17, 0.2)
+    with_diagonal[[0, 3, 9], [0, 3, 9]] = 1.0
+    heavy = _symmetric_target(rng, 19, 0.2) * rng.choice([1.0, 2.5, 7.0], size=(19, 19))
+    heavy = np.maximum(heavy, heavy.T)
+    complete = np.ones((12, 12)) - np.eye(12)
+    return {
+        "random_sparse": sparse,
+        "stored_diagonal": with_diagonal,
+        "values_above_one": heavy,
+        "edgeless": np.zeros((15, 15)),
+        "complete": complete,
+    }
+
+
+_TARGETS = _reconstruction_targets()
+
+
+class TestReconstructionLoss:
+    """The CSR loss against the dense composite reference."""
+
+    @staticmethod
+    def _model():
+        return build_model("gae", 4, 2, seed=0)
+
+    @pytest.mark.parametrize("name", sorted(_TARGETS))
+    def test_matches_the_composite_reference(self, name):
+        dense = _TARGETS[name]
+        target = SparseAdjacency.from_dense(dense)
+        z = np.random.default_rng(5).normal(0.0, 0.8, size=(dense.shape[0], 3))
+        loss, grad = _loss_and_gradient(self._model().reconstruction_loss, z, target)
+        ref_loss, ref_grad = _loss_and_gradient(_composite_reconstruction_loss, z, target)
+        # The complete graph has no negatives: w = 0 and both losses vanish,
+        # so the comparison is relative to the all-pairs softplus term.
+        scale = max(abs(ref_loss), float(np.logaddexp(0.0, z @ z.T).mean()))
+        assert abs(loss - ref_loss) <= 1e-12 * scale
+        atol = 1e-12 * float(np.abs(ref_grad).max())
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=atol)
+
+    @pytest.mark.parametrize("name", ["random_sparse", "stored_diagonal", "edgeless"])
+    def test_gradient_matches_central_differences(self, name):
+        dense = _TARGETS[name][:9, :9]
+        target = SparseAdjacency.from_dense(dense)
+        z = np.random.default_rng(3).normal(0.0, 0.7, size=(9, 3))
+        model = self._model()
+        _, grad = _loss_and_gradient(model.reconstruction_loss, z, target)
+        step = 1e-6
+        numeric = np.zeros_like(z)
+        for index in np.ndindex(*z.shape):
+            shifted = z.copy()
+            shifted[index] += step
+            upper = model.reconstruction_loss(Tensor(shifted), target).item()
+            shifted[index] -= 2.0 * step
+            lower = model.reconstruction_loss(Tensor(shifted), target).item()
+            numeric[index] = (upper - lower) / (2.0 * step)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
+
+    def test_stable_for_large_logits(self):
+        # |Z Zᵀ| up to 400: softplus never overflows and a perfect
+        # reconstruction costs (almost) nothing.
+        z = np.array([[20.0], [20.0], [-20.0], [-20.0]])
+        target = SparseAdjacency.from_dense(np.array(
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float
+        ))
+        loss = self._model().reconstruction_loss(Tensor(z), target).item()
+        assert np.isfinite(loss) and loss < 1e-6
 
 
 @pytest.mark.parametrize("name", ["gae", "vgae", "argae", "arvgae"])

@@ -121,6 +121,16 @@ class TestRethinkTrainer:
         assert len(history.accuracy_all) == len(history.evaluation_epochs) > 0
         assert len(history.link_stats) > 0
 
+    @pytest.mark.parametrize("name", ["gae", "vgae", "argae", "arvgae"])
+    def test_fr_fd_on_first_group_records_only_fd(self, name, tiny_graph):
+        # Λ_FR needs a clustering loss, which first-group models lack.
+        model = build_model(name, tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+        config = small_config(epochs=4, pretrain_epochs=4, evaluate_every=2)
+        history = RethinkTrainer(model, config, callbacks=["fr_fd"]).fit(tiny_graph)
+        assert history.fr_rethought == [] and history.fr_baseline == []
+        assert len(history.fd_rethought) == len(history.fd_baseline) == 3  # epochs 0, 2, 3
+        assert all(-1.0 <= v <= 1.0 for v in history.fd_rethought + history.fd_baseline)
+
     def test_graph_snapshots_recorded(self, tiny_graph):
         model = build_model("dgae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
         trainer = RethinkTrainer(
