@@ -1,8 +1,9 @@
 """repro.minibatch — the loaders between the graph substrate and the trainers.
 
-A whole-graph R- epoch caps the dataset size at whatever a dense ``(N, N)``
-reconstruction epoch can afford.  This package can stream *renumbered
-subgraph blocks* instead:
+A whole-graph R- epoch reconstructs all N² pairs of ``Z Zᵀ``: its loss
+walks them in tiles, so it fits in O(N·d + |E|) memory but costs O(N²·d)
+time per epoch.  This package can stream *renumbered subgraph blocks*
+instead, each reconstructing only its own B² pairs:
 
 * :class:`~repro.minibatch.partition.ClusterPartitioner` — METIS-free
   seeded-BFS edge-cut partitioning over the CSR backend, producing a

@@ -1,10 +1,10 @@
 """Minibatch loaders: stream renumbered subgraph blocks to the trainers.
 
 The R- training loop consumes one of these loaders.  A whole-graph epoch
-runs one forward/backward over the whole adjacency, whose reconstruction
-term alone materialises the dense ``(N, N)`` logits ``Z Zᵀ`` — an O(N²)
-wall every epoch.  The sampling loaders cut that wall down to O(B²) per
-batch.  All of them yield :class:`Minibatch` objects:
+runs one forward/backward over the whole graph; its reconstruction loss
+walks the logits ``Z Zᵀ`` in tiles, so memory stays O(N·d + |E|) but time
+is O(N²·d) every epoch.  The sampling loaders cut the time down to
+O(B²·d) per batch.  All of them yield :class:`Minibatch` objects:
 
 * :class:`FullBatchLoader` — the whole graph as a single batch, the
   trainer's default: its block is exactly the inputs

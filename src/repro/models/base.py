@@ -297,18 +297,21 @@ class GAEClusteringModel(Module):
         positive weight ``w`` and the normalisation.  With ``x = Z Z^T``, the
         per-pair loss ``w·y·softplus(−x) + (1−y)·softplus(x)`` equals
         ``softplus(x) + y·((w−1)·softplus(x) − w·x)``, so the loss is one
-        softplus over all pairs plus a term gathered at the target's stored
-        entries: the target stays CSR.
+        softplus over all pairs plus a term at the target's stored entries:
+        the target stays CSR, and :func:`~repro.nn.functional.inner_product_bce`
+        computes both terms and ``∂L/∂Z`` over tiles of ``Z Z^T`` without an
+        (N, N) array.
         """
+        n = z.shape[0]
+        if target_adjacency.num_nodes != n:
+            raise ValueError(
+                f"reconstruction target has {target_adjacency.num_nodes} nodes "
+                f"but Z has {n} rows"
+            )
         target = target_adjacency.add_self_loops()
         y = np.clip(target.data, 0.0, 1.0)
-        n = target.num_nodes
         pos_weight, norm = reconstruction_weights(n, float(y.sum()))
-        logits = z @ z.T
-        softplus = logits.softplus()
-        rows, cols = target.row_indices(), target.indices
-        edges = (softplus[rows, cols] * (pos_weight - 1.0) - logits[rows, cols] * pos_weight) * y
-        return (softplus.sum() + edges.sum()) * (norm / (n * n))
+        return F.inner_product_bce(z, target.row_indices(), target.indices, y, pos_weight, norm)
 
     def regularization_loss(self, z: Tensor) -> Optional[Tensor]:
         """Model-specific extra loss (KL divergence, adversarial penalty).

@@ -6,7 +6,9 @@ engine.  It provides exactly what the paper's models need:
 
 * :class:`~repro.nn.tensor.Tensor` — an autograd-enabled array wrapper.
 * Functional ops (``relu``, ``sigmoid``, ``softplus``, reductions, matmul,
-  and the sparse propagation primitive :func:`~repro.nn.functional.spmm`).
+  the sparse propagation primitive :func:`~repro.nn.functional.spmm` and
+  the fused, tiled reconstruction loss
+  :func:`~repro.nn.functional.inner_product_bce`).
 * Layers — :class:`~repro.nn.layers.Dense`,
   :class:`~repro.nn.layers.GraphConvolution`, :class:`~repro.nn.layers.MLP`.
 * Optimizers — :class:`~repro.nn.optim.SGD`, :class:`~repro.nn.optim.Adam` —

@@ -4,8 +4,10 @@ These mirror the ``torch.nn.functional`` style API the original code base
 uses, plus the loss functions of the model family (binary cross-entropy
 from logits for the adversarial discriminator, KL terms for the variational
 models, and the KL clustering loss of DGAE).  The weighted reconstruction
-loss lives on :meth:`~repro.models.base.GAEClusteringModel.reconstruction_loss`,
-which reads its target in CSR.
+loss is one fused op, :func:`inner_product_bce`, which walks ``Z Zᵀ`` in
+``LOGIT_TILE``-sized tiles and never holds an (N, N) array;
+:meth:`~repro.models.base.GAEClusteringModel.reconstruction_loss` prepares
+its CSR target and calls it.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, as_tensor
+from repro.nn.tensor import Tensor, as_tensor, grad_enabled
 from repro.observability.tracer import span as _span
 
 ArrayOrTensor = Union[np.ndarray, Tensor]
+
+#: Side of the square tiles of ``Z Zᵀ`` that :func:`inner_product_bce` visits.
+LOGIT_TILE = 128
 
 
 def relu(x: ArrayOrTensor) -> Tensor:
@@ -74,6 +79,100 @@ def spmm(adjacency, x: ArrayOrTensor) -> Tensor:
         return (adjacency_t.matmul(grad),)
 
     return x_t._make_child(out_data, (x_t,), backward)
+
+
+def inner_product_bce(
+    z: ArrayOrTensor,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    y: np.ndarray,
+    pos_weight: float,
+    norm: float,
+) -> Tensor:
+    """Weighted BCE between ``sigmoid(Z Zᵀ)`` and a sparse target, fused.
+
+    The target holds ``y`` at ``(rows, cols)`` and 0 elsewhere.  With
+    ``x = Z Zᵀ`` and ``w = pos_weight`` the loss is::
+
+        norm / N² · [Σ_all softplus(x_ij) + Σ_stored y·((w−1)·softplus(x) − w·x)]
+
+    The all-pairs sum runs over ``LOGIT_TILE``² tiles of the upper block
+    triangle (``x`` is symmetric, so an off-diagonal tile counts twice),
+    taking softplus and σ from one ``exp(−|x|)``.  Each stored entry is
+    folded into the tile that holds it (or its mirror): its ``x`` and
+    softplus are gathered there, and its gradient coefficient
+    ``y·((w−1)·σ − w)`` is added to the tile's σ before the tile's two
+    products with ``Z``.  Memory is O(B² + N·d + |E|): no (N, N) array
+    exists.
+
+    ``∂L/∂Z`` is computed in the same pass, only when gradients are
+    enabled and ``z`` requires them; the backward scales it by the upstream
+    gradient.
+    """
+    z_t = as_tensor(z)
+    zd = z_t.data
+    n = zd.shape[0]
+    tile = LOGIT_TILE
+    blocks = -(-n // tile)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    # Entries below the block diagonal move to their mirror tile; one stable
+    # argsort then buckets them in the order the loop visits the tiles.
+    mirrored = rows // tile > cols // tile
+    rows, cols = np.where(mirrored, cols, rows), np.where(mirrored, rows, cols)
+    keys = rows // tile * blocks + cols // tile
+    order = np.argsort(keys, kind="stable")
+    rows, cols = rows[order], cols[order]
+    y = np.asarray(y, dtype=np.float64)[order]
+    # Flat position of each entry inside its tile; the last column of tiles
+    # may be narrower than ``tile``.
+    widths = np.minimum(tile, n - cols // tile * tile)
+    local = rows % tile * widths + cols % tile
+    starts = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=blocks * blocks))))
+    w = float(pos_weight)
+    grad = np.zeros_like(zd) if grad_enabled() and z_t.requires_grad else None
+    pairs = 0.0
+    edges = 0.0
+    with _span("kernel.inner_product_bce"):
+        for i0 in range(0, n, tile):
+            z_i = zd[i0:i0 + tile]
+            for j0 in range(i0, n, tile):
+                z_j = zd[j0:j0 + tile]
+                key = i0 // tile * blocks + j0 // tile
+                at = local[starts[key]:starts[key + 1]]
+                y_at = y[starts[key]:starts[key + 1]]
+                x = z_i @ z_j.T
+                e = np.abs(x)
+                np.negative(e, out=e)
+                np.exp(e, out=e)
+                softplus = np.log1p(e)
+                softplus += np.maximum(x, 0.0)
+                pairs += softplus.sum() if i0 == j0 else 2.0 * softplus.sum()
+                edges += ((np.take(softplus, at) * (w - 1.0) - np.take(x, at) * w) * y_at).sum()
+                if grad is None:
+                    continue
+                # σ = where(x ≥ 0, 1, e) / (1 + e); e ≤ 1, so the numerator
+                # is max(e, [x ≥ 0]) (a masked select is several times slower).
+                sigma = np.maximum(e, x >= 0.0)
+                e += 1.0
+                sigma /= e
+                folded = (np.take(sigma, at) * (w - 1.0) - w) * y_at
+                if i0 == j0:
+                    np.add.at(sigma.reshape(-1), at, folded)
+                    grad[i0:i0 + tile] += sigma @ z_i + sigma.T @ z_i
+                else:
+                    sigma *= 2.0  # the tile and its mirror
+                    np.add.at(sigma.reshape(-1), at, folded)
+                    grad[i0:i0 + tile] += sigma @ z_j
+                    grad[j0:j0 + tile] += sigma.T @ z_i
+    scale = norm / (n * n)
+    if grad is not None:
+        grad *= scale
+
+    def backward(upstream: np.ndarray):
+        return (upstream * grad,)
+
+    return z_t._make_child(np.asarray((pairs + edges) * scale), (z_t,), backward)
 
 
 def dropout(x: ArrayOrTensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:

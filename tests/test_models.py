@@ -20,7 +20,9 @@ from repro.models import (
     reconstruction_weights,
 )
 from repro.models.registry import FIRST_GROUP, SECOND_GROUP
-from repro.nn.tensor import Tensor
+from repro.nn.functional import LOGIT_TILE
+from repro.nn.tensor import Tensor, no_grad
+from repro.observability.tracer import tracing_session
 
 
 class TestRegistry:
@@ -149,12 +151,23 @@ def _reconstruction_targets():
     heavy = _symmetric_target(rng, 19, 0.2) * rng.choice([1.0, 2.5, 7.0], size=(19, 19))
     heavy = np.maximum(heavy, heavy.T)
     complete = np.ones((12, 12)) - np.eye(12)
+    # Three row blocks of tiles, the last one partial.
+    n = 2 * LOGIT_TILE + 37
+    tiled_diagonal = _symmetric_target(rng, n, 0.02)
+    tiled_diagonal[[0, LOGIT_TILE, n - 1], [0, LOGIT_TILE, n - 1]] = 1.0
+    tiled_heavy = _symmetric_target(rng, n, 0.02) * rng.choice([1.0, 2.5, 7.0], size=(n, n))
     return {
         "random_sparse": sparse,
         "stored_diagonal": with_diagonal,
         "values_above_one": heavy,
         "edgeless": np.zeros((15, 15)),
         "complete": complete,
+        "tiled_symmetric": _symmetric_target(rng, n, 0.02),
+        "tiled_asymmetric_weighted": (rng.random((n, n)) < 0.02) * rng.choice([0.3, 1.0], size=(n, n)),
+        "tiled_stored_diagonal": tiled_diagonal,
+        "tiled_values_above_one": np.maximum(tiled_heavy, tiled_heavy.T),
+        "tiled_complete": np.ones((n, n)) - np.eye(n),
+        "tiled_edgeless": np.zeros((n, n)),
     }
 
 
@@ -176,7 +189,8 @@ class TestReconstructionLoss:
         loss, grad = _loss_and_gradient(self._model().reconstruction_loss, z, target)
         ref_loss, ref_grad = _loss_and_gradient(_composite_reconstruction_loss, z, target)
         # The complete graph has no negatives: w = 0 and both losses vanish,
-        # so the comparison is relative to the all-pairs softplus term.
+        # so the comparison is relative to the all-pairs softplus term.  Its
+        # reference gradient is exactly 0, so atol is 0 and so must ours be.
         scale = max(abs(ref_loss), float(np.logaddexp(0.0, z @ z.T).mean()))
         assert abs(loss - ref_loss) <= 1e-12 * scale
         atol = 1e-12 * float(np.abs(ref_grad).max())
@@ -199,6 +213,47 @@ class TestReconstructionLoss:
             lower = model.reconstruction_loss(Tensor(shifted), target).item()
             numeric[index] = (upper - lower) / (2.0 * step)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
+
+    def test_multi_tile_gradient_matches_central_differences(self):
+        # A full Jacobian above one tile is too slow: check the directional
+        # derivative along three random directions instead.
+        target = SparseAdjacency.from_dense(_TARGETS["tiled_asymmetric_weighted"])
+        rng = np.random.default_rng(7)
+        z = rng.normal(0.0, 0.7, size=(target.num_nodes, 3))
+        model = self._model()
+        _, grad = _loss_and_gradient(model.reconstruction_loss, z, target)
+        step = 1e-6
+        for _ in range(3):
+            direction = rng.normal(size=z.shape)
+            upper = model.reconstruction_loss(Tensor(z + step * direction), target).item()
+            lower = model.reconstruction_loss(Tensor(z - step * direction), target).item()
+            numeric = (upper - lower) / (2.0 * step)
+            assert numeric == pytest.approx(float(np.sum(grad * direction)), rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["random_sparse", "tiled_stored_diagonal"])
+    def test_no_grad_gives_the_same_value_without_a_graph(self, name):
+        target = SparseAdjacency.from_dense(_TARGETS[name])
+        z = Tensor(np.random.default_rng(2).normal(size=(target.num_nodes, 3)), requires_grad=True)
+        model = self._model()
+        with_grad = model.reconstruction_loss(z, target)
+        with no_grad():
+            without = model.reconstruction_loss(z, target)
+        assert without.item() == with_grad.item()
+        assert with_grad.requires_grad and not without.requires_grad
+
+    @pytest.mark.parametrize("target_nodes", [8, 12])
+    def test_rejects_a_target_of_another_size(self, target_nodes):
+        z = Tensor(np.random.default_rng(0).normal(size=(10, 3)))
+        target = SparseAdjacency.from_dense(np.zeros((target_nodes, target_nodes)))
+        with pytest.raises(ValueError, match=f"{target_nodes} nodes.*10 rows"):
+            self._model().reconstruction_loss(z, target)
+
+    def test_traced_call_records_the_kernel_span(self):
+        target = SparseAdjacency.from_dense(_TARGETS["random_sparse"])
+        z = Tensor(np.random.default_rng(0).normal(size=(target.num_nodes, 3)))
+        with tracing_session(enabled=True) as tracer:
+            self._model().reconstruction_loss(z, target)
+        assert [root["name"] for root in tracer.export()] == ["kernel.inner_product_bce"]
 
     def test_stable_for_large_logits(self):
         # |Z Zᵀ| up to 400: softplus never overflows and a perfect
