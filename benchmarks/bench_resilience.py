@@ -40,9 +40,10 @@ from repro.observability.metrics import metrics_report as unified_report
 from repro.parallel import run_sweep
 from repro.resilience import RetryPolicy
 
-#: the pinned chaos plan: crash probability stays low because a pool break
-#: charges a ``pool_broken`` attempt to every in-flight trial, and the
-#: retry budget is sized for that collateral (see repro.resilience).
+#: the pinned chaos plan: crash probability stays low because every trial
+#: caught in a pool break with others then runs alone, where each crash
+#: costs a ``pool_broken`` attempt, and the retry budget is sized for that
+#: (see repro.resilience).
 FAULT_PLAN = "worker_crash:p=0.2:seed=5,trial_error:p=0.3:seed=2,store_corrupt:p=0.5:seed=9"
 
 _POLICY = RetryPolicy(max_attempts=20, backoff_base=0.001)

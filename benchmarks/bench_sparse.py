@@ -1,9 +1,10 @@
 """Dense-vs-sparse benchmark for the adjacency hot path.
 
-Measures wall-clock time and peak traced memory of the three operations the
-CSR backend (:mod:`repro.graph.sparse`) rewired:
+Measures wall-clock time and peak traced memory of the operations the CSR
+backend (:mod:`repro.graph.sparse`) rewired:
 
 * adjacency normalisation (``normalize_adjacency``),
+* the propagation product itself, ``A_norm @ X`` with d = 32 (``spmm``),
 * GCN propagation, forward + backward, through a
   :class:`~repro.nn.layers.GraphConvolution` layer,
 * the Laplacian quadratic form ``L_C(Z, A)``.
@@ -17,9 +18,9 @@ Usage::
 The dense baseline is only measured up to ``--dense-max`` nodes (default
 2000 — a dense 8000² float64 adjacency alone is 512 MB).  At every size
 where both paths run, the sparse path must be at least ``--min-speedup``
-times faster (default 5×, checked for N ≥ 2000) on GCN propagation and the
-quadratic form, otherwise the script exits non-zero so CI fails loudly on
-hot-path perf regressions.
+times faster (default 5×, checked for N ≥ 2000) on the spmm kernel, GCN
+propagation and the quadratic form, otherwise the script exits non-zero so
+CI fails loudly on hot-path perf regressions.
 """
 
 from __future__ import annotations
@@ -122,6 +123,10 @@ def bench_size(n: int, avg_degree: float, repeats: int, dense_max: int, seed: in
             else None,
             "sparse": lambda: sparse.normalize(self_loops=True),
         },
+        "spmm": {
+            "dense": (lambda: dense_norm @ x) if with_dense else None,
+            "sparse": lambda: sparse_norm.matmul(x),
+        },
         "gcn_forward_backward": {
             "dense": gcn_forward_backward(x, dense_norm) if with_dense else None,
             "sparse": gcn_forward_backward(x, sparse_norm),
@@ -162,8 +167,8 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=5.0,
-        help="required sparse speedup on GCN propagation and the quadratic "
-        "form at N >= 2000 (0 disables the check)",
+        help="required sparse speedup on spmm, GCN propagation and the "
+        "quadratic form at N >= 2000 (0 disables the check)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=str, default=None, help="write timing JSON here")
@@ -204,7 +209,7 @@ def main(argv=None) -> int:
         for row in report["results"]:
             if row["num_nodes"] < 2000:
                 continue
-            for op_name in ("gcn_forward_backward", "laplacian_quadratic_form"):
+            for op_name in ("spmm", "gcn_forward_backward", "laplacian_quadratic_form"):
                 speedup = row["ops"][op_name].get("speedup")
                 if speedup is not None and speedup < args.min_speedup:
                     failures.append(

@@ -9,7 +9,11 @@ operations the training path needs, each in O(|E|) per feature column:
 * construction from a dense matrix, a COO triple or an undirected edge list,
 * symmetric normalisation ``D^{-1/2} (A + I) D^{-1/2}`` with the same
   isolated-node handling as the dense :func:`repro.graph.laplacian.normalize_adjacency`,
-* sparse @ dense multiplication (``spmm``) in O(|E| d),
+* sparse @ dense multiplication (``spmm``) in O(|E| d), through a
+  position-major copy of the entries built once per matrix: rows sorted by
+  degree, and in-row position ``p`` of every row of degree ≤
+  :data:`ROW_CAP` stored as one contiguous run, so a product costs one
+  numpy add per run instead of one ``bincount`` per feature column,
 * cached degrees and a cached transpose (for the autograd backward pass),
 * induced subgraphs and neighbour sampling for the minibatch loaders.
 
@@ -22,7 +26,7 @@ whole graph propagates through CSR or through a dense BLAS matrix.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
     "propagation_matrix",
     "SPARSE_NODE_THRESHOLD",
     "SPARSE_DENSITY_THRESHOLD",
+    "ROW_CAP",
 ]
 
 #: below this many nodes the dense BLAS path is at least as fast as CSR, and
@@ -39,6 +44,66 @@ SPARSE_NODE_THRESHOLD = 256
 
 #: above this edge density CSR stops paying for itself.
 SPARSE_DENSITY_THRESHOLD = 0.25
+
+#: rows with more stored entries than this are left out of spmm's
+#: position-major runs and summed per feature column with ``np.bincount``:
+#: one hub row would otherwise add one short run per entry, which makes a
+#: star graph several times slower.
+ROW_CAP = 64
+
+#: gathered (entries × columns) elements per spmm step, which bounds the
+#: product's transient memory independently of nnz.
+SPMM_CHUNK = 1 << 16
+
+
+class _SpmmLayout(NamedTuple):
+    """The entries of a :class:`SparseAdjacency` in spmm order.
+
+    Rows are ranked by degree (descending, stable); ``rank[i]`` is row
+    ``i``'s place.  The ``num_heavy`` rows above :data:`ROW_CAP` come first
+    and keep their entries row-major (``heavy_rows`` holds each entry's
+    place among them).  For the other rows, run ``r`` —
+    ``cols[bounds[r]:bounds[r + 1]]`` and ``vals[...]`` — holds in-row
+    position ``r`` of the first ``bounds[r + 1] − bounds[r]`` of them.
+    ``plans`` caches :meth:`plan` per chunk size.
+    """
+
+    rank: np.ndarray
+    num_heavy: int
+    heavy_rows: np.ndarray
+    heavy_cols: np.ndarray
+    heavy_vals: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    bounds: List[int]
+    plans: Dict[int, List[Tuple[slice, List[Tuple[slice, slice]]]]]
+
+    def plan(self, step: int) -> List[Tuple[slice, List[Tuple[slice, slice]]]]:
+        """The run entries cut into chunks of ``step`` (cached per ``step``).
+
+        Each chunk comes with the pieces of the runs it holds, as (rows of
+        the light part of the output, rows of the chunk) slice pairs.
+        """
+        plan = self.plans.get(step)
+        if plan is None:
+            bounds, plan, run = self.bounds, [], 0
+            for lo in range(0, bounds[-1], step):
+                hi = min(lo + step, bounds[-1])
+                pieces = []
+                start = lo
+                while start < hi:
+                    # entry bounds[run] + k of run `run` belongs to light row k
+                    stop = min(hi, bounds[run + 1])
+                    row = start - bounds[run]
+                    pieces.append(
+                        (slice(row, row + stop - start), slice(start - lo, stop - lo))
+                    )
+                    if stop == bounds[run + 1]:
+                        run += 1
+                    start = stop
+                plan.append((slice(lo, hi), pieces))
+            self.plans[step] = plan
+        return plan
 
 
 class SparseAdjacency:
@@ -56,7 +121,7 @@ class SparseAdjacency:
         ``(N, N)``.
 
     Instances are immutable by convention: every edit operation returns a new
-    object so cached degrees/transposes can never go stale.
+    object so cached degrees, transposes and spmm layouts can never go stale.
     """
 
     __slots__ = (
@@ -68,6 +133,7 @@ class SparseAdjacency:
         "_in_degrees",
         "_transpose",
         "_row_indices",
+        "_layout",
     )
 
     def __init__(
@@ -100,6 +166,7 @@ class SparseAdjacency:
         self._in_degrees: Optional[np.ndarray] = None
         self._transpose: Optional["SparseAdjacency"] = None
         self._row_indices: Optional[np.ndarray] = None
+        self._layout: Optional[_SpmmLayout] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -305,35 +372,75 @@ class SparseAdjacency:
     # ------------------------------------------------------------------
     # products
     # ------------------------------------------------------------------
+    def _spmm_layout(self) -> _SpmmLayout:
+        """The position-major entry order :meth:`matmul` walks (cached)."""
+        if self._layout is None:
+            degrees = np.diff(self.indptr)
+            order = np.argsort(-degrees, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.shape[0], dtype=np.int64)
+            num_heavy = int(np.count_nonzero(degrees > ROW_CAP))
+            heavy, _, heavy_rows = self._gather_rows(order[:num_heavy])
+            light = order[num_heavy:]
+            light_degrees = degrees[light]
+            runs = int(light_degrees[0]) if light.size else 0
+            # run r holds the light rows of degree > r: a prefix of `light`
+            counts = np.searchsorted(-light_degrees, -np.arange(runs), side="left")
+            starts = self.indptr[light]
+            runs_of = [starts[:count] + r for r, count in enumerate(counts)]
+            positions = np.concatenate(runs_of) if runs_of else starts[:0]
+            self._layout = _SpmmLayout(
+                rank=rank,
+                num_heavy=num_heavy,
+                heavy_rows=heavy_rows,
+                heavy_cols=self.indices[heavy],
+                heavy_vals=self.data[heavy],
+                cols=self.indices[positions],
+                vals=self.data[positions],
+                bounds=[0] + np.cumsum(counts).tolist(),
+                plans={},
+            )
+        return self._layout
+
     def matmul(self, dense: np.ndarray) -> np.ndarray:
         """``A @ X`` for a dense (N, d) matrix or (N,) vector in O(nnz · d).
 
-        Each output column is a weighted scatter-add over the stored entries,
-        computed with ``np.bincount`` — column-wise keeps every intermediate
-        1-D and contiguous, which benchmarks ~3× faster than reducing a
-        (nnz, d) product matrix with ``np.add.reduceat``.
+        The product walks the cached position-major layout: a step gathers
+        and scales the ``X`` rows of at most :data:`SPMM_CHUNK` elements'
+        worth of entries, then adds each run's share of them into the
+        prefix of the degree-ordered output that its rows occupy; one row
+        gather restores the row order.  Rows above :data:`ROW_CAP` are
+        summed per column with ``np.bincount`` over their own entries.
+        Either way every output element is the sum, from 0.0 and in stored
+        order, of the same products the per-column ``bincount`` kernel adds,
+        so the result is bit-identical to it.
         """
         dense = np.asarray(dense, dtype=np.float64)
         is_vector = dense.ndim == 1
         if is_vector:
             dense = dense[:, None]
-        if dense.shape[0] != self.shape[1]:
+        if dense.ndim != 2 or dense.shape[0] != self.shape[1]:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {dense.shape}"
             )
-        n, d = self.shape[0], dense.shape[1]
-        if not self.nnz:
-            out = np.zeros((n, d))
-            return out[:, 0] if is_vector else out
-        rows = self.row_indices()
-        out_t = np.empty((d, n))
-        for column in range(d):
-            out_t[column] = np.bincount(
-                rows,
-                weights=self.data * dense[:, column][self.indices],
-                minlength=n,
-            )
-        out = np.ascontiguousarray(out_t.T)
+        layout = self._spmm_layout()
+        d = dense.shape[1]
+        out = np.zeros((self.shape[0], d))
+        if layout.num_heavy:
+            heavy = out[: layout.num_heavy]
+            for column in range(d):
+                heavy[:, column] = np.bincount(
+                    layout.heavy_rows,
+                    weights=layout.heavy_vals * dense[:, column][layout.heavy_cols],
+                    minlength=layout.num_heavy,
+                )
+        light = out[layout.num_heavy :]
+        for chunk, pieces in layout.plan(max(1, SPMM_CHUNK // max(d, 1))):
+            products = np.take(dense, layout.cols[chunk], axis=0)
+            np.multiply(layout.vals[chunk, None], products, out=products)
+            for rows, part in pieces:
+                light[rows] += products[part]
+        out = np.take(out, layout.rank, axis=0)
         return out[:, 0] if is_vector else out
 
     def __matmul__(self, other) -> np.ndarray:

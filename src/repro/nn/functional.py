@@ -68,7 +68,8 @@ def spmm(adjacency, x: ArrayOrTensor) -> Tensor:
     (or any object exposing ``matmul``/``transpose``): the GCN propagation
     matrix is fixed for a given graph, so no gradient flows into it.  The
     backward pass is ``∂L/∂X = Aᵀ @ ∂L/∂out``, also computed sparsely, which
-    keeps both directions at O(nnz · d) instead of O(N² d).
+    keeps both directions at O(nnz · d) instead of O(N² d).  Both products
+    run inside a ``kernel.spmm`` span.
     """
     x_t = as_tensor(x)
     with _span("kernel.spmm"):
@@ -76,7 +77,8 @@ def spmm(adjacency, x: ArrayOrTensor) -> Tensor:
     adjacency_t = adjacency.transpose()
 
     def backward(grad: np.ndarray):
-        return (adjacency_t.matmul(grad),)
+        with _span("kernel.spmm"):
+            return (adjacency_t.matmul(grad),)
 
     return x_t._make_child(out_data, (x_t,), backward)
 

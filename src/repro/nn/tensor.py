@@ -341,8 +341,10 @@ class Tensor:
         out_data = self.data @ other_t.data
 
         def backward(grad: np.ndarray):
-            grad_self = grad @ other_t.data.T
-            grad_other = self.data.T @ grad
+            # A constant operand (the features, a dense propagation matrix)
+            # needs no gradient: skip its product.
+            grad_self = grad @ other_t.data.T if self.requires_grad else None
+            grad_other = self.data.T @ grad if other_t.requires_grad else None
             return grad_self, grad_other
 
         return self._make_child(out_data, (self, other_t), backward)

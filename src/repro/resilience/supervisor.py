@@ -13,10 +13,11 @@ work item as an independently retryable *attempt stream*:
   without consuming an attempt).
 * **Crash detection**: a dying worker breaks the whole
   ``ProcessPoolExecutor``; the supervisor catches ``BrokenProcessPool``,
-  records a ``pool_broken`` attempt against every in-flight trial (the
-  pool cannot say which one crashed — the deterministic fault plan or the
-  real segfault will single it out on retry), kills the wreck and spins up
-  a fresh pool.
+  kills the wreck and spins up a fresh pool.  The pool cannot say which
+  trial crashed, so a break with several trials in flight charges none of
+  them (an uncounted ``pool_broken_shared`` attempt) and runs each of them
+  alone from then on; only a break with a single trial in flight records a
+  ``pool_broken`` attempt against its budget.
 * **Retry with exponential backoff**: failed attempts are rescheduled at
   ``backoff_base · 2^(attempt-1)`` seconds (capped), scaled by a
   deterministic jitter derived from the item key — no RNG state, bitwise
@@ -51,6 +52,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     TypeVar,
 )
 
@@ -233,6 +235,8 @@ class _TrialState:
     attempts: List[Dict[str, Any]] = field(default_factory=list)
     counted: int = 0
     retry_at: float = 0.0
+    #: shared a broken pool with other trials: runs with nothing beside it.
+    alone: bool = False
 
     def record(self, outcome: str, error: Optional[BaseException], seconds: float) -> None:
         self.attempts.append(
@@ -392,11 +396,14 @@ def supervised_map(
             if pool is None:
                 pool = ProcessPoolExecutor(max_workers=jobs)
             now = time.monotonic()
-            # fill the pool with eligible work (backoff delays respected)
+            # fill the pool with eligible work (backoff delays respected);
+            # a trial marked `alone` waits for an empty pool and keeps it
             ready = [s for s in pending if s.retry_at <= now]
             for state in ready:
-                if len(inflight) >= jobs:
+                if len(inflight) >= jobs or any(s.alone for s, _ in inflight.values()):
                     break
+                if state.alone and inflight:
+                    continue
                 pending.remove(state)
                 attempt = len(state.attempts) + 1
                 future = pool.submit(
@@ -423,18 +430,14 @@ def supervised_map(
                 )
             done, _ = wait(set(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED)
 
-            pool_broken = False
+            broken: List[Tuple[_TrialState, float]] = []
             for future in done:
                 state, started = inflight.pop(future)
                 elapsed = time.monotonic() - started
                 try:
                     value = future.result()
                 except BrokenProcessPool:
-                    pool_broken = True
-                    state.record("pool_broken", None, elapsed)
-                    failure = fail(state)
-                    if failure is not None and fail_fast:
-                        raise failure.error
+                    broken.append((state, started))
                 except KeyboardInterrupt:
                     raise
                 # BaseException: the pool re-raises whatever the worker
@@ -460,18 +463,28 @@ def supervised_map(
                     on_result(state.index, results[state.index])
                 return True
 
-            if pool_broken:
+            if broken:
                 # the executor is a write-off: every still-inflight future
                 # is doomed to the same BrokenProcessPool, so account for
                 # them now and respawn.
                 for future, (state, started) in list(inflight.items()):
-                    if salvage(future, state, started):
+                    if not salvage(future, state, started):
+                        broken.append((state, started))
+                inflight.clear()
+                for state, started in broken:
+                    elapsed = time.monotonic() - started
+                    if len(broken) > 1:
+                        # any of them may have crashed it: charge none, and
+                        # give each a pool of its own to find out
+                        state.record("pool_broken_shared", None, elapsed)
+                        state.alone = True
+                        state.retry_at = 0.0
+                        pending.append(state)
                         continue
-                    state.record("pool_broken", None, time.monotonic() - started)
+                    state.record("pool_broken", None, elapsed)
                     failure = fail(state)
                     if failure is not None and fail_fast:
                         raise failure.error
-                inflight.clear()
                 _teardown_pool(pool, kill=True)
                 pool = None
                 trace_event("resilience.pool_respawn", reason="pool_broken")

@@ -5,10 +5,13 @@ operation the hot path was rewired onto (normalisation, spmm, GCN
 forward/backward and the Laplacian quadratic form) must agree with the
 dense reference to 1e-10 on random graphs, including graphs with isolated
 nodes; the Υ graph transform must match the historical dense loop
-``_reference_upsilon`` entry by entry.
+``_reference_upsilon`` entry by entry, and ``SparseAdjacency.matmul`` the
+per-column ``bincount`` kernel ``_reference_spmm`` byte for byte.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +25,11 @@ from repro.graph import (
     propagation_matrix,
 )
 from repro.graph.graph import AttributedGraph
+from repro.graph.sparse import ROW_CAP
 from repro.models import GAE
 from repro.nn import GraphConvolution, spmm
 from repro.nn.tensor import Tensor
+from repro.observability.tracer import tracing_session
 from test_kernel_equivalence import _reference_upsilon
 
 TOL = 1e-10
@@ -39,6 +44,44 @@ def random_adjacency(rng, n=70, p=0.08, isolated=2):
         a[node, :] = 0.0
         a[:, node] = 0.0
     return a
+
+
+def _reference_spmm(self, dense: np.ndarray) -> np.ndarray:
+    """The per-column ``bincount`` kernel ``SparseAdjacency.matmul`` replaced."""
+    dense = np.asarray(dense, dtype=np.float64)
+    is_vector = dense.ndim == 1
+    if is_vector:
+        dense = dense[:, None]
+    if dense.shape[0] != self.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: {self.shape} @ {dense.shape}"
+        )
+    n, d = self.shape[0], dense.shape[1]
+    if not self.nnz:
+        out = np.zeros((n, d))
+        return out[:, 0] if is_vector else out
+    rows = self.row_indices()
+    out_t = np.empty((d, n))
+    for column in range(d):
+        out_t[column] = np.bincount(
+            rows,
+            weights=self.data * dense[:, column][self.indices],
+            minlength=n,
+        )
+    out = np.ascontiguousarray(out_t.T)
+    return out[:, 0] if is_vector else out
+
+
+def star_adjacency(n):
+    """Normalised star: one hub row of degree n, n − 1 rows of degree 2."""
+    edges = np.stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1)
+    return SparseAdjacency.from_edges(edges, n).normalize()
+
+
+def random_sparse_graph(n, avg_degree, rng):
+    """Random undirected graph with ~``avg_degree`` neighbours per node."""
+    pairs = rng.integers(0, n, size=(n * avg_degree // 2, 2))
+    return SparseAdjacency.from_edges(pairs[pairs[:, 0] != pairs[:, 1]], n)
 
 
 @pytest.fixture(params=[0, 1, 2])
@@ -167,6 +210,98 @@ class TestSpmm:
                 f_minus = float((sparse.matmul(minus) * weights).sum())
                 numeric[i, j] = (f_plus - f_minus) / (2.0 * eps)
         np.testing.assert_allclose(x.grad, numeric, atol=1e-6)
+
+    def test_traced_forward_and_backward_each_record_a_span(self, adjacency, rng):
+        sparse = SparseAdjacency.from_dense(adjacency)
+        x = Tensor(rng.standard_normal((adjacency.shape[0], 3)), requires_grad=True)
+        with tracing_session(enabled=True) as tracer:
+            spmm(sparse, x).sum().backward()
+        assert [root["name"] for root in tracer.export()] == ["kernel.spmm"] * 2
+
+
+class TestSpmmKernel:
+    """``matmul`` against the per-column kernel, compared as raw bytes."""
+
+    @staticmethod
+    def assert_same_bytes(sparse, dense):
+        expected = _reference_spmm(sparse, dense)
+        got = sparse.matmul(dense)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("normalised", [False, True])
+    def test_random_graphs_with_isolated_nodes(self, adjacency, rng, normalised):
+        sparse = SparseAdjacency.from_dense(adjacency)
+        if normalised:
+            sparse = sparse.normalize()
+        self.assert_same_bytes(sparse, rng.standard_normal((adjacency.shape[0], 16)))
+
+    def test_asymmetric_weighted_rows_on_both_sides_of_the_cap(self, rng):
+        n = 150
+        density = np.linspace(0.02, 0.9, n)[rng.permutation(n), None]
+        weights = rng.random((n, n)) * (rng.random((n, n)) < density)
+        sparse = SparseAdjacency.from_dense(weights)
+        degrees = np.diff(sparse.indptr)
+        assert degrees.min() < ROW_CAP < degrees.max()
+        self.assert_same_bytes(sparse, rng.standard_normal((n, 32)))
+
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    def test_star_hub_above_the_cap(self, rng, n):
+        self.assert_same_bytes(star_adjacency(n), rng.standard_normal((n, 32)))
+
+    def test_empty_matrix(self, rng):
+        self.assert_same_bytes(SparseAdjacency.from_dense(np.zeros((5, 5))), rng.random((5, 3)))
+
+    @pytest.mark.parametrize("shape", [(70,), (70, 1), (70, 500)], ids=["vector", "d1", "d500"])
+    def test_vector_and_column_counts(self, adjacency, rng, shape):
+        # d = 500 walks several gather chunks, splitting runs between them.
+        self.assert_same_bytes(SparseAdjacency.from_dense(adjacency), rng.standard_normal(shape))
+
+    def test_fortran_ordered_and_strided_inputs(self, adjacency, rng):
+        sparse = SparseAdjacency.from_dense(adjacency).normalize()
+        wide = rng.standard_normal((140, 24))
+        self.assert_same_bytes(sparse, np.asfortranarray(wide[:70]))
+        self.assert_same_bytes(sparse, wide[::2, ::3])
+        self.assert_same_bytes(sparse, wide[1::2, 5])
+
+    def test_inputs_holding_inf_nan_and_negative_zero(self, rng):
+        # Sums of −0.0 are +0.0 only when they start from 0.0, and the NaN
+        # of inf − inf keeps its sign only if the sums run in the same order.
+        for sparse in (star_adjacency(300), random_sparse_graph(300, 20, rng).normalize()):
+            x = rng.standard_normal((300, 8))
+            x[rng.random(x.shape) < 0.05] = np.inf
+            x[rng.random(x.shape) < 0.05] = -np.inf
+            x[rng.random(x.shape) < 0.05] = np.nan
+            x[:, 0] = -0.0
+            with np.errstate(invalid="ignore"):
+                self.assert_same_bytes(sparse, x)
+
+    def test_layout_is_built_once_per_object(self, adjacency, rng):
+        sparse = SparseAdjacency.from_dense(adjacency)
+        x = rng.standard_normal((adjacency.shape[0], 4))
+        sparse.matmul(x)
+        layout = sparse._layout
+        sparse.matmul(x)
+        sparse.matmul(x[:, 0])
+        assert sparse._layout is layout
+        assert sparse.T._layout is None
+
+    def test_product_memory_is_bounded_by_the_output(self):
+        # Once the layout is cached, a product holds the degree-ordered
+        # output, its row-ordered copy and one chunk of gathered rows — not
+        # an (nnz, d) gather (~70 MiB here).
+        rng = np.random.default_rng(0)
+        n, d = 10_000, 32
+        sparse = random_sparse_graph(n, 30, rng).normalize()
+        x = rng.standard_normal((n, d))
+        sparse.matmul(x)
+        tracemalloc.start()
+        try:
+            sparse.matmul(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes
 
 
 class TestGCNEquivalence:

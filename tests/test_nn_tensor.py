@@ -73,6 +73,21 @@ class TestBasicOps:
     def test_matmul_both_sides_gradient(self):
         check_gradient(lambda x: (x @ x.T).sum(), (4, 3))
 
+    @pytest.mark.parametrize("constant_side", [0, 1])
+    def test_matmul_computes_no_gradient_for_a_constant_operand(self, constant_side):
+        # e.g. the (N, J) features of a first GCN layer, or a dense
+        # propagation matrix: their gradient would be thrown away.
+        rng = np.random.default_rng(2)
+        constant = Tensor(rng.normal(size=(6, 5)))
+        trainable = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        operands = [constant, trainable] if constant_side == 0 else [trainable, constant]
+        out = operands[0] @ operands[1]
+        upstream = rng.normal(size=out.shape)
+        grads = out._backward(upstream)
+        assert grads[constant_side] is None
+        expected = upstream @ constant.data.T if constant_side == 1 else constant.data.T @ upstream
+        np.testing.assert_array_equal(grads[1 - constant_side], expected)
+
     def test_transpose_gradient(self):
         check_gradient(lambda x: (x.T * 2.0).sum(), (3, 5))
 

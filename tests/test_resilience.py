@@ -266,6 +266,24 @@ class TestSupervisedMap:
         outcomes = {a["outcome"] for a in outcome.failures[0].attempts}
         assert "pool_broken" in outcomes
 
+    def test_pool_break_beside_other_trials_charges_none_of_them(self, monkeypatch):
+        # k2 sleeps 0.5 s, so it is in flight when the victim crashes the
+        # pool: neither is charged, each reruns alone, and only the
+        # victim's solo crash counts against its single attempt.
+        monkeypatch.setenv(FAULTS_ENV, "worker_crash:p=1:match=victim")
+        policy = RetryPolicy(max_attempts=1, backoff_base=0.001)
+        outcome = supervised_map(
+            _sleep_then_double,
+            [0, 5, 1],
+            jobs=2,
+            policy=policy,
+            keys=["victim", "k2", "k3"],
+        )
+        assert outcome.results[1:] == [10, 2]
+        assert [failure.key for failure in outcome.failures] == ["victim"]
+        outcomes = [a["outcome"] for a in outcome.failures[0].attempts]
+        assert outcomes == ["pool_broken_shared", "pool_broken"]
+
     def test_pooled_timeout_reaps_hung_trial(self):
         policy = RetryPolicy(max_attempts=1, timeout=0.5, backoff_base=0.001)
         # item 30 sleeps 3 s (over budget); items 1-2 finish quickly
@@ -436,9 +454,9 @@ class TestChaosDeterminism:
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         baseline = run_seeded(_SWEEP_SPEC, seeds, jobs=1)
 
-        # crash probability stays low: a pool break charges a pool_broken
-        # attempt to every in-flight trial (attribution is impossible), so
-        # crash-heavy plans need a generous retry budget
+        # crash probability stays low: a pool break with several trials in
+        # flight charges none of them but runs each alone afterwards, where
+        # a crash does count, so crash-heavy plans need a generous budget
         monkeypatch.setenv(
             FAULTS_ENV,
             "worker_crash:p=0.2:seed=5,trial_error:p=0.3:seed=2,store_corrupt:p=0.5:seed=9",
