@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,10 +37,14 @@ from repro.errors import ConfigError
 from repro.graph.graph import AttributedGraph
 from repro.graph.sparse import SparseAdjacency
 from repro.metrics.report import ClusteringReport, evaluate_clustering
-from repro.models.base import GAEClusteringModel
+from repro.models.base import GAEClusteringModel, reconstruction_target
+from repro.nn.functional import TiledTarget
 from repro.nn.optim import Adam, train_step
 from repro.nn.tensor import Tensor
 from repro.observability import span as _span
+
+if TYPE_CHECKING:  # the loaders are imported on first use, at fit time
+    from repro.minibatch.loaders import Minibatch
 
 
 @dataclass
@@ -235,7 +239,7 @@ class RethinkTrainer:
         self.loader_ = None
         #: model inputs of the current fit (visible to callbacks).
         self.features_: Optional[np.ndarray] = None
-        self.adj_norm_: Optional[np.ndarray] = None
+        self.adj_norm_: Optional[Union[np.ndarray, SparseAdjacency]] = None
         #: set by callbacks (e.g. ConvergenceStopping) to end training early.
         self.stop_training: bool = False
         #: pretraining-cache stats of the last fit (repro.store.warm_pretrain).
@@ -311,8 +315,29 @@ class RethinkTrainer:
                     )
             return self._train(graph)
 
+    def _batch_target(self, batch: Minibatch) -> TiledTarget:
+        """The batch's reconstruction target: the induced block of
+        ``A_self_clus``, prepared on first use and held by the batch until
+        ``self_supervision_graph_`` is a different object (Υ rebuilt it).
+
+        Blocks that a loader reuses (cluster, whole graph) keep their target
+        for ``M2`` epochs; the neighbour loader's fresh blocks take theirs
+        with them when they are freed.
+        """
+        graph = self.self_supervision_graph_
+        cached = batch.reconstruction_target
+        if cached is None or cached[0] is not graph:
+            with _span("kernel.reconstruction_target"):
+                cached = (graph, reconstruction_target(graph.induced_subgraph(batch.node_ids)))
+            batch.reconstruction_target = cached
+        return cached[1]
+
     def _batch_losses(
-        self, batch, target: Optional[np.ndarray], reliable_mask: np.ndarray, gamma: float
+        self,
+        batch: Minibatch,
+        target: Optional[np.ndarray],
+        reliable_mask: np.ndarray,
+        gamma: float,
     ) -> Dict[str, Tensor]:
         """Forward pass of one step: encode the batch block on its own
         propagation matrix, reconstruct the induced block of ``A_self_clus``
@@ -321,7 +346,7 @@ class RethinkTrainer:
         z = self.model.encode(batch.features, batch.adj_norm)
         return self.model.training_losses(
             z,
-            self.self_supervision_graph_.induced_subgraph(batch.node_ids),
+            self._batch_target(batch),
             None if target is None else target[batch.node_ids],
             batch.local_indices_of(reliable_mask),
             gamma,
@@ -333,6 +358,8 @@ class RethinkTrainer:
         The full-graph inputs are prepared once and shared by the whole-graph
         batch, ``features_`` / ``adj_norm_`` and the no-grad posterior-mean
         forward that opens every ``M1`` / ``M2`` boundary (it uses no RNG).
+        Each batch's reconstruction target is prepared once per Υ graph
+        (:meth:`_batch_target`).
         """
         from repro.api.callbacks import (
             CallbackList,

@@ -37,6 +37,7 @@ import numpy as np
 from repro.graph.graph import AttributedGraph
 from repro.graph.sparse import SparseAdjacency, propagation_matrix
 from repro.minibatch.partition import ClusterPartitioner, GraphPartition
+from repro.nn.functional import TiledTarget
 from repro.observability.tracer import span as _span
 
 __all__ = [
@@ -78,6 +79,11 @@ class Minibatch:
     seed_ids: np.ndarray
     #: total number of nodes in the underlying graph.
     num_nodes_total: int
+    #: the trainer's cache of the block's reconstruction target, as
+    #: ``(self-supervision graph it was cut from, prepared target)``.  It
+    #: lives and dies with the batch.  It holds the graph itself, not its
+    #: ``id()``, so a new graph at a freed graph's address never matches.
+    reconstruction_target: Optional[Tuple[SparseAdjacency, TiledTarget]] = None
 
     @property
     def num_nodes(self) -> int:

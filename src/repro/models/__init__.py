@@ -16,6 +16,7 @@ from repro.models.base import (
     GCNEncoder,
     VariationalGCNEncoder,
     PretrainResult,
+    reconstruction_target,
     reconstruction_weights,
 )
 from repro.models.gae import GAE
@@ -38,6 +39,7 @@ __all__ = [
     "GCNEncoder",
     "VariationalGCNEncoder",
     "PretrainResult",
+    "reconstruction_target",
     "reconstruction_weights",
     "GAE",
     "VGAE",

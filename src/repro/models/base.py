@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.nn.layers import GraphConvolution
 from repro.nn.module import Module
 from repro.nn.optim import Adam, train_step
 from repro.nn.tensor import Tensor, no_grad
+from repro.observability.tracer import span as _span
 
 
 def _copy_or_none(array) -> Optional[np.ndarray]:
@@ -47,8 +48,9 @@ def reconstruction_weights(num_nodes: int, positives: float) -> Tuple[float, flo
 
     Real graphs are extremely sparse, so the standard GAE implementation
     re-weights positive entries by ``#neg / #pos`` and scales the mean loss
-    by ``N² / (2 #neg)``.  Both factors are recomputed whenever the
-    self-supervision graph changes (the Υ operator adds and removes edges).
+    by ``N² / (2 #neg)``.  :func:`reconstruction_target` computes both
+    factors once per target, so they follow the self-supervision graph
+    whenever Υ rebuilds it (adding and removing edges).
     """
     total = float(num_nodes * num_nodes)
     negatives = total - positives
@@ -57,6 +59,25 @@ def reconstruction_weights(num_nodes: int, positives: float) -> Tuple[float, flo
     pos_weight = negatives / positives
     norm = total / (2.0 * negatives) if negatives > 0 else 1.0
     return pos_weight, norm
+
+
+def reconstruction_target(adjacency: SparseAdjacency) -> F.TiledTarget:
+    """The prepared reconstruction target of ``adjacency``.
+
+    The target includes self loops (as in the reference implementations),
+    its values are clipped to [0, 1], and its sparsity determines the
+    positive weight and the normalisation (:func:`reconstruction_weights`).
+    Its stored entries are then bucketed by the tiles of ``Z Zᵀ``
+    (:func:`~repro.nn.functional.tile_target`).  The result is read-only:
+    the training loops build it once per graph and batch and pass it to
+    every step that reconstructs that graph.
+    """
+    target = adjacency.add_self_loops()
+    y = np.clip(target.data, 0.0, 1.0)
+    pos_weight, norm = reconstruction_weights(target.num_nodes, float(y.sum()))
+    return F.tile_target(
+        target.row_indices(), target.indices, y, target.num_nodes, pos_weight, norm
+    )
 
 
 class GCNEncoder(Module):
@@ -236,7 +257,9 @@ class GAEClusteringModel(Module):
     # graph preparation
     # ------------------------------------------------------------------
     @staticmethod
-    def prepare_inputs(graph: AttributedGraph) -> Tuple[np.ndarray, np.ndarray]:
+    def prepare_inputs(
+        graph: AttributedGraph,
+    ) -> Tuple[np.ndarray, Union[np.ndarray, SparseAdjacency]]:
         """Return (row-normalised features, GCN propagation matrix).
 
         The propagation matrix is a :class:`~repro.graph.sparse.SparseAdjacency`
@@ -279,39 +302,42 @@ class GAEClusteringModel(Module):
 
         One no-grad posterior-mean forward; it consumes no RNG, so training
         loops can call it between steps without changing the noise stream.
+        The model is back in training mode afterwards, also when the
+        forward raises.
         """
         self.eval()
-        with no_grad():
-            z = self.encode(features, adj_norm, sample=False)
-        self.train()
+        try:
+            with no_grad():
+                z = self.encode(features, adj_norm, sample=False)
+        finally:
+            self.train()
         return z.numpy().copy()
 
     # ------------------------------------------------------------------
     # losses
     # ------------------------------------------------------------------
-    def reconstruction_loss(self, z: Tensor, target_adjacency: SparseAdjacency) -> Tensor:
-        """Weighted BCE between ``sigmoid(Z Z^T)`` and ``target_adjacency``.
+    def reconstruction_loss(
+        self, z: Tensor, target: Union[F.TiledTarget, SparseAdjacency]
+    ) -> Tensor:
+        """Weighted BCE between ``sigmoid(Z Z^T)`` and a reconstruction target.
 
-        The target includes self loops (as in the reference implementations),
-        its values are clipped to [0, 1], and its sparsity determines the
-        positive weight ``w`` and the normalisation.  With ``x = Z Z^T``, the
-        per-pair loss ``w·y·softplus(−x) + (1−y)·softplus(x)`` equals
+        ``target`` is a prepared target from :func:`reconstruction_target`
+        (self loops added, values clipped to [0, 1], weights computed,
+        entries bucketed by tile) or a ``SparseAdjacency``, which is
+        prepared here on every call.  The training loops pass prepared
+        targets, built once per graph and batch.  With ``x = Z Z^T`` and
+        positive weight ``w``, the per-pair loss
+        ``w·y·softplus(−x) + (1−y)·softplus(x)`` equals
         ``softplus(x) + y·((w−1)·softplus(x) − w·x)``, so the loss is one
         softplus over all pairs plus a term at the target's stored entries:
-        the target stays CSR, and :func:`~repro.nn.functional.inner_product_bce`
-        computes both terms and ``∂L/∂Z`` over tiles of ``Z Z^T`` without an
-        (N, N) array.
+        :func:`~repro.nn.functional.inner_product_bce` computes both terms
+        and ``∂L/∂Z`` over tiles of ``Z Z^T`` without an (N, N) array.
+        Raises ``ValueError`` when the target's node count differs from
+        the rows of ``z``.
         """
-        n = z.shape[0]
-        if target_adjacency.num_nodes != n:
-            raise ValueError(
-                f"reconstruction target has {target_adjacency.num_nodes} nodes "
-                f"but Z has {n} rows"
-            )
-        target = target_adjacency.add_self_loops()
-        y = np.clip(target.data, 0.0, 1.0)
-        pos_weight, norm = reconstruction_weights(n, float(y.sum()))
-        return F.inner_product_bce(z, target.row_indices(), target.indices, y, pos_weight, norm)
+        if isinstance(target, SparseAdjacency):
+            target = reconstruction_target(target)
+        return F.inner_product_bce(z, target)
 
     def regularization_loss(self, z: Tensor) -> Optional[Tensor]:
         """Model-specific extra loss (KL divergence, adversarial penalty).
@@ -385,18 +411,20 @@ class GAEClusteringModel(Module):
     def training_losses(
         self,
         z: Tensor,
-        target_adjacency: SparseAdjacency,
+        target_adjacency: Union[F.TiledTarget, SparseAdjacency],
         target: Optional[np.ndarray] = None,
         node_indices: Optional[np.ndarray] = None,
         gamma: float = 1.0,
     ) -> Dict[str, Tensor]:
         """Loss terms of one training step on ``z``.
 
-        The self-supervised term reconstructs ``target_adjacency`` and adds
-        any regularisation; alone it is the pretraining (and first-group)
-        objective.  With a clustering ``target`` (second group) the
-        objective is Eq. 5, ``KL(target || P) + gamma · reconstruction``,
-        with the KL restricted to ``node_indices``.
+        The self-supervised term reconstructs ``target_adjacency`` (a
+        prepared target or a ``SparseAdjacency``, see
+        :meth:`reconstruction_loss`) and adds any regularisation; alone it
+        is the pretraining (and first-group) objective.  With a clustering
+        ``target`` (second group) the objective is Eq. 5,
+        ``KL(target || P) + gamma · reconstruction``, with the KL restricted
+        to ``node_indices``.
         """
         reconstruction = self.reconstruction_loss(z, target_adjacency)
         regularization = self.regularization_loss(z)
@@ -468,14 +496,22 @@ class GAEClusteringModel(Module):
         epochs: int = 200,
         optimizer: Optional[Adam] = None,
     ) -> PretrainResult:
-        """Self-supervised pretraining on the raw input graph."""
+        """Self-supervised pretraining on the raw input graph.
+
+        The reconstruction target is prepared once per call (not at all for
+        0 epochs) and shared by every step.
+        """
         features, adj_norm = self.prepare_inputs(graph)
         optimizer = optimizer or Adam(self.parameters(), lr=self.learning_rate)
         history = PretrainResult()
+        if epochs < 1:
+            return history
+        with _span("kernel.reconstruction_target"):
+            target = reconstruction_target(graph.adjacency)
 
         def forward() -> Dict[str, Tensor]:
             z = self.encode(features, adj_norm)
-            return {**self.training_losses(z, graph.adjacency), "z": z}
+            return {**self.training_losses(z, target), "z": z}
 
         with autograd_leak_check(f"{self.__class__.__name__}.pretrain"):
             for _ in range(epochs):
@@ -513,7 +549,8 @@ class GAEClusteringModel(Module):
         Second-group models minimise Eq. 5 against the input graph,
         refreshing Q every ``target_refresh_interval`` epochs.  Clustering
         is initialised on the first call only, so the phase can run in
-        chunks; every call starts a fresh Adam.
+        chunks; every call starts a fresh Adam and prepares the
+        reconstruction target once (not at all for 0 epochs).
         """
         if self.group == "first":
             self.init_clustering(self.embed(graph))
@@ -523,10 +560,14 @@ class GAEClusteringModel(Module):
             self.init_clustering(self.embed_inputs(features, adj_norm))
         optimizer = Adam(self.parameters(), lr=self.learning_rate)
         history: Dict[str, List[float]] = {"loss": [], "clustering_loss": [], "reconstruction_loss": []}
+        if epochs < 1:
+            return history
+        with _span("kernel.reconstruction_target"):
+            target = reconstruction_target(graph.adjacency)
 
         def forward() -> Dict[str, Tensor]:
             z = self.encode(features, adj_norm)
-            return self.training_losses(z, graph.adjacency, self._target, gamma=self.gamma)
+            return self.training_losses(z, target, self._target, gamma=self.gamma)
 
         with autograd_leak_check(f"{self.__class__.__name__}.fit_clustering"):
             for epoch in range(epochs):

@@ -5,14 +5,18 @@ uses, plus the loss functions of the model family (binary cross-entropy
 from logits for the adversarial discriminator, KL terms for the variational
 models, and the KL clustering loss of DGAE).  The weighted reconstruction
 loss is one fused op, :func:`inner_product_bce`, which walks ``Z Zᵀ`` in
-``LOGIT_TILE``-sized tiles and never holds an (N, N) array;
-:meth:`~repro.models.base.GAEClusteringModel.reconstruction_loss` prepares
-its CSR target and calls it.
+``LOGIT_TILE``-sized tiles and never holds an (N, N) array.  It reads its
+target as a :class:`TiledTarget`, whose stored entries :func:`tile_target`
+has already bucketed by tile, so steps that reconstruct the same graph
+share one bucketing.  :func:`~repro.models.base.reconstruction_target`
+builds that target from a CSR graph, and
+:meth:`~repro.models.base.GAEClusteringModel.reconstruction_loss` calls the
+op.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -83,55 +87,98 @@ def spmm(adjacency, x: ArrayOrTensor) -> Tensor:
     return x_t._make_child(out_data, (x_t,), backward)
 
 
-def inner_product_bce(
-    z: ArrayOrTensor,
+class TiledTarget(NamedTuple):
+    """A sparse reconstruction target bucketed for :func:`inner_product_bce`.
+
+    Built by :func:`tile_target`.  Its arrays are read-only, so every step
+    that reconstructs the same graph can share one.  It holds one in-tile
+    offset and one value per stored entry, plus one start per tile.
+    """
+
+    #: N, the number of rows ``Z`` must have.
+    num_nodes: int
+    #: (nnz,) int64 flat position of each entry inside its tile, in tile order.
+    offsets: np.ndarray
+    #: (nnz,) float64 value of each entry, in the same order.
+    values: np.ndarray
+    #: (blocks² + 1,) int64: tile ``k = i·blocks + j`` owns ``starts[k]:starts[k + 1]``.
+    starts: np.ndarray
+    #: weight ``w`` of the positive term at the stored entries.
+    pos_weight: float
+    #: normalisation the mean loss is multiplied by.
+    norm: float
+
+
+def tile_target(
     rows: np.ndarray,
     cols: np.ndarray,
     y: np.ndarray,
+    num_nodes: int,
     pos_weight: float,
     norm: float,
-) -> Tensor:
+) -> TiledTarget:
+    """Bucket the target values ``y`` at ``(rows, cols)`` by the tiles of
+    ``Z Zᵀ`` that :func:`inner_product_bce` visits.
+
+    The loop visits the upper block triangle only, so an entry below the
+    block diagonal moves to its mirror tile.  One stable argsort on the tile
+    key then orders the entries as the loop visits the tiles, keeping the
+    input order inside each tile.
+    """
+    n = int(num_nodes)
+    tile = LOGIT_TILE
+    blocks = -(-n // tile)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    mirrored = rows // tile > cols // tile
+    rows, cols = np.where(mirrored, cols, rows), np.where(mirrored, rows, cols)
+    keys = rows // tile * blocks + cols // tile
+    order = np.argsort(keys, kind="stable")
+    rows, cols = rows[order], cols[order]
+    values = np.asarray(y, dtype=np.float64)[order]
+    # The last column of tiles may be narrower than ``tile``.
+    widths = np.minimum(tile, n - cols // tile * tile)
+    offsets = rows % tile * widths + cols % tile
+    starts = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=blocks * blocks))))
+    for array in (offsets, values, starts):
+        array.flags.writeable = False
+    return TiledTarget(n, offsets, values, starts, float(pos_weight), float(norm))
+
+
+def inner_product_bce(z: ArrayOrTensor, target: TiledTarget) -> Tensor:
     """Weighted BCE between ``sigmoid(Z Zᵀ)`` and a sparse target, fused.
 
-    The target holds ``y`` at ``(rows, cols)`` and 0 elsewhere.  With
-    ``x = Z Zᵀ`` and ``w = pos_weight`` the loss is::
+    The target holds ``y`` at its stored entries and 0 elsewhere.  With
+    ``x = Z Zᵀ``, ``w = target.pos_weight`` and ``norm = target.norm`` the
+    loss is::
 
         norm / N² · [Σ_all softplus(x_ij) + Σ_stored y·((w−1)·softplus(x) − w·x)]
 
     The all-pairs sum runs over ``LOGIT_TILE``² tiles of the upper block
     triangle (``x`` is symmetric, so an off-diagonal tile counts twice),
     taking softplus and σ from one ``exp(−|x|)``.  Each stored entry is
-    folded into the tile that holds it (or its mirror): its ``x`` and
-    softplus are gathered there, and its gradient coefficient
-    ``y·((w−1)·σ − w)`` is added to the tile's σ before the tile's two
-    products with ``Z``.  Memory is O(B² + N·d + |E|): no (N, N) array
-    exists.
+    folded into the tile that holds it (or its mirror), where
+    :func:`tile_target` bucketed it: its ``x`` and softplus are gathered
+    there, and its gradient coefficient ``y·((w−1)·σ − w)`` is added to the
+    tile's σ before the tile's two products with ``Z``.  Memory is
+    O(B² + N·d + |E|): no (N, N) array exists.
 
     ``∂L/∂Z`` is computed in the same pass, only when gradients are
     enabled and ``z`` requires them; the backward scales it by the upstream
-    gradient.
+    gradient.  Raises ``ValueError`` when the target's node count differs
+    from the rows of ``z``.
     """
     z_t = as_tensor(z)
     zd = z_t.data
     n = zd.shape[0]
+    if target.num_nodes != n:
+        raise ValueError(
+            f"reconstruction target has {target.num_nodes} nodes but Z has {n} rows"
+        )
     tile = LOGIT_TILE
     blocks = -(-n // tile)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    # Entries below the block diagonal move to their mirror tile; one stable
-    # argsort then buckets them in the order the loop visits the tiles.
-    mirrored = rows // tile > cols // tile
-    rows, cols = np.where(mirrored, cols, rows), np.where(mirrored, rows, cols)
-    keys = rows // tile * blocks + cols // tile
-    order = np.argsort(keys, kind="stable")
-    rows, cols = rows[order], cols[order]
-    y = np.asarray(y, dtype=np.float64)[order]
-    # Flat position of each entry inside its tile; the last column of tiles
-    # may be narrower than ``tile``.
-    widths = np.minimum(tile, n - cols // tile * tile)
-    local = rows % tile * widths + cols % tile
-    starts = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=blocks * blocks))))
-    w = float(pos_weight)
+    local, y, starts = target.offsets, target.values, target.starts
+    w = target.pos_weight
     grad = np.zeros_like(zd) if grad_enabled() and z_t.requires_grad else None
     pairs = 0.0
     edges = 0.0
@@ -167,7 +214,7 @@ def inner_product_bce(
                     np.add.at(sigma.reshape(-1), at, folded)
                     grad[i0:i0 + tile] += sigma @ z_j
                     grad[j0:j0 + tile] += sigma.T @ z_i
-    scale = norm / (n * n)
+    scale = target.norm / (n * n)
     if grad is not None:
         grad *= scale
 

@@ -11,6 +11,8 @@ process pools.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.minibatch import (
 )
 from repro.graph.generators import attributed_sbm_graph
 from repro.models import build_model
+from repro.observability.tracer import tracing_session
 from repro.parallel import run_seeded
 
 
@@ -377,6 +380,62 @@ class TestMinibatchTraining:
         )
         RethinkTrainer(model, config, callbacks=callbacks).fit(tiny_graph)
         assert events == {"omega": 2, "graph": 2, "epochs": 4}
+
+
+def _count_spans(roots, name: str) -> int:
+    return sum(
+        (root["name"] == name) + _count_spans(root.get("children", []), name) for root in roots
+    )
+
+
+class TestReconstructionTargetCache:
+    """Each reconstruction target is prepared once per graph and batch."""
+
+    def test_traced_fit_prepares_once_per_batch_and_graph(self, tiny_graph):
+        with tracing_session(enabled=True) as tracer:
+            trainer, history = _fit("gae", tiny_graph, sampler="cluster", batch_size=32)
+        batches = trainer.loader_.batches_per_epoch
+        assert batches == 3 and history.epochs_run == 6
+        # Pretraining, plus the Υ graphs of epochs 0 and 3 (the graph built
+        # before the loop is replaced before any step uses it): 7 builds
+        # for 4 + 18 steps.
+        builds = _count_spans(tracer.export(), "kernel.reconstruction_target")
+        assert builds == 1 + 2 * batches
+
+    @pytest.mark.parametrize("method", ["pretrain", "fit_clustering"])
+    @pytest.mark.parametrize("epochs, builds", [(0, 0), (3, 1)])
+    def test_model_loops_prepare_once_per_call(self, tiny_graph, method, epochs, builds):
+        model = build_model("dgae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+        with tracing_session(enabled=True) as tracer:
+            getattr(model, method)(tiny_graph, epochs=epochs)
+        assert _count_spans(tracer.export(), "kernel.reconstruction_target") == builds
+
+    def test_neighbor_batches_take_their_targets_with_them(self, tiny_graph, monkeypatch):
+        from repro.api.callbacks import LambdaCallback
+
+        yielded = {}
+        epoch_batches = NeighborLoader.epoch_batches
+
+        def recording(loader, epoch):
+            for batch in epoch_batches(loader, epoch):
+                yield batch
+                # The trainer has taken its step on the batch.
+                cached = batch.reconstruction_target is not None
+                yielded.setdefault(epoch, []).append((weakref.ref(batch), cached))
+
+        alive = []
+
+        def on_epoch_end(epoch, logs):
+            if epoch == 1:
+                alive.extend(ref() is not None for ref, _ in yielded[0])
+
+        monkeypatch.setattr(NeighborLoader, "epoch_batches", recording)
+        _fit(
+            "gae", tiny_graph, sampler="neighbor", epochs=2, batch_size=32, fanout=4,
+            callbacks=[LambdaCallback(on_epoch_end=on_epoch_end)],
+        )
+        assert len(yielded[0]) == 3 and all(cached for _, cached in yielded[0])
+        assert alive == [False, False, False]
 
 
 class TestTrackingCallbacksOnPromotedGraph:

@@ -17,10 +17,12 @@ from repro.models import (
     available_models,
     build_model,
     model_group,
+    reconstruction_target,
     reconstruction_weights,
 )
 from repro.models.registry import FIRST_GROUP, SECOND_GROUP
 from repro.nn.functional import LOGIT_TILE
+from repro.nn.module import Module
 from repro.nn.tensor import Tensor, no_grad
 from repro.observability.tracer import tracing_session
 
@@ -248,6 +250,51 @@ class TestReconstructionLoss:
         with pytest.raises(ValueError, match=f"{target_nodes} nodes.*10 rows"):
             self._model().reconstruction_loss(z, target)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "stored_diagonal",
+            "values_above_one",
+            "tiled_symmetric",
+            "tiled_asymmetric_weighted",
+            "tiled_stored_diagonal",
+            "tiled_values_above_one",
+        ],
+    )
+    def test_prepared_target_gives_the_bytes_of_its_adjacency(self, name):
+        adjacency = SparseAdjacency.from_dense(_TARGETS[name])
+        prepared = reconstruction_target(adjacency)
+        z = np.random.default_rng(4).normal(0.0, 0.8, size=(adjacency.num_nodes, 3))
+        model = self._model()
+        loss, grad = _loss_and_gradient(model.reconstruction_loss, z, prepared)
+        ref_loss, ref_grad = _loss_and_gradient(model.reconstruction_loss, z, adjacency)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        # The same prepared target again, now without gradients.
+        with no_grad():
+            without = model.reconstruction_loss(Tensor(z), prepared)
+            ref_without = model.reconstruction_loss(Tensor(z), adjacency)
+        assert without.data.tobytes() == ref_without.data.tobytes()
+        assert np.float64(without.item()).tobytes() == np.float64(loss).tobytes()
+
+    @pytest.mark.parametrize("target_nodes", [8, 12])
+    def test_rejects_a_prepared_target_of_another_size(self, target_nodes):
+        z = Tensor(np.random.default_rng(0).normal(size=(10, 3)))
+        adjacency = SparseAdjacency.from_dense(np.zeros((target_nodes, target_nodes)))
+        messages = []
+        for target in (adjacency, reconstruction_target(adjacency)):
+            with pytest.raises(ValueError, match=f"{target_nodes} nodes.*10 rows") as error:
+                self._model().reconstruction_loss(z, target)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+
+    def test_prepared_arrays_are_read_only(self):
+        prepared = reconstruction_target(SparseAdjacency.from_dense(_TARGETS["tiled_symmetric"]))
+        for array in (prepared.offsets, prepared.values, prepared.starts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
     def test_traced_call_records_the_kernel_span(self):
         target = SparseAdjacency.from_dense(_TARGETS["random_sparse"])
         z = Tensor(np.random.default_rng(0).normal(size=(target.num_nodes, 3)))
@@ -264,6 +311,26 @@ class TestReconstructionLoss:
         ))
         loss = self._model().reconstruction_loss(Tensor(z), target).item()
         assert np.isfinite(loss) and loss < 1e-6
+
+
+def _modules(module: Module):
+    yield module
+    for value in vars(module).values():
+        if isinstance(value, Module):
+            yield from _modules(value)
+
+
+def test_failed_embed_leaves_every_module_in_training_mode():
+    from repro.datasets import load_dataset
+
+    graph = load_dataset("brazil_air_sim", seed=0)
+    model = build_model("vgae", graph.num_features, graph.num_clusters, seed=0)
+    features, adj_norm = model.prepare_inputs(graph)
+    with pytest.raises(ValueError):
+        model.embed_inputs(features[:, :-1], adj_norm)
+    modules = list(_modules(model))
+    assert len(modules) == 5  # model, encoder and its three layers
+    assert all(module.training for module in modules)
 
 
 @pytest.mark.parametrize("name", ["gae", "vgae", "argae", "arvgae"])
