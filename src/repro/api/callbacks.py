@@ -82,7 +82,12 @@ class RethinkCallback:
         """Fired once, after pretraining and clustering initialisation."""
 
     def on_train_end(self, history) -> None:
-        """Fired once, after the final epoch (or early stop)."""
+        """Fired once, after the final epoch (or early stop) and the final report.
+
+        Also fired when an epoch or the final evaluation raises, before the
+        error propagates, so a callback can release what
+        :meth:`on_train_begin` acquired.
+        """
 
     # -- per-epoch -----------------------------------------------------
     def on_epoch_begin(self, epoch: int) -> None:

@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     observability = parser.add_argument_group(
         "observability",
-        "span tracing and metrics across the run (repro.observability)",
+        "span tracing and counters across the run (repro.observability)",
     )
     observability.add_argument(
         "--trace",
@@ -535,20 +535,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         with trace_ctx, store_env(store_root):
             if seeds is None:
-                from repro.observability.collect import (
-                    merge_sweep_telemetry,
-                    trial_telemetry,
-                )
+                from repro.observability.collect import merge_sweep_telemetry
+                from repro.observability.tracer import tracing_session
 
                 print(f"repro-run: {spec.describe()}", file=sys.stderr)
-                with trial_telemetry() as telemetry:
+                with tracing_session() as tracer:
                     results = [pipeline.run()]
                 seeds = [spec.seed]
-                if telemetry is not None:
+                if tracer is not None:
                     from repro.store.keys import run_key
 
                     telemetry_doc = merge_sweep_telemetry(
-                        [(run_key(spec.to_dict()), 0, telemetry.export())]
+                        [(run_key(spec.to_dict()), 0, tracer.payload())]
                     )
             else:
                 print(

@@ -404,67 +404,70 @@ class RethinkTrainer:
             graph.adjacency, num_nodes, embeddings, sampling
         )
         callbacks.on_train_begin(graph, history)
+        # on_train_end fires even when the loop or the final evaluation
+        # raises, so callbacks release what on_train_begin acquired.
+        try:
+            for epoch in range(config.epochs):
+                callbacks.on_epoch_begin(epoch)
+                with _span("trainer.epoch", epoch=epoch) as epoch_span:
+                    refresh_omega = epoch % config.update_omega_every == 0
+                    refresh_graph = epoch % config.update_graph_every == 0
+                    if refresh_omega or refresh_graph:
+                        # Keep the model's own clustering parameters (targets,
+                        # mixture moments, centres) in sync with the embeddings.
+                        with _span("trainer.clustering_refresh", epoch=epoch):
+                            embeddings = model.embed_inputs(features, adj_norm)
+                            model.refresh_clustering(embeddings)
+                    if refresh_omega:
+                        with _span("trainer.omega_update", epoch=epoch):
+                            sampling = self._apply_sampling(embeddings, epoch, num_nodes)
+                        self.last_sampling_ = sampling
+                        callbacks.on_omega_update(epoch, sampling)
+                    if refresh_graph:
+                        with _span("trainer.graph_transform", epoch=epoch):
+                            self.self_supervision_graph_ = self._apply_transform(
+                                graph.adjacency, num_nodes, embeddings, sampling
+                            )
+                        callbacks.on_graph_transform(epoch, self.self_supervision_graph_)
 
-        for epoch in range(config.epochs):
-            callbacks.on_epoch_begin(epoch)
-            with _span("trainer.epoch", epoch=epoch) as epoch_span:
-                refresh_omega = epoch % config.update_omega_every == 0
-                refresh_graph = epoch % config.update_graph_every == 0
-                if refresh_omega or refresh_graph:
-                    # Keep the model's own clustering parameters (targets,
-                    # mixture moments, centres) in sync with the embeddings.
-                    with _span("trainer.clustering_refresh", epoch=epoch):
-                        embeddings = model.embed_inputs(features, adj_norm)
-                        model.refresh_clustering(embeddings)
-                if refresh_omega:
-                    with _span("trainer.omega_update", epoch=epoch):
-                        sampling = self._apply_sampling(embeddings, epoch, num_nodes)
-                    self.last_sampling_ = sampling
-                    callbacks.on_omega_update(epoch, sampling)
-                if refresh_graph:
-                    with _span("trainer.graph_transform", epoch=epoch):
-                        self.self_supervision_graph_ = self._apply_transform(
-                            graph.adjacency, num_nodes, embeddings, sampling
-                        )
-                    callbacks.on_graph_transform(epoch, self.self_supervision_graph_)
+                    target, reliable_mask = model.clustering_target(), sampling.mask()
+                    steps = []
+                    for batch in loader.epoch_batches(epoch):
+                        forward = partial(self._batch_losses, batch, target, reliable_mask, gamma)
+                        terms = train_step(optimizer, forward)
+                        steps.append({name: term.item() for name, term in terms.items()})
+                    means = {name: float(np.mean([s[name] for s in steps])) for name in steps[0]}
+                    history.losses.append(means["loss"])
+                    history.reconstruction_losses.append(means["reconstruction_loss"])
+                    if "clustering_loss" in means:
+                        history.clustering_losses.append(means["clustering_loss"])
+                    history.omega_sizes.append(sampling.num_reliable)
+                    history.omega_coverage.append(sampling.coverage())
+                    history.epochs_run = epoch + 1
 
-                target, reliable_mask = model.clustering_target(), sampling.mask()
-                steps = []
-                for batch in loader.epoch_batches(epoch):
-                    forward = partial(self._batch_losses, batch, target, reliable_mask, gamma)
-                    terms = train_step(optimizer, forward)
-                    steps.append({name: term.item() for name, term in terms.items()})
-                means = {name: float(np.mean([s[name] for s in steps])) for name in steps[0]}
-                history.losses.append(means["loss"])
-                history.reconstruction_losses.append(means["reconstruction_loss"])
-                if "clustering_loss" in means:
-                    history.clustering_losses.append(means["clustering_loss"])
-                history.omega_sizes.append(sampling.num_reliable)
-                history.omega_coverage.append(sampling.coverage())
-                history.epochs_run = epoch + 1
+                    if epoch % config.evaluate_every == 0 or epoch == config.epochs - 1:
+                        with _span("trainer.evaluate", epoch=epoch):
+                            callbacks.on_evaluate(epoch, EvaluationContext(self, graph, epoch))
+                    callbacks.on_epoch_end(
+                        epoch,
+                        {
+                            "loss": means["loss"],
+                            "reconstruction_loss": means["reconstruction_loss"],
+                            "num_reliable": sampling.num_reliable,
+                            "coverage": sampling.coverage(),
+                            "num_batches": float(len(steps)),
+                        },
+                    )
+                    epoch_span.count("batches", len(steps))
+                if self.stop_training:
+                    break
 
-                if epoch % config.evaluate_every == 0 or epoch == config.epochs - 1:
-                    with _span("trainer.evaluate", epoch=epoch):
-                        callbacks.on_evaluate(epoch, EvaluationContext(self, graph, epoch))
-                callbacks.on_epoch_end(
-                    epoch,
-                    {
-                        "loss": means["loss"],
-                        "reconstruction_loss": means["reconstruction_loss"],
-                        "num_reliable": sampling.num_reliable,
-                        "coverage": sampling.coverage(),
-                        "num_batches": float(len(steps)),
-                    },
+            if graph.labels is not None:
+                history.final_report = evaluate_clustering(
+                    graph.labels, self.predict_labels(graph)
                 )
-                epoch_span.count("batches", len(steps))
-            if self.stop_training:
-                break
-
-        if graph.labels is not None:
-            history.final_report = evaluate_clustering(
-                graph.labels, self.predict_labels(graph)
-            )
-        callbacks.on_train_end(history)
+        finally:
+            callbacks.on_train_end(history)
         return history
 
     def predict_labels(self, graph: AttributedGraph) -> np.ndarray:

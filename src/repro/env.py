@@ -39,7 +39,6 @@ __all__ = [
     "FAULTS_ENV",
     "STORE_MAX_BYTES_ENV",
     "TRACE_ENV",
-    "METRICS_ENV",
     "env_raw",
     "env_str",
     "env_int",
@@ -136,19 +135,12 @@ TRACE_ENV = _register(
     "REPRO_TRACE",
     "flag (1/true/on)",
     "(unset: tracing off)",
-    "Enables the span tracer (repro.observability): pipeline stages, "
-    "trainer phases, kernel and store operations are timed; pool workers "
-    "ship their span trees back with trial results and 'repro-run --trace' "
-    "exports a merged Chrome trace.  Disabled, every instrumented site "
-    "costs one None check.",
-)
-METRICS_ENV = _register(
-    "REPRO_METRICS",
-    "flag (1/true/on)",
-    "(unset: metrics off)",
-    "Enables the metrics registry (repro.observability): counters, gauges "
-    "and histograms (store hits/misses, retries, kernel call counts) "
-    "snapshotted per trial and merged deterministically across a sweep.",
+    "Enables the span tracer and its counters (repro.observability): "
+    "pipeline stages, trainer phases, kernel and store operations are timed, "
+    "and store hits/misses, warm pretrains, attempts and retries counted; "
+    "pool workers ship their spans and counters back with trial results and "
+    "'repro-run --trace' exports a merged Chrome trace.  Disabled, every "
+    "instrumented site costs one None check.",
 )
 
 

@@ -1,103 +1,23 @@
-"""Per-trial telemetry capture and deterministic cross-process merging.
+"""Deterministic cross-process merging of per-trial telemetry.
 
-Pool workers cannot share a tracer with the supervisor, so each trial
-captures its own span forest and metrics snapshot
-(:func:`trial_telemetry`, used by ``repro.parallel._execute_spec``) and
-ships it back *inside* the trial result (``RunResult.extra['telemetry']``).
-The supervisor then assembles the sweep-level view with
-:func:`merge_sweep_telemetry` — trials ordered by store key, never by pool
-arrival order, so the merged document is as reproducible as the trials
-themselves (modulo the timings it exists to record).
+Pool workers cannot share a tracer with the supervisor, so each trial runs
+under its own :func:`~repro.observability.tracer.tracing_session` (opened
+by ``repro.parallel._execute_spec``) and ships the tracer's
+:meth:`~repro.observability.tracer.Tracer.payload` back *inside* the trial
+result (``RunResult.extra['telemetry']``).  The supervisor then assembles
+the sweep-level view with :func:`merge_sweep_telemetry` — trials ordered
+by store key, never by pool arrival order, so the merged document is as
+reproducible as the trials themselves (modulo the timings it exists to
+record).
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.observability import metrics as _metrics
-from repro.observability import tracer as _tracer
 from repro.observability.exporters import TRACE_SCHEMA
 
-__all__ = [
-    "TrialTelemetry",
-    "trial_telemetry",
-    "telemetry_wanted",
-    "install_from_env",
-    "merge_sweep_telemetry",
-]
-
-
-class TrialTelemetry:
-    """The tracer/registry pair capturing one unit of work."""
-
-    def __init__(
-        self,
-        tracer: Optional[_tracer.Tracer],
-        registry: Optional[_metrics.MetricsRegistry],
-    ) -> None:
-        self.tracer = tracer
-        self.metrics = registry
-
-    def export(self) -> Dict[str, Any]:
-        """JSON-able payload shipped back with the trial result."""
-        return {
-            "spans": self.tracer.export() if self.tracer is not None else [],
-            "metrics": self.metrics.snapshot() if self.metrics is not None else None,
-        }
-
-
-def telemetry_wanted() -> bool:
-    """Whether either ``REPRO_TRACE`` or ``REPRO_METRICS`` is enabled."""
-    return _tracer.tracing_enabled() or _metrics.metrics_enabled()
-
-
-def install_from_env() -> None:
-    """Arm tracing/metrics process-wide when the env flags ask for it.
-
-    Idempotent, and never *resets* an already-installed collector — mirrors
-    ``repro.analysis.sanitizers.install_from_env``, which pool workers call
-    on every trial.
-    """
-    if _tracer.tracing_enabled() and _tracer.active_tracer() is None:
-        _tracer.install_tracer()
-    if _metrics.metrics_enabled() and _metrics.active_metrics() is None:
-        _metrics.install_metrics()
-
-
-@contextlib.contextmanager
-def trial_telemetry(enabled: Optional[bool] = None) -> Iterator[Optional[TrialTelemetry]]:
-    """Capture one trial with a *fresh* tracer and metrics registry.
-
-    Yields ``None`` when both flags are off.  Previous collectors are
-    restored on exit, so a serial (in-process) trial does not swallow the
-    supervisor's own spans, and a pool worker running many trials never
-    leaks spans from one trial into the next.
-    """
-    trace_on = _tracer.tracing_enabled() if enabled is None else enabled
-    metrics_on = _metrics.metrics_enabled() if enabled is None else enabled
-    if not (trace_on or metrics_on):
-        yield None
-        return
-    previous_tracer = _tracer.active_tracer()
-    previous_metrics = _metrics.active_metrics()
-    tracer = _tracer.install_tracer() if trace_on else None
-    if not trace_on:
-        _tracer.uninstall_tracer()
-    registry = _metrics.install_metrics() if metrics_on else None
-    if not metrics_on:
-        _metrics.uninstall_metrics()
-    try:
-        yield TrialTelemetry(tracer, registry)
-    finally:
-        if previous_tracer is None:
-            _tracer.uninstall_tracer()
-        else:
-            _tracer.install_tracer(previous_tracer)
-        if previous_metrics is None:
-            _metrics.uninstall_metrics()
-        else:
-            _metrics.install_metrics(previous_metrics)
+__all__ = ["merge_sweep_telemetry"]
 
 
 def merge_sweep_telemetry(
@@ -109,12 +29,11 @@ def merge_sweep_telemetry(
     ``trials`` is ``(trial_key, spec_index, payload)`` triples; payloads may
     be ``None`` for trials that failed before exporting.  Ordering is by
     ``(trial_key, spec_index)`` — deterministic for any pool width — and the
-    sweep-level ``metrics`` snapshot folds every trial's registry plus the
-    supervisor's.
+    sweep-level ``metrics`` sums the counters of every trial and of the
+    supervisor.
     """
     ordered = sorted(trials, key=lambda entry: (entry[0], entry[1]))
     trial_docs: List[Dict[str, Any]] = []
-    metric_sources: List[Tuple[str, Dict[str, Any]]] = []
     for key, index, payload in ordered:
         payload = payload or {}
         doc: Dict[str, Any] = {
@@ -122,17 +41,19 @@ def merge_sweep_telemetry(
             "index": index,
             "spans": payload.get("spans", []),
         }
-        snapshot = payload.get("metrics")
-        if snapshot:
-            doc["metrics"] = snapshot
-            metric_sources.append((key, snapshot))
+        if payload.get("metrics"):
+            doc["metrics"] = payload["metrics"]
         trial_docs.append(doc)
     document: Dict[str, Any] = {"schema": TRACE_SCHEMA, "trials": trial_docs}
+    units = list(trial_docs)
     if supervisor:
         document["supervisor"] = supervisor
-        snapshot = supervisor.get("metrics")
-        if snapshot:
-            metric_sources.append(("", snapshot))
-    if metric_sources:
-        document["metrics"] = _metrics.merge_metrics(metric_sources)
+        units.append(supervisor)
+    snapshots = [unit["metrics"] for unit in units if unit.get("metrics")]
+    if snapshots:
+        counters: Dict[str, float] = {}
+        for snapshot in snapshots:
+            for name, value in snapshot.get("counters", {}).items():
+                counters[name] = counters.get(name, 0) + value
+        document["metrics"] = {"counters": dict(sorted(counters.items()))}
     return document

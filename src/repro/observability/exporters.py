@@ -4,9 +4,10 @@ The merged telemetry of a sweep (see ``repro.parallel.run_sweep``) is a
 plain dict::
 
     {"schema": "repro-trace/1",
-     "trials": [{"key": ..., "index": ..., "spans": [...], "metrics": {...}}],
-     "supervisor": {"spans": [...], "metrics": {...}},
-     "metrics": {...merged snapshot...}}
+     "trials": [{"key": ..., "index": ..., "spans": [...],
+                 "metrics": {"counters": {...}}}],
+     "supervisor": {"spans": [...], "metrics": {"counters": {...}}},
+     "metrics": {"counters": {...summed over trials and supervisor...}}}
 
 :func:`chrome_trace` flattens it into the Chrome trace-event format
 (``{"traceEvents": [...]}``, ``"X"`` complete events with microsecond

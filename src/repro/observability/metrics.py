@@ -1,16 +1,12 @@
-"""Process-wide metrics registry: counters, gauges and histograms.
+"""Counters and the unified benchmark report schema.
 
-Gated by ``REPRO_METRICS`` through the same ``Optional``-global hook
-pattern as the tracer: while disabled, :func:`metric_inc` /
-:func:`metric_set` / :func:`metric_observe` cost one global load and an
-``is None`` test.  Enabled, they update a :class:`MetricsRegistry` that
-snapshots to plain dicts (shipped from pool workers with trial results) and
-merges deterministically — counters and histograms are order-independent
-sums/extrema, and gauges resolve by sorted trial key, never by arrival
-order, so a traced sweep's merged telemetry is itself reproducible.
-
-Histograms deliberately store moments (count/sum/min/max), not samples:
-a sweep's worth of per-batch observations must not grow memory unboundedly.
+Counters live on the active :class:`~repro.observability.tracer.Tracer`, so
+``REPRO_TRACE`` arms them together with spans.  :func:`metric_inc` is
+re-exported here, where the store, the pretraining cache and the supervisor
+import it from; while tracing is off it costs one global load and an
+``is None`` test.  A trial ships its counters back as
+``{"metrics": {"counters": {...}}}`` and a sweep sums them
+(:func:`repro.observability.collect.merge_sweep_telemetry`).
 
 This module also owns the **unified benchmark report schema**
 (:data:`METRICS_SCHEMA`, :func:`metrics_report`): every ``benchmarks/``
@@ -21,144 +17,18 @@ and benchmarks without per-script parsers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro import env as repro_env
+from repro.observability.tracer import metric_inc
 
 __all__ = [
-    "MetricsRegistry",
     "metric_inc",
-    "metric_set",
-    "metric_observe",
-    "active_metrics",
-    "install_metrics",
-    "uninstall_metrics",
-    "metrics_enabled",
-    "merge_metrics",
     "METRICS_SCHEMA",
     "metrics_report",
 ]
 
 #: Schema tag stamped on every benchmark timing-JSON and telemetry export.
 METRICS_SCHEMA = "repro-metrics/1"
-
-
-class MetricsRegistry:
-    """Counters, gauges and histograms for one process (or one trial)."""
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, Dict[str, float]] = {}
-
-    def inc(self, name: str, value: float = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
-
-    def set(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
-
-    def observe(self, name: str, value: float) -> None:
-        value = float(value)
-        hist = self.histograms.get(name)
-        if hist is None:
-            self.histograms[name] = {"count": 1, "sum": value, "min": value, "max": value}
-            return
-        hist["count"] += 1
-        hist["sum"] += value
-        if value < hist["min"]:
-            hist["min"] = value
-        if value > hist["max"]:
-            hist["max"] = value
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-able snapshot (sorted keys, so equal registries serialise equal)."""
-        return {
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            "histograms": {
-                k: dict(self.histograms[k]) for k in sorted(self.histograms)
-            },
-        }
-
-
-# The hot-path global: one load + is-None test per instrumented call site.
-_METRICS: Optional[MetricsRegistry] = None
-
-
-def metric_inc(name: str, value: float = 1) -> None:
-    """Increment a counter (no-op while metrics are disabled)."""
-    registry = _METRICS
-    if registry is None:
-        return
-    registry.inc(name, value)
-
-
-def metric_set(name: str, value: float) -> None:
-    """Set a gauge (no-op while metrics are disabled)."""
-    registry = _METRICS
-    if registry is None:
-        return
-    registry.set(name, value)
-
-
-def metric_observe(name: str, value: float) -> None:
-    """Record a histogram observation (no-op while metrics are disabled)."""
-    registry = _METRICS
-    if registry is None:
-        return
-    registry.observe(name, value)
-
-
-def active_metrics() -> Optional[MetricsRegistry]:
-    """The installed registry, or ``None`` while metrics are disabled."""
-    return _METRICS
-
-
-def install_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Install (and return) a registry as the process-wide active one."""
-    global _METRICS
-    if registry is None:
-        registry = MetricsRegistry()
-    _METRICS = registry  # repro: noqa[REP102] Optional-global hook slot: each worker installs its own registry
-    return registry
-
-
-def uninstall_metrics() -> None:
-    """Disable metrics: instrumented sites return to the no-op path."""
-    global _METRICS
-    _METRICS = None  # repro: noqa[REP102] Optional-global hook slot: each worker installs its own registry
-
-
-def metrics_enabled() -> bool:
-    """Whether ``REPRO_METRICS`` asks for metric collection in this process."""
-    return repro_env.env_flag(repro_env.METRICS_ENV)  # repro: noqa[REP104] workers re-read inherited REPRO_METRICS by design (set before fan-out)
-
-
-def merge_metrics(snapshots: Iterable[Tuple[str, Dict[str, Any]]]) -> Dict[str, Any]:
-    """Deterministically merge per-trial snapshots, ordered by trial key.
-
-    ``snapshots`` is ``(trial_key, snapshot)`` pairs; merging sums counters,
-    folds histogram moments, and lets the *last sorted key* win each gauge —
-    a convention, but a stable one, independent of pool arrival order.
-    """
-    merged = MetricsRegistry()
-    for _, snap in sorted(snapshots, key=lambda pair: pair[0]):
-        if not snap:
-            continue
-        for name, value in snap.get("counters", {}).items():
-            merged.inc(name, value)
-        for name, value in snap.get("gauges", {}).items():
-            merged.set(name, value)
-        for name, hist in snap.get("histograms", {}).items():
-            ours = merged.histograms.get(name)
-            if ours is None:
-                merged.histograms[name] = dict(hist)
-            else:
-                ours["count"] += hist["count"]
-                ours["sum"] += hist["sum"]
-                ours["min"] = min(ours["min"], hist["min"])
-                ours["max"] = max(ours["max"], hist["max"])
-    return merged.snapshot()
 
 
 def metrics_report(

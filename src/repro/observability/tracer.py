@@ -1,4 +1,4 @@
-"""Span-based tracer: nested wall/CPU-timed spans with counters and attributes.
+"""Span-based tracer: nested wall/CPU-timed spans, plus the run's counters.
 
 The library's hot paths (``spmm``, the clustering kernels, the Υ transform,
 store reads) run millions of times across a sweep, so instrumentation must
@@ -7,7 +7,10 @@ hook pattern as ``repro.nn.tensor.set_sanitizer_hooks``: one module-level
 ``Optional`` global, and every instrumented call site pays exactly one
 global load plus an ``is None`` test before bailing out through a shared
 no-op span.  Enabling tracing (``REPRO_TRACE=1`` or :func:`install_tracer`)
-swaps a real :class:`Tracer` into that global.
+swaps a real :class:`Tracer` into that global.  It is the only telemetry
+switch: :func:`metric_inc` adds to the active tracer's :attr:`Tracer.counters`
+(store hits and misses, warm pretrains, attempts, retries), so counters
+exist exactly when spans do.
 
 A :class:`Span` is a context manager::
 
@@ -37,7 +40,7 @@ __all__ = [
     "Tracer",
     "span",
     "trace_event",
-    "trace_count",
+    "metric_inc",
     "active_tracer",
     "install_tracer",
     "uninstall_tracer",
@@ -113,12 +116,6 @@ class Span:
         self._tracer._pop(self)
         return False
 
-    def set(self, **attributes: Any) -> "Span":
-        """Attach attributes to the span (coerced to JSON-able scalars)."""
-        for key, value in attributes.items():
-            self.attributes[key] = _plain(value)
-        return self
-
     def count(self, name: str, value: float = 1) -> "Span":
         """Increment a counter local to this span."""
         self.counters[name] = self.counters.get(name, 0) + value
@@ -153,9 +150,6 @@ class _NoopSpan:
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
         return False
 
-    def set(self, **attributes: Any) -> "_NoopSpan":
-        return self
-
     def count(self, name: str, value: float = 1) -> "_NoopSpan":
         return self
 
@@ -164,7 +158,7 @@ _NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """Collects a forest of spans for one process (or one trial).
+    """Collects a forest of spans and a set of counters for one trial (or sweep).
 
     The tracer is deliberately single-threaded — trials are single-threaded
     by construction (the parallelism unit is the process), and the
@@ -174,6 +168,7 @@ class Tracer:
     def __init__(self) -> None:
         self.epoch = time.perf_counter()
         self.roots: List[Span] = []
+        self.counters: Dict[str, float] = {}
         self._stack: List[Span] = []
 
     # -- span lifecycle -------------------------------------------------
@@ -212,17 +207,15 @@ class Tracer:
             self.roots.append(node)
         return node
 
-    def count(self, name: str, value: float = 1) -> None:
-        """Increment a counter on the innermost open span (or a root counter)."""
-        if self._stack:
-            self._stack[-1].count(name, value)
-        else:
-            self.record(name).count(name, value)
-
     # -- export ---------------------------------------------------------
     def export(self) -> List[Dict[str, Any]]:
         """The collected span forest as JSON-able dicts."""
         return [root.to_dict() for root in self.roots]
+
+    def payload(self) -> Dict[str, Any]:
+        """Spans and counters, the JSON-able telemetry shipped with a trial result."""
+        counters = dict(sorted(self.counters.items()))
+        return {"spans": self.export(), "metrics": {"counters": counters}}
 
 
 # The hot-path global: one load + is-None test per instrumented call site.
@@ -249,12 +242,12 @@ def trace_event(name: str, seconds: float = 0.0, **attributes: Any) -> None:
     tracer.record(name, seconds=seconds, **attributes)
 
 
-def trace_count(name: str, value: float = 1) -> None:
-    """Increment a counter on the innermost open span (no-op when disabled)."""
+def metric_inc(name: str, value: float = 1) -> None:
+    """Add ``value`` to a counter of the active tracer (no-op when disabled)."""
     tracer = _TRACER
     if tracer is None:
         return
-    tracer.count(name, value)
+    tracer.counters[name] = tracer.counters.get(name, 0) + value
 
 
 def active_tracer() -> Optional[Tracer]:
@@ -287,20 +280,23 @@ def tracing_session(enabled: Optional[bool] = None) -> Iterator[Optional[Tracer]
     """Install a fresh tracer for the duration of a block, restoring after.
 
     ``enabled=None`` consults ``REPRO_TRACE``; when disabled the context
-    yields ``None`` and changes nothing.  Used per-trial in pool workers and
-    per-sweep in the supervisor so span forests never leak across units of
-    work.
+    yields ``None`` and changes nothing.  Opened per trial in pool workers
+    (``repro.parallel._execute_spec``), per sweep in the supervisor and by a
+    single traced ``repro-run``, so spans and counters never leak across
+    units of work: a serial trial does not swallow the supervisor's spans,
+    and a pool worker running many trials starts each one empty.
     """
     if enabled is None:
         enabled = tracing_enabled()
     if not enabled:
         yield None
         return
-    global _TRACER
     previous = _TRACER
-    tracer = Tracer()
-    _TRACER = tracer
+    tracer = install_tracer()
     try:
         yield tracer
     finally:
-        _TRACER = previous
+        if previous is None:
+            uninstall_tracer()
+        else:
+            install_tracer(previous)

@@ -217,23 +217,23 @@ def _execute_spec(spec_dict: Dict[str, Any]) -> Any:
     it never consumes this worker's process-global RNG — the invariant the
     bitwise any-``jobs`` determinism guarantee rests on.
 
-    With ``REPRO_TRACE`` / ``REPRO_METRICS`` exported, the trial runs under
-    a *fresh* tracer/metrics pair (:func:`repro.observability.trial_telemetry`)
-    whose export is shipped back in ``result.extra['telemetry']`` — the only
-    way span trees cross the process boundary.  Telemetry never consumes
-    RNG, so traced sweeps stay bitwise identical to untraced ones.
+    With ``REPRO_TRACE`` exported, the trial runs under a *fresh* tracer
+    (:func:`repro.observability.tracing_session`) whose spans and counters
+    are shipped back in ``result.extra['telemetry']`` — the only way they
+    cross the process boundary.  Telemetry never consumes RNG, so traced
+    sweeps stay bitwise identical to untraced ones.
     """
     from repro.analysis.sanitizers import install_from_env, rng_isolation_check
     from repro.api.pipeline import Pipeline
-    from repro.observability.collect import trial_telemetry
+    from repro.observability.tracer import tracing_session
 
     install_from_env()
     with rng_isolation_check(f"trial {spec_dict.get('model')}/{spec_dict.get('dataset')}"):
-        with trial_telemetry() as telemetry:
+        with tracing_session() as tracer:
             result = Pipeline.from_spec(spec_dict).run()
     result.model = None
-    if telemetry is not None:
-        result.extra["telemetry"] = telemetry.export()
+    if tracer is not None:
+        result.extra["telemetry"] = tracer.payload()
     return result
 
 
@@ -264,14 +264,15 @@ def run_sweep(
     and simply re-run.  After a journaled sweep, the store is
     garbage-collected when ``REPRO_STORE_MAX_BYTES`` sets a budget.
 
-    With ``REPRO_TRACE`` / ``REPRO_METRICS`` enabled the per-trial span
-    forests shipped back by the workers are merged (deterministically, by
-    trial key) with the supervisor's own spans into
-    :attr:`SweepOutcome.telemetry`; when a store is configured the merged
-    document is also written as a Chrome trace under ``<store>/traces/``.
+    With ``REPRO_TRACE`` enabled the per-trial spans and counters shipped
+    back by the workers are merged (deterministically, by trial key) with
+    the supervisor's own into :attr:`SweepOutcome.telemetry`; when a store
+    is configured the merged document is also written as a Chrome trace
+    under ``<store>/traces/``.
     """
-    from repro.observability.collect import merge_sweep_telemetry, trial_telemetry
+    from repro.observability.collect import merge_sweep_telemetry
     from repro.observability.exporters import store_trace_path, write_chrome_trace
+    from repro.observability.tracer import tracing_session
     from repro.resilience.journal import open_journal, sweep_key
     from repro.store import active_store, store_env
 
@@ -291,11 +292,11 @@ def run_sweep(
                 journal.record(remaining[sub_index], value)
 
         resolved = resolve_jobs(jobs, len(remaining))
-        # The supervisor gets its own tracer/metrics pair for the sweep:
-        # attempt spans, backoff waits, pool respawns and journal/store
-        # traffic land here, while each trial captures (and ships back) its
-        # own forest — see ``_execute_spec``.
-        with trial_telemetry() as supervisor_telemetry:
+        # The supervisor gets its own tracer for the sweep: attempt spans,
+        # backoff waits, pool respawns and journal/store traffic land here,
+        # while each trial captures (and ships back) its own — see
+        # ``_execute_spec``.
+        with tracing_session() as supervisor_tracer:
             outcome = supervised_map(
                 _execute_spec,
                 [spec_dicts[i] for i in remaining],
@@ -316,7 +317,7 @@ def run_sweep(
             results[index] = slot
 
         telemetry: Optional[Dict[str, Any]] = None
-        if supervisor_telemetry is not None:
+        if supervisor_tracer is not None:
             # Merge order is (trial key, spec index) — never pool arrival
             # order — so the document is identical for any ``jobs``.
             triples = []
@@ -325,7 +326,7 @@ def run_sweep(
                 payload = extra.get("telemetry") if isinstance(extra, dict) else None
                 triples.append((trial_keys[index], index, payload))
             telemetry = merge_sweep_telemetry(
-                triples, supervisor=supervisor_telemetry.export()
+                triples, supervisor=supervisor_tracer.payload()
             )
             if store is not None:
                 write_chrome_trace(

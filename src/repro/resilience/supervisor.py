@@ -189,8 +189,9 @@ class SweepOutcome:
     #: (filled in by :func:`repro.parallel.run_trials` on resume).
     resumed: int = 0
     policy: Optional[RetryPolicy] = None
-    #: merged sweep telemetry (``repro-trace/1`` document) when tracing or
-    #: metrics were enabled; filled in by :func:`repro.parallel.run_sweep`.
+    #: merged sweep telemetry (``repro-trace/1`` document: spans and summed
+    #: counters) when tracing was enabled; filled in by
+    #: :func:`repro.parallel.run_sweep`.
     telemetry: Optional[Dict[str, Any]] = None
 
     @property

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,69 @@ class TestCallbackSystem:
         assert len(history.accuracy_all) == len(history.evaluation_epochs) > 0
         assert len(history.fr_rethought) == len(history.fr_baseline) > 0
         assert len(history.link_stats) > 0
+
+
+def brazil_rethink(model="gae"):
+    """A tiny R- trial on the 130-node air-traffic graph: 2 + 4 epochs."""
+    return (
+        Pipeline()
+        .dataset("brazil_air_sim")
+        .model(model)
+        .rethink()
+        .seed(0)
+        .training(pretrain_epochs=2, rethink_epochs=4)
+    )
+
+
+class TestTelemetryCallback:
+    LOG_KEYS = {"loss", "reconstruction_loss", "num_reliable", "coverage", "num_batches"}
+
+    def test_one_record_per_epoch_with_peak_allocations(self):
+        history = brazil_rethink().callbacks("telemetry").run().history
+        assert list(history.telemetry) == ["epochs"]
+        records = history.telemetry["epochs"]
+        assert len(records) == history.epochs_run == 4
+        assert [record["epoch"] for record in records] == [0.0, 1.0, 2.0, 3.0]
+        for record in records:
+            assert set(record) == {"epoch", "peak_alloc_bytes", *self.LOG_KEYS}
+            assert record["peak_alloc_bytes"] > 0
+
+    def test_folds_the_fr_fd_series(self):
+        # a second-group model, so fr_fd records Λ_FR as well as Λ_FD
+        history = brazil_rethink("dgae").callbacks("telemetry", "fr_fd").run().history
+        for name in ("fr_rethought", "fr_baseline", "fd_rethought", "fd_baseline"):
+            series = getattr(history, name)
+            assert series and history.telemetry[name] == series
+
+    def test_epochs_reach_the_trace_summary(self):
+        from repro.observability import (
+            chrome_trace,
+            merge_sweep_telemetry,
+            summarize_trace,
+            tracing_session,
+        )
+
+        with tracing_session(enabled=True) as tracer:
+            history = brazil_rethink().callbacks("telemetry").run().history
+        document = merge_sweep_telemetry([("trial", 0, tracer.payload())])
+        rows = summarize_trace(chrome_trace(document)["traceEvents"])
+        (row,) = [row for row in rows if row["name"] == "telemetry.epoch"]
+        assert row["calls"] == history.epochs_run == 4
+        assert row["peak_alloc_kb"] > 0
+
+    def test_failed_fit_stops_tracemalloc(self):
+        assert not tracemalloc.is_tracing()
+
+        def fail_at_epoch_1(epoch, logs):
+            if epoch == 1:
+                raise RuntimeError("callback failed at epoch 1")
+
+        pipeline = brazil_rethink().callbacks(
+            "telemetry", LambdaCallback(on_epoch_end=fail_at_epoch_1)
+        )
+        with pytest.raises(RuntimeError, match="epoch 1"):
+            pipeline.run()
+        assert not tracemalloc.is_tracing()
 
 
 class TestPipelineFacade:

@@ -1,8 +1,9 @@
-"""Tests for ``repro.observability``: tracer, metrics, exporters, collection.
+"""Tests for ``repro.observability``: tracer, counters, exporters, collection.
 
 The headline guarantees under test:
 
-* tracing/metrics are strictly opt-in — the disabled path changes nothing,
+* tracing is strictly opt-in — the disabled path changes nothing,
+* ``REPRO_TRACE`` alone arms spans *and* counters,
 * a traced ``jobs=4`` sweep is bitwise identical to an untraced one,
 * the merged sweep document contains every trial's span forest exactly
   once (ordered by trial key, not pool arrival), plus the supervisor's
@@ -17,12 +18,7 @@ import os
 
 import pytest
 
-from repro.observability.collect import (
-    install_from_env,
-    merge_sweep_telemetry,
-    telemetry_wanted,
-    trial_telemetry,
-)
+from repro.observability.collect import merge_sweep_telemetry
 from repro.observability.exporters import (
     TRACE_SCHEMA,
     chrome_trace,
@@ -32,23 +28,11 @@ from repro.observability.exporters import (
     summarize_trace,
     write_chrome_trace,
 )
-from repro.observability.metrics import (
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    active_metrics,
-    install_metrics,
-    merge_metrics,
-    metric_inc,
-    metric_observe,
-    metric_set,
-    metrics_report,
-    uninstall_metrics,
-)
+from repro.observability.metrics import METRICS_SCHEMA, metric_inc, metrics_report
 from repro.observability.tracer import (
     active_tracer,
     install_tracer,
     span,
-    trace_count,
     trace_event,
     tracing_session,
     uninstall_tracer,
@@ -57,13 +41,11 @@ from repro.parallel import run_sweep
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_collectors():
-    """Every test starts and ends with tracing/metrics disabled."""
+def no_leaked_tracer():
+    """Every test starts and ends with tracing disabled."""
     uninstall_tracer()
-    uninstall_metrics()
     yield
     uninstall_tracer()
-    uninstall_metrics()
 
 
 # ----------------------------------------------------------------------
@@ -77,14 +59,14 @@ class TestTracer:
         # the no-op singleton records nothing and supports the span surface
         node.count("edges", 5)
         trace_event("whatever")
-        trace_count("whatever")
+        metric_inc("whatever")
         assert active_tracer() is None
 
     def test_span_forest_structure(self):
         tracer = install_tracer()
         with span("pipeline.run", dataset="cora_sim"):
-            with span("trainer.epoch", epoch=0):
-                trace_count("batches", 3)
+            with span("trainer.epoch", epoch=0) as epoch:
+                epoch.count("batches", 3)
             trace_event("telemetry.epoch", seconds=0.25, loss=1.5)
         roots = tracer.export()
         assert [root["name"] for root in roots] == ["pipeline.run"]
@@ -106,9 +88,10 @@ class TestTracer:
         with tracing_session(enabled=True) as inner:
             assert inner is not None and inner is not outer
             with span("inner.only"):
-                pass
+                metric_inc("inner.counter")
         assert active_tracer() is outer
-        assert outer.export() == []
+        assert outer.export() == [] and outer.counters == {}
+        assert inner.counters == {"inner.counter": 1}
         with tracing_session(enabled=False) as off:
             assert off is None
 
@@ -121,48 +104,36 @@ class TestTracer:
 
 
 # ----------------------------------------------------------------------
-# metrics
+# counters
 # ----------------------------------------------------------------------
 class TestMetrics:
     def test_disabled_hooks_are_noops(self):
-        assert active_metrics() is None
+        assert active_tracer() is None
         metric_inc("a")
-        metric_set("b", 1.0)
-        metric_observe("c", 2.0)
-        assert active_metrics() is None
+        metric_inc("b", 2)
+        assert active_tracer() is None
 
-    def test_registry_snapshot_is_sorted_and_plain(self):
-        registry = install_metrics()
+    def test_counter_payload_is_sorted_and_plain(self):
+        tracer = install_tracer()
         metric_inc("z.counter")
         metric_inc("a.counter", 2)
-        metric_set("gauge", 7)
-        metric_observe("hist", 1.0)
-        metric_observe("hist", 3.0)
-        snap = registry.snapshot()
-        assert list(snap["counters"]) == ["a.counter", "z.counter"]
-        assert snap["counters"]["a.counter"] == 2
-        assert snap["gauges"]["gauge"] == 7.0
-        assert snap["histograms"]["hist"] == {
-            "count": 2, "sum": 4.0, "min": 1.0, "max": 3.0,
-        }
+        payload = tracer.payload()
+        assert list(payload["metrics"]["counters"]) == ["a.counter", "z.counter"]
+        assert payload["metrics"] == {"counters": {"a.counter": 2, "z.counter": 1}}
+        assert payload["spans"] == []
+        json.dumps(payload)
 
     def test_merge_is_order_independent(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.inc("n", 2)
-        first.set("g", 1.0)
-        first.observe("h", 5.0)
-        second.inc("n", 3)
-        second.set("g", 2.0)
-        second.observe("h", 1.0)
-        pairs = [("trial_b", first.snapshot()), ("trial_a", second.snapshot())]
-        merged = merge_metrics(pairs)
-        assert merged == merge_metrics(list(reversed(pairs)))
-        assert merged["counters"]["n"] == 5
-        # gauges resolve by last *sorted* key: trial_b wins over trial_a
-        assert merged["gauges"]["g"] == 1.0
-        assert merged["histograms"]["h"] == {
-            "count": 2, "sum": 6.0, "min": 1.0, "max": 5.0,
-        }
+        def payload(counters):
+            return {"spans": [], "metrics": {"counters": counters}}
+
+        arrival = [("trial_b", 1, payload({"n": 2})), ("trial_a", 0, payload({"n": 3, "m": 1}))]
+        supervisor = payload({"n": 1, "s": 4})
+        merged = merge_sweep_telemetry(arrival, supervisor=supervisor)
+        assert merged == merge_sweep_telemetry(list(reversed(arrival)), supervisor=supervisor)
+        # a plain sum over every trial and the supervisor, sorted by name
+        assert merged["metrics"] == {"counters": {"m": 1, "n": 6, "s": 4}}
+        assert list(merged["metrics"]["counters"]) == ["m", "n", "s"]
 
     def test_metrics_report_envelope(self):
         report = metrics_report("bench_x", [{"seconds": 1.0}], repeats=3, n=500)
@@ -177,27 +148,25 @@ class TestMetrics:
 # per-trial capture and deterministic merging
 # ----------------------------------------------------------------------
 class TestCollect:
-    def test_disabled_yields_none(self):
-        assert not telemetry_wanted()
-        with trial_telemetry() as telemetry:
-            assert telemetry is None
+    def test_disabled_yields_none(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        with tracing_session() as tracer:
+            assert tracer is None
+            assert active_tracer() is None
 
     def test_env_flags_arm_capture(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setenv("REPRO_METRICS", "1")
-        assert telemetry_wanted()
-        install_from_env()
-        assert active_tracer() is not None and active_metrics() is not None
-        previous = active_tracer()
-        with trial_telemetry() as telemetry:
-            assert active_tracer() is not previous
+        previous = install_tracer()
+        with tracing_session() as tracer:
+            assert active_tracer() is tracer is not previous
             with span("trial.work"):
                 metric_inc("trial.counter")
-            payload = telemetry.export()
+            payload = tracer.payload()
         assert active_tracer() is previous  # restored, not uninstalled
         assert [node["name"] for node in payload["spans"]] == ["trial.work"]
         assert payload["metrics"]["counters"] == {"trial.counter": 1}
-        assert previous.export() == []  # nothing leaked to the outer tracer
+        # nothing leaked to the outer tracer
+        assert previous.export() == [] and previous.counters == {}
 
     def test_merge_orders_by_key_then_index(self):
         def payload(name):
@@ -321,7 +290,6 @@ class TestTracedSweep:
         assert baseline.ok and baseline.telemetry is None
 
         monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setenv("REPRO_METRICS", "1")
         traced = run_sweep(_SWEEP_SPECS, jobs=4, store_dir=str(tmp_path))
         assert traced.ok
 
@@ -375,7 +343,6 @@ class TestTracedSweep:
         from repro.resilience import RetryPolicy
 
         monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setenv("REPRO_METRICS", "1")
         monkeypatch.setenv("REPRO_FAULTS", "trial_error:p=0.9:seed=7")
         specs = _SWEEP_SPECS[:2]
         outcome = run_sweep(
@@ -399,3 +366,48 @@ class TestTracedSweep:
         assert document["metrics"]["counters"]["resilience.retries"] >= 1
         # every trial still shipped exactly one span forest
         assert [t["spans"] != [] for t in document["trials"]] == [True, True]
+
+    def test_trace_switch_alone_arms_counters(self, monkeypatch, tmp_path):
+        from repro.api import Pipeline
+
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        outcome = (
+            Pipeline()
+            .dataset("brazil_air_sim")
+            .model("dgae")
+            .seed(0)
+            .training(pretrain_epochs=2, clustering_epochs=2, rethink_epochs=2)
+            .warm_start(str(tmp_path))
+            .base()
+            .run_sweep([0, 1], jobs=2)
+        )
+        assert outcome.ok
+        # workers count their pretraining misses and snapshot puts, the
+        # supervisor its attempts and journal puts
+        assert outcome.telemetry["metrics"]["counters"] == {
+            "pretrain.warm_misses": 2,
+            "resilience.attempts": 2,
+            "store.misses": 2,
+            "store.puts": 4,
+        }
+
+
+class TestTracedCLI:
+    def test_single_trial_trace_and_summary(self, monkeypatch, tmp_path, capsys):
+        from repro.api.cli import main
+
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        spec_path = tmp_path / "trial.json"
+        spec_path.write_text(json.dumps(_SWEEP_SPECS[0]))
+        trace_path = str(tmp_path / "single.trace.json")
+        assert main([str(spec_path), "--trace", trace_path, "--json"]) == 0
+        assert active_tracer() is None  # the CLI's session is closed again
+
+        rows = summarize_trace(load_trace_events(trace_path))
+        calls = {row["name"]: row["calls"] for row in rows}
+        assert calls["pipeline.run"] == 1
+        assert calls["trainer.epoch"] == _SWEEP_SPECS[0]["training"]["rethink_epochs"]
+
+        capsys.readouterr()
+        assert main(["trace-summary", trace_path]) == 0
+        assert "pipeline.run" in capsys.readouterr().out
