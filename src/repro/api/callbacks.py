@@ -69,7 +69,8 @@ class RethinkCallback:
     The trainer is attached before ``on_train_begin`` fires, so hooks can
     reach ``self.trainer.model``, ``self.trainer.config``,
     ``self.trainer.history_``, ``self.trainer.last_sampling_`` and
-    ``self.trainer.self_supervision_graph_``.
+    ``self.trainer.self_supervision_graph_``.  The last two are ``None``
+    until epoch 0's boundary runs Ξ and Υ, after ``on_epoch_begin(0)``.
     """
 
     trainer = None
@@ -79,7 +80,11 @@ class RethinkCallback:
 
     # -- lifecycle -----------------------------------------------------
     def on_train_begin(self, graph, history) -> None:
-        """Fired once, after pretraining and clustering initialisation."""
+        """Fired once, after pretraining and clustering initialisation.
+
+        Ξ and Υ have not run yet: ``trainer.last_sampling_`` and
+        ``trainer.self_supervision_graph_`` are ``None`` here.
+        """
 
     def on_train_end(self, history) -> None:
         """Fired once, after the final epoch (or early stop) and the final report.

@@ -316,7 +316,7 @@ class Pipeline:
     # execution
     # ------------------------------------------------------------------
     def _resolve_graph(self, spec: RunSpec):
-        from repro.parallel import load_dataset_cached
+        from repro.datasets.cache import load_dataset_cached
 
         if self._graph is not None:
             return self._graph
@@ -394,12 +394,11 @@ class Pipeline:
 
     def _run(self, spec: RunSpec) -> RunResult:
         from repro.api.callbacks import resolve_callbacks
-        from repro.core.rethink import RethinkConfig, RethinkTrainer
-        from repro.experiments.config import rethink_hyperparameters
+        from repro.core.rethink import RethinkConfig, RethinkTrainer, rethink_hyperparameters
+        from repro.datasets.cache import dataset_cache_info
         from repro.metrics.report import evaluate_clustering
         from repro.models.registry import MODELS, build_model
         from repro.observability import span
-        from repro.parallel import dataset_cache_info
         from repro.store import disabled_stats, warm_pretrain
 
         start = time.perf_counter()

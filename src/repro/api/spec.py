@@ -135,7 +135,7 @@ class RethinkSpec:
 
     With ``use_paper_hyperparameters=True`` the (α1, M1, M2) values come
     from the Appendix-C tables for the (dataset, model) pair
-    (:func:`repro.experiments.config.rethink_hyperparameters`);
+    (:func:`repro.core.rethink.rethink_hyperparameters`);
     ``overrides`` then overlays any :class:`~repro.core.rethink.RethinkConfig`
     field on top.  Unknown override names are rejected at spec-parse time;
     the retired tracking switches name their replacement callback.

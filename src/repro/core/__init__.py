@@ -16,7 +16,7 @@
 
 from repro.core.sampling import SamplingOperator, SamplingResult, select_reliable_nodes
 from repro.core.graph_transform import GraphTransformOperator, build_clustering_oriented_graph
-from repro.core.rethink import RethinkTrainer, RethinkConfig, RethinkHistory
+from repro.core.rethink import RethinkTrainer, RethinkConfig, RethinkHistory, rethink_hyperparameters
 from repro.core.fr_fd import (
     gradient_cosine,
     feature_randomness_metric,
@@ -47,6 +47,7 @@ __all__ = [
     "RethinkTrainer",
     "RethinkConfig",
     "RethinkHistory",
+    "rethink_hyperparameters",
     "gradient_cosine",
     "feature_randomness_metric",
     "feature_drift_metric",

@@ -56,6 +56,19 @@ def _cluster_centroid_nodes(
     return {int(cluster): int(node) for cluster, node in zip(present, winners)}
 
 
+def _sorted_contains(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Membership of ``queries`` in the ascending ``sorted_keys``.
+
+    One binary search per query: O(|queries| log |keys|), where ``np.isin``
+    hashes or sorts every key (numpy ≥ 2.3 sends all of them through the
+    hash-based ``np.unique``).
+    """
+    if sorted_keys.size == 0:
+        return np.zeros(queries.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, queries), sorted_keys.size - 1)
+    return sorted_keys[at] == queries
+
+
 def build_clustering_oriented_graph(
     adjacency: SparseAdjacency,
     assignments: np.ndarray,
@@ -148,7 +161,10 @@ def _apply_upsilon(
         # An add fires only when (node, centroid) is absent after the drops,
         # and a fired add writes *both* directions with 1.0, overwriting any
         # existing reverse entry (this matters for weighted or asymmetric A).
-        fired = ~np.isin(sources * num_nodes + targets, rows * num_nodes + cols)
+        kept = rows * num_nodes + cols  # ascending unless A's rows are unsorted
+        if np.any(kept[1:] < kept[:-1]):
+            kept = np.sort(kept)
+        fired = ~_sorted_contains(kept, sources * num_nodes + targets)
         sources, targets = sources[fired], targets[fired]
         added_rows = np.concatenate([sources, targets])
         added_cols = np.concatenate([targets, sources])

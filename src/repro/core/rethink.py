@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -153,6 +153,62 @@ class RethinkConfig:
                 "set RethinkConfig.gamma or give the model a gamma"
             )
         return self
+
+
+#: (alpha1, M1, M2) per (dataset, model) — adapted from Appendix C tables 11-16.
+_RETHINK_SETTINGS: Dict[str, Dict[str, Tuple[float, int, int]]] = {
+    "cora_sim": {
+        "gae": (0.5, 20, 10),
+        "vgae": (0.5, 20, 10),
+        "argae": (0.5, 20, 10),
+        "arvgae": (0.5, 20, 10),
+        "dgae": (0.3, 20, 15),
+        "gmm_vgae": (0.7, 20, 10),
+    },
+    "citeseer_sim": {
+        "gae": (0.5, 20, 10),
+        "vgae": (0.5, 20, 10),
+        "argae": (0.4, 20, 10),
+        "arvgae": (0.4, 20, 10),
+        "dgae": (0.3, 20, 10),
+        "gmm_vgae": (0.7, 20, 10),
+    },
+    "pubmed_sim": {
+        "gae": (0.5, 20, 10),
+        "vgae": (0.5, 20, 10),
+        "argae": (0.4, 20, 10),
+        "arvgae": (0.4, 20, 10),
+        "dgae": (0.3, 20, 10),
+        "gmm_vgae": (0.7, 20, 10),
+    },
+    "usa_air_sim": {
+        "dgae": (0.3, 20, 10),
+        "gmm_vgae": (0.6, 20, 10),
+    },
+    "europe_air_sim": {
+        "dgae": (0.25, 20, 10),
+        "gmm_vgae": (0.6, 20, 10),
+    },
+    "brazil_air_sim": {
+        "dgae": (0.3, 20, 10),
+        "gmm_vgae": (0.6, 20, 10),
+    },
+}
+
+_DEFAULT_SETTING: Tuple[float, int, int] = (0.4, 20, 10)
+
+
+def rethink_hyperparameters(dataset: str, model: str) -> Dict[str, float]:
+    """Return {alpha1, update_omega_every, update_graph_every} for a pair.
+
+    Mirrors Appendix C: the (α1, M1, M2) values of each R- model on each
+    dataset, adapted to the surrogate datasets (the α1 selection rule
+    follows the paper — the largest value that keeps Ω non-empty).
+    Unknown combinations fall back to a conservative default so user-defined
+    datasets and models work out of the box.
+    """
+    alpha1, m1, m2 = _RETHINK_SETTINGS.get(dataset, {}).get(model, _DEFAULT_SETTING)
+    return {"alpha1": alpha1, "update_omega_every": m1, "update_graph_every": m2}
 
 
 @dataclass
@@ -355,10 +411,15 @@ class RethinkTrainer:
     def _train(self, graph: AttributedGraph) -> RethinkHistory:
         """The R- loop: one :func:`~repro.nn.optim.train_step` per batch.
 
-        The full-graph inputs are prepared once and shared by the whole-graph
-        batch, ``features_`` / ``adj_norm_`` and the no-grad posterior-mean
-        forward that opens every ``M1`` / ``M2`` boundary (it uses no RNG).
-        Each batch's reconstruction target is prepared once per Υ graph
+        The full-graph inputs are prepared once and shared by the loader,
+        ``features_`` / ``adj_norm_``, the final report and the no-grad
+        posterior-mean forward that opens every ``M1`` / ``M2`` boundary
+        (it uses no RNG).  Epoch 0 is always both boundaries, so Ξ and Υ
+        first run there, before any step reads them; until then
+        ``last_sampling_`` and ``self_supervision_graph_`` are ``None``.
+        Epoch 0's refresh reuses the embeddings that initialised the
+        clustering, since no parameter has moved since.  Each batch's
+        reconstruction target is prepared once per Υ graph
         (:meth:`_batch_target`).
         """
         from repro.api.callbacks import (
@@ -374,8 +435,10 @@ class RethinkTrainer:
         num_nodes = graph.num_nodes
         features, adj_norm = model.prepare_inputs(graph)
         self.features_, self.adj_norm_ = features, adj_norm
-        embeddings = model.embed_inputs(features, adj_norm)
-        model.init_clustering(embeddings)
+        self.last_sampling_ = self.self_supervision_graph_ = None
+        with _span("trainer.clustering_init"):
+            embeddings = model.embed_inputs(features, adj_norm)
+            model.init_clustering(embeddings)
         if model.group == "second" and model.clustering_target() is None:
             raise ConfigError(
                 f"{type(model).__name__} is a second-group model without a "
@@ -399,10 +462,6 @@ class RethinkTrainer:
         callbacks = CallbackList(stopping + resolve_callbacks(self.callbacks))
         callbacks.set_trainer(self)
 
-        sampling = self.last_sampling_ = self._apply_sampling(embeddings, 0, num_nodes)
-        self.self_supervision_graph_ = self._apply_transform(
-            graph.adjacency, num_nodes, embeddings, sampling
-        )
         callbacks.on_train_begin(graph, history)
         # on_train_end fires even when the loop or the final evaluation
         # raises, so callbacks release what on_train_begin acquired.
@@ -416,7 +475,8 @@ class RethinkTrainer:
                         # Keep the model's own clustering parameters (targets,
                         # mixture moments, centres) in sync with the embeddings.
                         with _span("trainer.clustering_refresh", epoch=epoch):
-                            embeddings = model.embed_inputs(features, adj_norm)
+                            if epoch > 0:
+                                embeddings = model.embed_inputs(features, adj_norm)
                             model.refresh_clustering(embeddings)
                     if refresh_omega:
                         with _span("trainer.omega_update", epoch=epoch):
@@ -463,9 +523,10 @@ class RethinkTrainer:
                     break
 
             if graph.labels is not None:
-                history.final_report = evaluate_clustering(
-                    graph.labels, self.predict_labels(graph)
-                )
+                with _span("trainer.final_report"):
+                    embeddings = model.embed_inputs(features, adj_norm)
+                    labels = np.argmax(model.predict_assignments(embeddings), axis=1)
+                    history.final_report = evaluate_clustering(graph.labels, labels)
         finally:
             callbacks.on_train_end(history)
         return history

@@ -1,4 +1,4 @@
-"""Experiment configuration and per-dataset hyper-parameters (Appendix C).
+"""Experiment configuration: the training budgets of the experiment runners.
 
 ``ExperimentConfig`` controls the training budget used by the experiment
 runner; its defaults are scaled down from the paper's 200+200 epochs so the
@@ -6,16 +6,16 @@ full benchmark suite runs in minutes on a laptop while preserving every
 qualitative trend.  ``ExperimentConfig.paper()`` restores the paper's
 budgets.
 
-``rethink_hyperparameters`` mirrors Appendix C: the (α1, M1, M2) values used
-for each R- model on each dataset; the values are adapted to the surrogate
-datasets (the α1 selection rule follows the paper — the largest value that
-keeps Ω non-empty).
+``rethink_hyperparameters`` (Appendix C) lives in :mod:`repro.core.rethink`,
+so a single trial reads it without importing this harness; it is
+re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+
+from repro.core.rethink import rethink_hyperparameters  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -40,56 +40,3 @@ class ExperimentConfig:
 
     def with_trials(self, num_trials: int) -> "ExperimentConfig":
         return replace(self, num_trials=num_trials)
-
-
-#: (alpha1, M1, M2) per (dataset, model) — adapted from Appendix C tables 11-16.
-_RETHINK_SETTINGS: Dict[str, Dict[str, Tuple[float, int, int]]] = {
-    "cora_sim": {
-        "gae": (0.5, 20, 10),
-        "vgae": (0.5, 20, 10),
-        "argae": (0.5, 20, 10),
-        "arvgae": (0.5, 20, 10),
-        "dgae": (0.3, 20, 15),
-        "gmm_vgae": (0.7, 20, 10),
-    },
-    "citeseer_sim": {
-        "gae": (0.5, 20, 10),
-        "vgae": (0.5, 20, 10),
-        "argae": (0.4, 20, 10),
-        "arvgae": (0.4, 20, 10),
-        "dgae": (0.3, 20, 10),
-        "gmm_vgae": (0.7, 20, 10),
-    },
-    "pubmed_sim": {
-        "gae": (0.5, 20, 10),
-        "vgae": (0.5, 20, 10),
-        "argae": (0.4, 20, 10),
-        "arvgae": (0.4, 20, 10),
-        "dgae": (0.3, 20, 10),
-        "gmm_vgae": (0.7, 20, 10),
-    },
-    "usa_air_sim": {
-        "dgae": (0.3, 20, 10),
-        "gmm_vgae": (0.6, 20, 10),
-    },
-    "europe_air_sim": {
-        "dgae": (0.25, 20, 10),
-        "gmm_vgae": (0.6, 20, 10),
-    },
-    "brazil_air_sim": {
-        "dgae": (0.3, 20, 10),
-        "gmm_vgae": (0.6, 20, 10),
-    },
-}
-
-_DEFAULT_SETTING: Tuple[float, int, int] = (0.4, 20, 10)
-
-
-def rethink_hyperparameters(dataset: str, model: str) -> Dict[str, float]:
-    """Return {alpha1, update_omega_every, update_graph_every} for a pair.
-
-    Unknown combinations fall back to a conservative default so user-defined
-    datasets and models work out of the box.
-    """
-    alpha1, m1, m2 = _RETHINK_SETTINGS.get(dataset, {}).get(model, _DEFAULT_SETTING)
-    return {"alpha1": alpha1, "update_omega_every": m1, "update_graph_every": m2}

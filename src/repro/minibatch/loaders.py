@@ -183,7 +183,8 @@ class NeighborLoader(MinibatchLoader):
     ``batch_size`` seeds; each batch's frontier is expanded ``num_hops``
     times with at most ``fanout`` sampled neighbours per frontier node, and
     the batch block is the subgraph induced by the union.  Seeds occupy the
-    first ``num_seeds`` rows of each block.
+    first ``num_seeds`` rows of each block.  ``features`` is the graph's
+    row-normalised feature matrix, when the caller already has it.
     """
 
     def __init__(
@@ -193,6 +194,7 @@ class NeighborLoader(MinibatchLoader):
         fanout: int = 10,
         num_hops: int = 2,
         seed: int = 0,
+        features: Optional[np.ndarray] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -205,7 +207,7 @@ class NeighborLoader(MinibatchLoader):
         self.fanout = int(fanout)
         self.num_hops = int(num_hops)
         self.seed = int(seed)
-        self._features = graph.row_normalized_features()
+        self._features = graph.row_normalized_features() if features is None else features
 
     @property
     def batches_per_epoch(self) -> int:
@@ -242,7 +244,9 @@ class ClusterLoader(MinibatchLoader):
     pre-computed :class:`~repro.minibatch.partition.GraphPartition`
     directly.  Each part's renumbered block (features, per-batch
     normalisation) is built once at construction and reused every epoch —
-    only the batch order is reshuffled.
+    only the batch order is reshuffled.  The blocks are cut from
+    ``features`` (the graph's row-normalised features, built here when not
+    given); the loader keeps no whole-graph copy of them.
     """
 
     def __init__(
@@ -253,11 +257,11 @@ class ClusterLoader(MinibatchLoader):
         seed: int = 0,
         partition: Optional[GraphPartition] = None,
         shuffle: bool = True,
+        features: Optional[np.ndarray] = None,
     ) -> None:
         self.graph = graph
         self.seed = int(seed)
         self.shuffle = bool(shuffle)
-        self._features = graph.row_normalized_features()
         if partition is None:
             if num_parts is None:
                 if batch_size is None:
@@ -271,8 +275,10 @@ class ClusterLoader(MinibatchLoader):
                 graph.adjacency
             )
         self.partition = partition
+        if features is None:
+            features = graph.row_normalized_features()
         self._batches: List[Minibatch] = [
-            _induced_minibatch(graph.adjacency, self._features, part, part)
+            _induced_minibatch(graph.adjacency, features, part, part)
             for part in partition.parts
         ]
 
@@ -308,7 +314,9 @@ def build_loader(
     """Build the loader named by ``sampler`` ("full" / "neighbor" / "cluster").
 
     ``batch_size`` defaults to ``min(N, 256)`` for the sampling loaders;
-    the full-batch loader ignores it and reuses ``inputs`` when given.
+    the full-batch loader ignores it.  ``inputs``, when given, is the
+    ``model.prepare_inputs(graph)`` pair: the full-batch loader reuses both,
+    the sampling loaders cut their blocks from its features.
     """
     if sampler not in SAMPLERS:
         raise ValueError(
@@ -319,8 +327,14 @@ def build_loader(
             return FullBatchLoader(graph, seed=seed, inputs=inputs)
         if batch_size is None:
             batch_size = min(graph.num_nodes, 256)
+        features = None if inputs is None else inputs[0]
         if sampler == "neighbor":
             return NeighborLoader(
-                graph, batch_size=batch_size, fanout=fanout, num_hops=num_hops, seed=seed
+                graph,
+                batch_size=batch_size,
+                fanout=fanout,
+                num_hops=num_hops,
+                seed=seed,
+                features=features,
             )
-        return ClusterLoader(graph, batch_size=batch_size, seed=seed)
+        return ClusterLoader(graph, batch_size=batch_size, seed=seed, features=features)

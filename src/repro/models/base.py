@@ -186,6 +186,8 @@ class GAEClusteringModel(Module):
         # Posterior of the most recent encode() call (read by regularization_loss).
         self._last_mu: Optional[Tensor] = None
         self._last_log_sigma: Optional[Tensor] = None
+        # Last k-means fit of a first-group model: (embeddings, labels).
+        self._kmeans_memo: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # construction hooks
@@ -443,29 +445,18 @@ class GAEClusteringModel(Module):
     # clustering interface
     # ------------------------------------------------------------------
     def init_clustering(self, embeddings: np.ndarray) -> None:
-        """Initialise cluster parameters from pretrain embeddings (k-means)."""
-        kmeans = KMeans(self.num_clusters, num_init=10, seed=self.seed).fit(embeddings)
-        centers, variances = estimate_cluster_moments(
-            embeddings, kmeans.labels_, self.num_clusters
-        )
-        self.cluster_centers_ = centers
-        self.cluster_variances_ = variances
+        """Initialise cluster parameters from embeddings (k-means moments)."""
+        self._kmeans_moments(embeddings)
 
     def refresh_clustering(self, embeddings: np.ndarray) -> None:
         """Re-estimate cluster parameters from current embeddings.
 
-        Default: one k-means-style refresh (assign to nearest centre, update
-        moments).  Second-group models override this with their own scheme
-        (trainable centres for DGAE, EM step for GMM-VGAE).
+        Default: refit k-means and take the moments of its hard labels,
+        which is :meth:`init_clustering`.  Second-group models override
+        this with their own scheme (trainable centres for DGAE, EM step for
+        GMM-VGAE).
         """
-        if self.cluster_centers_ is None:
-            self.init_clustering(embeddings)
-            return
-        assignments = self.predict_assignments(embeddings)
-        hard = np.argmax(assignments, axis=1)
-        centers, variances = estimate_cluster_moments(embeddings, hard, self.num_clusters)
-        self.cluster_centers_ = centers
-        self.cluster_variances_ = variances
+        self.init_clustering(embeddings)
 
     def predict_assignments(self, embeddings: np.ndarray) -> np.ndarray:
         """(N, K) clustering assignment matrix ``P`` for given embeddings.
@@ -473,13 +464,34 @@ class GAEClusteringModel(Module):
         First-group models run k-means and return one-hot hard assignments;
         second-group models return their model-specific soft assignments.
         """
-        kmeans = KMeans(self.num_clusters, num_init=10, seed=self.seed).fit(embeddings)
+        labels = self._kmeans_moments(embeddings)
         one_hot = np.zeros((embeddings.shape[0], self.num_clusters))
-        one_hot[np.arange(embeddings.shape[0]), kmeans.labels_] = 1.0
-        self.cluster_centers_, self.cluster_variances_ = estimate_cluster_moments(
-            embeddings, kmeans.labels_, self.num_clusters
-        )
+        one_hot[np.arange(embeddings.shape[0]), labels] = 1.0
         return one_hot
+
+    def _kmeans_moments(self, embeddings: np.ndarray) -> np.ndarray:
+        """Fit k-means on ``embeddings``, keep its cluster moments and
+        return its (read-only) labels.
+
+        K-means is a pure function of (embeddings, K, restarts, seed), and
+        a model fixes the last three, so the last fit is memoised on the
+        embeddings: an R- boundary's refresh, Ξ and the initialisation
+        before it share one fit.  The key compares content against a
+        private copy, so mutating the caller's array in place refits.  The
+        memo is a cache, not state: :meth:`extra_state` leaves it out.
+        """
+        memo = self._kmeans_memo
+        if memo is not None and np.array_equal(memo[0], embeddings):
+            labels = memo[1]
+        else:
+            kmeans = KMeans(self.num_clusters, num_init=10, seed=self.seed).fit(embeddings)
+            labels = kmeans.labels_
+            labels.flags.writeable = False
+            self._kmeans_memo = (np.array(embeddings, dtype=np.float64), labels)
+        self.cluster_centers_, self.cluster_variances_ = estimate_cluster_moments(
+            embeddings, labels, self.num_clusters
+        )
+        return labels
 
     def predict_labels(self, graph: AttributedGraph) -> np.ndarray:
         """Hard cluster labels for every node of ``graph``."""
@@ -498,14 +510,14 @@ class GAEClusteringModel(Module):
     ) -> PretrainResult:
         """Self-supervised pretraining on the raw input graph.
 
-        The reconstruction target is prepared once per call (not at all for
-        0 epochs) and shared by every step.
+        The inputs and the reconstruction target are prepared once per call
+        (not at all for 0 epochs) and shared by every step.
         """
-        features, adj_norm = self.prepare_inputs(graph)
-        optimizer = optimizer or Adam(self.parameters(), lr=self.learning_rate)
         history = PretrainResult()
         if epochs < 1:
             return history
+        features, adj_norm = self.prepare_inputs(graph)
+        optimizer = optimizer or Adam(self.parameters(), lr=self.learning_rate)
         with _span("kernel.reconstruction_target"):
             target = reconstruction_target(graph.adjacency)
 

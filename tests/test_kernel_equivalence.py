@@ -22,7 +22,7 @@ from repro.clustering.kmeans import (
     _pairwise_sq_distances,
     batched_kmeans_plus_plus_init,
 )
-from repro.core.graph_transform import build_clustering_oriented_graph
+from repro.core.graph_transform import _cluster_centroid_nodes, build_clustering_oriented_graph
 from repro.graph.sparse import SparseAdjacency
 from repro.metrics.hungarian import align_labels, hungarian_matching
 from repro.parallel import parallel_map, resolve_jobs, run_seeded, run_trials
@@ -407,6 +407,102 @@ class TestUpsilonEquivalence:
             embeddings,
         )
         np.testing.assert_array_equal(out.to_dense(), dense)
+
+
+def _isin_upsilon(adjacency, assignments, reliable_nodes, embeddings):
+    """The edge-wise Υ with an ``np.isin`` membership test and a first-
+    occurrence dedup, as it was before the test became a binary search."""
+    hard = np.argmax(assignments, axis=1)
+    n = adjacency.num_nodes
+    if reliable_nodes.size == 0:
+        return adjacency.copy()
+    rows, cols, values = adjacency.coo()
+    reliable = np.zeros(n, dtype=bool)
+    reliable[reliable_nodes] = True
+    keep = ~(reliable[rows] & reliable[cols] & (hard[rows] != hard[cols]))
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    centroid_of = np.full(assignments.shape[1], -1, dtype=np.int64)
+    for cluster, node in _cluster_centroid_nodes(
+        embeddings, hard, reliable_nodes, assignments.shape[1]
+    ).items():
+        centroid_of[cluster] = node
+    centroids = centroid_of[hard[reliable_nodes]]
+    valid = (centroids >= 0) & (centroids != reliable_nodes)
+    sources, targets = reliable_nodes[valid], centroids[valid]
+    fired = ~np.isin(sources * n + targets, rows * n + cols)
+    sources, targets = sources[fired], targets[fired]
+    rows = np.concatenate([sources, targets, rows])
+    cols = np.concatenate([targets, sources, cols])
+    values = np.concatenate([np.ones(2 * sources.size), values])
+    _, first = np.unique(rows * n + cols, return_index=True)
+    return SparseAdjacency.from_coo(rows[first], cols[first], values[first], n)
+
+
+def _isin_case(kind, seed):
+    """(adjacency, assignments, reliable nodes, embeddings) of one case."""
+    rng = np.random.default_rng(seed)
+    n, k = 90, 4
+    labels = rng.integers(0, k, n)
+    assignments = np.eye(k)[labels]
+    embeddings = rng.standard_normal((n, 3)) + labels[:, None]
+    reliable = np.sort(rng.choice(n, 60, replace=False))
+    dense = np.triu(rng.random((n, n)) < 0.08, 1).astype(float)
+    dense = dense + dense.T
+    if kind == "weighted_asymmetric":
+        # Directed weights, plus a stored (centroid, node) entry without its
+        # (node, centroid) twin for half the reliable nodes: those adds fire
+        # and overwrite the reverse entry with 1.0.
+        dense = (rng.random((n, n)) < 0.08) * rng.uniform(0.2, 3.0, (n, n))
+        np.fill_diagonal(dense, 0.0)
+        hard = labels
+        centroids = _cluster_centroid_nodes(embeddings, hard, reliable, k)
+        for node in reliable[::2]:
+            centroid = centroids[int(hard[node])]
+            if centroid != node:
+                dense[centroid, node] = 0.5
+                dense[node, centroid] = 0.0
+    elif kind == "no_reliable_nodes":
+        reliable = np.array([], dtype=np.int64)
+    elif kind == "every_edge_dropped":
+        # Every node reliable and every edge joins two clusters.
+        reliable = np.arange(n)
+        dense = dense * (labels[:, None] != labels[None, :])
+    adjacency = SparseAdjacency.from_dense(dense)
+    if kind == "unsorted_csr":
+        # The same matrix with every row's entries in reverse order.
+        order = np.concatenate([
+            np.arange(adjacency.indptr[i + 1] - 1, adjacency.indptr[i] - 1, -1)
+            for i in range(n)
+        ])
+        adjacency = SparseAdjacency(
+            adjacency.data[order], adjacency.indices[order], adjacency.indptr, adjacency.shape
+        )
+    return adjacency, assignments, reliable, embeddings
+
+
+class TestUpsilonMembershipSearch:
+    """Υ's binary-search membership test gives the bytes of ``np.isin``."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", [
+        "symmetric", "weighted_asymmetric", "no_reliable_nodes",
+        "every_edge_dropped", "unsorted_csr",
+    ])
+    def test_matches_the_isin_reference_byte_for_byte(self, kind, seed):
+        adjacency, assignments, reliable, embeddings = _isin_case(kind, seed)
+        out = build_clustering_oriented_graph(adjacency, assignments, reliable, embeddings)
+        expected = _isin_upsilon(adjacency, assignments, reliable, embeddings)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(out, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        if kind == "weighted_asymmetric":
+            dense = out.to_dense()
+            assert np.any(adjacency.to_dense() == 0.5)
+            assert not np.any(dense == 0.5), "every planted reverse entry is overwritten"
+        if kind == "every_edge_dropped":
+            rows, cols, _ = out.coo()
+            assert np.all(np.argmax(assignments, 1)[rows] == np.argmax(assignments, 1)[cols])
+            assert out.nnz > 0
 
 
 # ----------------------------------------------------------------------

@@ -352,6 +352,61 @@ class TestFirstGroupModels:
         assert history["loss"] == []
 
 
+class TestKMeansMemo:
+    """First-group models fit k-means once per distinct embeddings."""
+
+    @staticmethod
+    def _counting_fits(monkeypatch):
+        from repro.clustering.kmeans import KMeans
+
+        fits = []
+        original = KMeans.fit
+
+        def fit(self, data):
+            fits.append(np.array(data, copy=True))
+            return original(self, data)
+
+        monkeypatch.setattr(KMeans, "fit", fit)
+        return fits
+
+    def test_init_refresh_and_assignments_share_one_fit(self, tiny_graph, monkeypatch):
+        model = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+        embeddings = model.embed(tiny_graph)
+        fits = self._counting_fits(monkeypatch)
+        model.init_clustering(embeddings)
+        moments = (model.cluster_centers_.copy(), model.cluster_variances_.copy())
+        model.refresh_clustering(embeddings.copy())
+        assignments = model.predict_assignments(embeddings)
+        assert len(fits) == 1
+        np.testing.assert_array_equal(model.cluster_centers_, moments[0])
+        np.testing.assert_array_equal(model.cluster_variances_, moments[1])
+        fresh = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+        np.testing.assert_array_equal(fresh.predict_assignments(embeddings), assignments)
+
+    def test_in_place_mutation_refits(self, tiny_graph, monkeypatch):
+        model = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+        embeddings = model.embed(tiny_graph)
+        fits = self._counting_fits(monkeypatch)
+        model.predict_assignments(embeddings)
+        embeddings[: embeddings.shape[0] // 2] *= -1.0
+        after = model.predict_assignments(embeddings)
+        assert len(fits) == 2
+        np.testing.assert_array_equal(fits[1], embeddings)
+        fresh = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+        np.testing.assert_array_equal(fresh.predict_assignments(embeddings), after)
+
+    def test_memo_labels_are_read_only_and_not_state(self, tiny_graph):
+        model = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+        embeddings = model.embed(tiny_graph)
+        labels = model._kmeans_moments(embeddings)
+        with pytest.raises(ValueError):
+            labels[0] = labels[0] + 1
+        assert model._kmeans_moments(embeddings) is labels
+        state = model.extra_state()
+        assert set(state) == {"trainable_extras", "cluster_centers", "cluster_variances", "target", "rng"}
+        assert not any(key.startswith("_") for key in model.config_signature())
+
+
 class TestAdversarialModels:
     def test_discriminator_excluded_from_encoder_parameters(self, tiny_graph):
         model = build_model("argae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)

@@ -10,6 +10,11 @@ one miss for the shared dataset spec).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -101,6 +106,43 @@ _CACHED_SPEC = {
     "training": {"pretrain_epochs": 2, "rethink_epochs": 2},
     "rethink": {"overrides": {"update_omega_every": 2, "update_graph_every": 2}},
 }
+
+
+class TestSingleTrialImports:
+    def test_cache_is_one_object_under_both_names(self):
+        from repro.datasets import cache
+
+        assert cache.load_dataset_cached is load_dataset_cached
+        assert cache.dataset_cache_info is dataset_cache_info
+
+    def test_explicit_graph_trial_imports_no_pool_or_harness(self):
+        """A single trial loads neither the process pool nor the harness."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.api import Pipeline
+            from repro.graph.generators import attributed_sbm_graph
+
+            graph = attributed_sbm_graph(
+                num_nodes=60, proportions=[0.5, 0.5], p_intra=0.2, p_inter=0.02,
+                num_features=12, active_per_class=4, signal=0.3, noise=0.02,
+                seed=0, name="probe",
+            )
+            result = (
+                Pipeline().graph(graph).model("gae").rethink().seed(0)
+                .training(pretrain_epochs=2, rethink_epochs=3).run()
+            )
+            assert result.report is not None
+            loaded = ("repro.parallel", "repro.experiments", "multiprocessing")
+            print([name for name in loaded if name in sys.modules])
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestWorkerSideCache:

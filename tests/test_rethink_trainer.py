@@ -201,3 +201,53 @@ def test_exception_inside_an_epoch_marks_its_span(tiny_graph, sampler):
     assert epochs[1]["attributes"]["error"] == "ValueError"
     assert epochs[1]["wall_seconds"] > 0.0
     assert fit["status"] == "error"
+
+
+def _span_names(nodes):
+    for node in nodes:
+        yield node["name"]
+        yield from _span_names(node.get("children", ()))
+
+
+def test_each_boundary_fits_kmeans_and_upsilon_once(tiny_graph):
+    """Epoch 0 reuses the initial fit; no Ξ or Υ runs before the loop.
+
+    21 epochs at M1 = 20, M2 = 10: k-means fits at the initialisation
+    (shared by epoch 0's refresh and Ξ), at epochs 10 and 20 (shared by
+    epoch 20's Ξ) and for the final report; Υ runs at epochs 0, 10, 20.
+    """
+    from repro.observability import tracing_session
+
+    model = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+    config = small_config(
+        epochs=21, pretrain_epochs=2, update_omega_every=20, update_graph_every=10
+    )
+    with tracing_session(enabled=True) as tracer:
+        history = RethinkTrainer(model, config).fit(tiny_graph)
+    names = list(_span_names(tracer.export()))
+    assert names.count("kernel.kmeans_fit") == 4
+    assert names.count("kernel.upsilon") == 3
+    assert names.count("trainer.omega_update") == 2
+    (fit,) = [root for root in tracer.export() if root["name"] == "trainer.fit"]
+    children = [child["name"] for child in fit["children"]]
+    assert children[:2] == ["trainer.pretrain", "trainer.clustering_init"]
+    assert children[-1] == "trainer.final_report"
+    assert history.final_report is not None
+
+
+def test_operator_state_is_empty_until_epoch_zero(tiny_graph):
+    from repro.api.callbacks import LambdaCallback
+
+    model = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+    seen = []
+    probe = LambdaCallback(
+        on_train_begin=lambda graph, history: seen.append(
+            (trainer.last_sampling_, trainer.self_supervision_graph_)
+        )
+    )
+    trainer = RethinkTrainer(model, small_config(epochs=2, pretrain_epochs=1), callbacks=[probe])
+    trainer.fit(tiny_graph)
+    trainer.fit(tiny_graph, pretrained=True)
+    assert seen == [(None, None), (None, None)]
+    assert trainer.last_sampling_ is not None
+    assert trainer.self_supervision_graph_ is not None
