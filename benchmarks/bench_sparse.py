@@ -7,7 +7,12 @@ backend (:mod:`repro.graph.sparse`) rewired:
 * the propagation product itself, ``A_norm @ X`` with d = 32 (``spmm``),
 * GCN propagation, forward + backward, through a
   :class:`~repro.nn.layers.GraphConvolution` layer,
-* the Laplacian quadratic form ``L_C(Z, A)``.
+* the Laplacian quadratic form ``L_C(Z, A)``,
+* the first GCN layer's feature product: forward + backward of a 500 → 32
+  ``GraphConvolution`` whose input features are CSR
+  (:func:`~repro.graph.sparse.feature_matrix`) or a dense BLAS operand, at
+  half and at twice :data:`~repro.graph.sparse.FEATURE_DENSITY_THRESHOLD`
+  (rows ``feature_product@1%`` and ``feature_product@4%``).
 
 Usage::
 
@@ -20,7 +25,10 @@ The dense baseline is only measured up to ``--dense-max`` nodes (default
 where both paths run, the sparse path must be at least ``--min-speedup``
 times faster (default 5×, checked for N ≥ 2000) on the spmm kernel, GCN
 propagation and the quadratic form, otherwise the script exits non-zero so
-CI fails loudly on hot-path perf regressions.
+CI fails loudly on hot-path perf regressions.  The feature-product rows
+are reported, not gated: they record the crossover behind the feature
+density threshold, and like the gated rows they depend on the number of
+BLAS threads.
 """
 
 from __future__ import annotations
@@ -39,12 +47,16 @@ from repro.graph.laplacian import (
     laplacian_quadratic_form_dense,
     normalize_adjacency,
 )
-from repro.graph.sparse import SparseAdjacency
+from repro.graph.sparse import FEATURE_DENSITY_THRESHOLD, SparseAdjacency
 from repro.nn.layers import GraphConvolution
 from repro.observability.metrics import metrics_report as unified_report
 
 FEATURE_DIM = 32
 HIDDEN_DIM = 16
+
+#: bag-of-words width and first-layer width of the feature-product rows.
+WORDS = 500
+WORDS_HIDDEN = 32
 
 
 def random_sparse_graph(n: int, avg_degree: float, seed: int) -> SparseAdjacency:
@@ -74,9 +86,11 @@ def measure(fn: Callable[[], object], repeats: int) -> Dict[str, float]:
     return {"seconds": best, "peak_bytes": int(peak)}
 
 
-def gcn_forward_backward(x: np.ndarray, adjacency, seed: int = 0) -> Callable[[], object]:
+def gcn_forward_backward(
+    x, adjacency, seed: int = 0, hidden_dim: int = HIDDEN_DIM
+) -> Callable[[], object]:
     layer = GraphConvolution(
-        x.shape[1], HIDDEN_DIM, activation="relu", rng=np.random.default_rng(seed)
+        x.shape[1], hidden_dim, activation="relu", rng=np.random.default_rng(seed)
     )
 
     def run():
@@ -138,6 +152,15 @@ def bench_size(n: int, avg_degree: float, repeats: int, dense_max: int, seed: in
             "sparse": lambda: laplacian_quadratic_form(z, sparse),
         },
     }
+
+    for density in (FEATURE_DENSITY_THRESHOLD / 2, FEATURE_DENSITY_THRESHOLD * 2):
+        words = (rng.random((n, WORDS)) < density) * rng.random((n, WORDS))
+        ops[f"feature_product@{density:.0%}"] = {
+            "dense": gcn_forward_backward(words, sparse_norm, hidden_dim=WORDS_HIDDEN),
+            "sparse": gcn_forward_backward(
+                SparseAdjacency.from_matrix(words), sparse_norm, hidden_dim=WORDS_HIDDEN
+            ),
+        }
 
     for op_name, paths in ops.items():
         entry: Dict[str, object] = {}

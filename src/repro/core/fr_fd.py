@@ -17,7 +17,7 @@ node.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -62,8 +62,8 @@ def gradient_cosine(
 
 def feature_randomness_metric(
     model: GAEClusteringModel,
-    features: np.ndarray,
-    adj_norm: np.ndarray,
+    features: Union[np.ndarray, SparseAdjacency],
+    adj_norm: Union[np.ndarray, SparseAdjacency],
     oracle_target: np.ndarray,
     reliable_nodes: Optional[np.ndarray] = None,
 ) -> float:
@@ -94,8 +94,8 @@ def feature_randomness_metric(
 
 def feature_drift_metric(
     model: GAEClusteringModel,
-    features: np.ndarray,
-    adj_norm: np.ndarray,
+    features: Union[np.ndarray, SparseAdjacency],
+    adj_norm: Union[np.ndarray, SparseAdjacency],
     self_supervision_graph: SparseAdjacency,
     oracle_graph: SparseAdjacency,
 ) -> float:

@@ -142,6 +142,15 @@ def _apply_upsilon(
         )
         rows, cols, values = rows[keep], cols[keep], values[keep]
 
+    # The kept entries as ascending, unique (row, col) keys: canonical CSR
+    # already stores them so; other input is sorted, first entry winning.
+    kept = rows * num_nodes + cols
+    if np.any(kept[1:] <= kept[:-1]):
+        order = np.argsort(kept, kind="stable")
+        kept = kept[order]
+        first = np.concatenate(([True], kept[1:] != kept[:-1]))
+        kept, values = kept[first], values[order[first]]
+
     if add_edges:
         centroid_nodes = _cluster_centroid_nodes(
             embeddings, hard, reliable_nodes, num_clusters
@@ -161,26 +170,22 @@ def _apply_upsilon(
         # An add fires only when (node, centroid) is absent after the drops,
         # and a fired add writes *both* directions with 1.0, overwriting any
         # existing reverse entry (this matters for weighted or asymmetric A).
-        kept = rows * num_nodes + cols  # ascending unless A's rows are unsorted
-        if np.any(kept[1:] < kept[:-1]):
-            kept = np.sort(kept)
         fired = ~_sorted_contains(kept, sources * num_nodes + targets)
         sources, targets = sources[fired], targets[fired]
-        added_rows = np.concatenate([sources, targets])
-        added_cols = np.concatenate([targets, sources])
-        # Added edges listed first so they win the dedup below.
-        rows = np.concatenate([added_rows, rows])
-        cols = np.concatenate([added_cols, cols])
-        values = np.concatenate([np.ones(added_rows.shape[0]), values])
+        # Sorted and unique (the return_counts form sorts, see _sorted_contains).
+        added = np.unique(
+            np.concatenate([sources * num_nodes + targets, targets * num_nodes + sources]),
+            return_counts=True,
+        )[0]
+        new = added[~_sorted_contains(kept, added)]
+        at = np.searchsorted(kept, new)
+        kept = np.insert(kept, at, new)
+        values = np.insert(values, at, 1.0)
+        values[np.searchsorted(kept, added)] = 1.0
 
-    keys = rows * num_nodes + cols
-    _, first_occurrence = np.unique(keys, return_index=True)
-    return SparseAdjacency.from_coo(
-        rows[first_occurrence],
-        cols[first_occurrence],
-        values[first_occurrence],
-        num_nodes,
-    )
+    counts = np.bincount(kept // num_nodes, minlength=num_nodes)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return SparseAdjacency(values, kept % num_nodes, indptr, (num_nodes, num_nodes))
 
 
 class GraphTransformOperator:

@@ -294,7 +294,7 @@ class RethinkTrainer:
         #: loader of the current fit (see ``RethinkConfig.sampler``).
         self.loader_ = None
         #: model inputs of the current fit (visible to callbacks).
-        self.features_: Optional[np.ndarray] = None
+        self.features_: Optional[Union[np.ndarray, SparseAdjacency]] = None
         self.adj_norm_: Optional[Union[np.ndarray, SparseAdjacency]] = None
         #: set by callbacks (e.g. ConvergenceStopping) to end training early.
         self.stop_training: bool = False

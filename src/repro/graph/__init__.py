@@ -1,7 +1,7 @@
 """Graph substrate: containers, normalisation, generators and graph edits."""
 
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import SparseAdjacency, propagation_matrix
+from repro.graph.sparse import SparseAdjacency, feature_matrix, propagation_matrix
 from repro.graph.laplacian import (
     degree_vector,
     degree_matrix,
@@ -37,6 +37,7 @@ __all__ = [
     "AttributedGraph",
     "SparseAdjacency",
     "propagation_matrix",
+    "feature_matrix",
     "laplacian_quadratic_form_dense",
     "degree_vector",
     "degree_matrix",

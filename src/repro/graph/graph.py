@@ -26,7 +26,7 @@ def _canonical(adjacency: Union[np.ndarray, SparseAdjacency]) -> SparseAdjacency
     keys = rows * n + cols
     if np.all(np.diff(keys) > 0):
         return adjacency
-    if np.unique(keys).shape[0] != keys.shape[0]:
+    if np.any(np.diff(np.sort(keys)) == 0):
         raise ValueError("adjacency has duplicate entries")
     return SparseAdjacency.from_coo(rows, cols, values, n)
 
@@ -87,7 +87,9 @@ class AttributedGraph:
         Falls back to ``metadata['num_clusters']`` when labels are absent.
         """
         if self.labels is not None:
-            return int(len(np.unique(self.labels)))
+            # The return_counts form sorts; plain np.unique hashes, and
+            # under numpy 2.4 imports numpy.ma on its first call.
+            return int(np.unique(self.labels, return_counts=True)[0].shape[0])
         if "num_clusters" in self.metadata:
             return int(self.metadata["num_clusters"])
         raise ValueError("graph has neither labels nor metadata['num_clusters']")

@@ -1,4 +1,4 @@
-"""CSR sparse adjacency: the one graph format of the library.
+"""CSR sparse matrices: the one graph format of the library.
 
 Every graph this code base trains on is stored as a compressed sparse row
 (CSR) matrix — :class:`SparseAdjacency` — from the moment it enters an
@@ -7,6 +7,8 @@ extremely sparse (|E| ≪ N²), so the class carries the handful of
 operations the training path needs, each in O(|E|) per feature column:
 
 * construction from a dense matrix, a COO triple or an undirected edge list,
+* rectangular (N, F) matrices too, for bag-of-words node features, with a
+  row gather (``matrix[rows]``) for the minibatch blocks,
 * symmetric normalisation ``D^{-1/2} (A + I) D^{-1/2}`` with the same
   isolated-node handling as the dense :func:`repro.graph.laplacian.normalize_adjacency`,
 * sparse @ dense multiplication (``spmm``) in O(|E| d), through a
@@ -21,7 +23,8 @@ The class is deliberately numpy-only, like the rest of the library (numpy
 is its one runtime dependency).  Code that needs an (N, N) array by
 definition calls :meth:`SparseAdjacency.to_dense` itself;
 :func:`propagation_matrix` is the single place that decides whether a
-whole graph propagates through CSR or through a dense BLAS matrix.
+whole graph propagates through CSR or through a dense BLAS matrix, and
+:func:`feature_matrix` the one that decides the same for its features.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ import numpy as np
 __all__ = [
     "SparseAdjacency",
     "propagation_matrix",
+    "feature_matrix",
     "SPARSE_NODE_THRESHOLD",
     "SPARSE_DENSITY_THRESHOLD",
+    "FEATURE_DENSITY_THRESHOLD",
     "ROW_CAP",
 ]
 
@@ -44,6 +49,11 @@ SPARSE_NODE_THRESHOLD = 256
 
 #: above this edge density CSR stops paying for itself.
 SPARSE_DENSITY_THRESHOLD = 0.25
+
+#: at most this share of non-zero features, the first GCN layer's ``X W``
+#: (forward plus backward, d = 32) is faster through CSR than through dense
+#: BLAS.  The crossover lies between 2.5 % and 4 %, lower on larger graphs.
+FEATURE_DENSITY_THRESHOLD = 0.02
 
 #: rows with more stored entries than this are left out of spmm's
 #: position-major runs and summed per feature column with ``np.bincount``:
@@ -107,7 +117,7 @@ class _SpmmLayout(NamedTuple):
 
 
 class SparseAdjacency:
-    """A CSR-format sparse square matrix specialised for graph adjacencies.
+    """A CSR-format sparse matrix specialised for graph adjacencies.
 
     Attributes
     ----------
@@ -118,7 +128,14 @@ class SparseAdjacency:
     indptr:
         (N + 1,) int64 row pointer: row ``i`` owns ``data[indptr[i]:indptr[i+1]]``.
     shape:
-        ``(N, N)``.
+        ``(N, N)`` for an adjacency, ``(N, F)`` for a feature matrix.
+
+    A rectangular matrix supports what a constant operand of a product
+    needs: :meth:`matmul`, :meth:`transpose`, the row gather
+    ``matrix[rows]``, degrees, :meth:`scale` and the conversions.  The
+    graph operations (:attr:`num_nodes`, :meth:`add_self_loops`,
+    :meth:`normalize`, :meth:`induced_subgraph`, :meth:`sample_neighbors`,
+    :meth:`quadratic_form_cross_term`) raise ``ValueError`` on it.
 
     Instances are immutable by convention: every edit operation returns a new
     object so cached degrees, transposes and spmm layouts can never go stale.
@@ -147,8 +164,6 @@ class SparseAdjacency:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.shape = (int(shape[0]), int(shape[1]))
-        if self.shape[0] != self.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {self.shape}")
         if self.indptr.shape[0] != self.shape[0] + 1:
             raise ValueError(
                 f"indptr must have N + 1 = {self.shape[0] + 1} entries, "
@@ -177,6 +192,15 @@ class SparseAdjacency:
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {dense.shape}")
+        return cls.from_matrix(dense)
+
+    @classmethod
+    def from_matrix(cls, dense: np.ndarray) -> "SparseAdjacency":
+        """Build from any dense 2-D matrix, such as (N, F) features, keeping
+        only non-zero entries."""
+        dense = np.asarray(dense, dtype=np.float64)
+        if dense.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {dense.shape}")
         rows, cols = np.nonzero(dense)
         return cls._from_sorted_coo(rows, cols, dense[rows, cols], dense.shape)
 
@@ -256,9 +280,15 @@ class SparseAdjacency:
     # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------
+    def _square(self, operation: str) -> int:
+        """N of an (N, N) matrix; ``ValueError`` names ``operation`` otherwise."""
+        if self.shape[0] != self.shape[1]:
+            raise ValueError(f"{operation} needs a square adjacency, got shape {self.shape}")
+        return self.shape[0]
+
     @property
     def num_nodes(self) -> int:
-        return self.shape[0]
+        return self._square("num_nodes")
 
     @property
     def nnz(self) -> int:
@@ -287,7 +317,7 @@ class SparseAdjacency:
         return self._row_indices
 
     def to_dense(self) -> np.ndarray:
-        """Materialise the dense (N, N) matrix."""
+        """Materialise the dense matrix."""
         dense = np.zeros(self.shape, dtype=np.float64)
         dense[self.row_indices(), self.indices] = self.data
         return dense
@@ -321,7 +351,7 @@ class SparseAdjacency:
     # ------------------------------------------------------------------
     def add_self_loops(self, value: float = 1.0) -> "SparseAdjacency":
         """Return ``A + value·I`` (existing diagonal entries are summed)."""
-        n = self.shape[0]
+        n = self._square("add_self_loops")
         diag = np.arange(n, dtype=np.int64)
         rows = np.concatenate([self.row_indices(), diag])
         cols = np.concatenate([self.indices, diag])
@@ -342,6 +372,7 @@ class SparseAdjacency:
         self loops are added first when requested and isolated nodes keep a
         zero row/column instead of producing NaNs.
         """
+        self._square("normalize")
         matrix = self.add_self_loops() if self_loops else self
         degrees = matrix.out_degrees()
         inv_sqrt = np.zeros_like(degrees)
@@ -465,6 +496,26 @@ class SparseAdjacency:
         local_rows = np.repeat(np.arange(rows.shape[0], dtype=np.int64), counts)
         return positions, counts, local_rows
 
+    def _row_ids(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` as a validated 1-D int64 array of row indices."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1:
+            raise ValueError(f"row indices must be a 1-D array, got shape {rows.shape}")
+        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
+            raise ValueError("row indices out of range")
+        return rows
+
+    def __getitem__(self, rows: np.ndarray) -> "SparseAdjacency":
+        """The rows ``rows`` (a 1-D index array, in that order) as a new
+        (len(rows), F) matrix, like ``dense[rows]``: the minibatch loaders
+        cut a block's features this way whatever their format."""
+        rows = self._row_ids(rows)
+        positions, counts, _ = self._gather_rows(rows)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return SparseAdjacency(
+            self.data[positions], self.indices[positions], indptr, (rows.shape[0], self.shape[1])
+        )
+
     def induced_subgraph(self, nodes: np.ndarray) -> "SparseAdjacency":
         """The subgraph induced by ``nodes``, renumbered to ``0..len(nodes)-1``.
 
@@ -473,15 +524,14 @@ class SparseAdjacency:
         Every stored entry whose endpoints both lie in ``nodes`` is kept with
         its value; everything else is dropped.  Cost is O(deg(nodes) + B log B).
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.ndim != 1:
-            raise ValueError(f"nodes must be a 1-D index array, got shape {nodes.shape}")
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.shape[0]):
-            raise ValueError("node indices out of range")
-        if np.unique(nodes).shape[0] != nodes.shape[0]:
+        n = self._square("induced_subgraph")
+        nodes = self._row_ids(nodes)
+        local = np.full(n, -1, dtype=np.int64)
+        order = np.arange(nodes.shape[0], dtype=np.int64)
+        local[nodes] = order
+        # A repeated node keeps one of its positions, so another reads back wrong.
+        if not np.array_equal(local[nodes], order):
             raise ValueError("nodes must not contain duplicates")
-        local = np.full(self.shape[0], -1, dtype=np.int64)
-        local[nodes] = np.arange(nodes.shape[0], dtype=np.int64)
         positions, _, local_rows = self._gather_rows(nodes)
         cols = self.indices[positions]
         keep = local[cols] >= 0
@@ -504,6 +554,7 @@ class SparseAdjacency:
         for a given ``rng`` state, which is what makes minibatch sequences
         reproducible across processes.
         """
+        self._square("sample_neighbors")
         seeds = np.asarray(seeds, dtype=np.int64)
         if fanout < 1:
             raise ValueError(f"fanout must be >= 1, got {fanout}")
@@ -525,6 +576,7 @@ class SparseAdjacency:
 
     def quadratic_form_cross_term(self, embeddings: np.ndarray) -> float:
         """``Σ_ij a_ij (z_i · z_j)`` computed edge-wise, never forming Z Zᵀ."""
+        self._square("quadratic_form_cross_term")
         if not self.nnz:
             return 0.0
         z = np.asarray(embeddings, dtype=np.float64)
@@ -561,3 +613,23 @@ def propagation_matrix(
     if n >= SPARSE_NODE_THRESHOLD and adjacency.density <= SPARSE_DENSITY_THRESHOLD:
         return adjacency.normalize(self_loops=self_loops)
     return normalize_adjacency(adjacency.to_dense(), self_loops=self_loops)
+
+
+def feature_matrix(features: np.ndarray) -> Union[np.ndarray, SparseAdjacency]:
+    """The (N, F) input features in the format the first GCN layer multiplies.
+
+    Features of graphs with ≥ :data:`SPARSE_NODE_THRESHOLD` nodes of which
+    at most :data:`FEATURE_DENSITY_THRESHOLD` are non-zero (bag-of-words
+    attributes) become a rectangular :class:`SparseAdjacency`, so ``X W``
+    and its backward ``Xᵀ G`` run through the CSR kernel.  Smaller or
+    denser ones are returned as they are and keep the exact BLAS path
+    (bit-identical results).  Like :func:`propagation_matrix`, the choice
+    depends on the graph alone.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if (
+        features.shape[0] >= SPARSE_NODE_THRESHOLD
+        and np.count_nonzero(features) <= FEATURE_DENSITY_THRESHOLD * features.size
+    ):
+        return SparseAdjacency.from_matrix(features)
+    return features

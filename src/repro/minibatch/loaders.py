@@ -35,7 +35,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import SparseAdjacency, propagation_matrix
+from repro.graph.sparse import SparseAdjacency, feature_matrix, propagation_matrix
 from repro.minibatch.partition import ClusterPartitioner, GraphPartition
 from repro.nn.functional import TiledTarget
 from repro.observability.tracer import span as _span
@@ -53,8 +53,13 @@ __all__ = [
 #: sampler names accepted by ``RethinkConfig.sampler`` / ``--sampler``.
 SAMPLERS = ("full", "neighbor", "cluster")
 
+#: a model input: dense on small or dense graphs, CSR on large sparse ones
+#: (:func:`~repro.graph.sparse.feature_matrix`,
+#: :func:`~repro.graph.sparse.propagation_matrix`).
+Operand = Union[np.ndarray, SparseAdjacency]
+
 #: full-graph (row-normalised features, GCN propagation matrix) pair.
-Inputs = Tuple[np.ndarray, Union[np.ndarray, SparseAdjacency]]
+Inputs = Tuple[Operand, Operand]
 
 
 @dataclass
@@ -68,11 +73,13 @@ class Minibatch:
 
     #: global ids of the block's nodes; defines the local renumbering.
     node_ids: np.ndarray
-    #: (B, J) row-normalised feature slice.
-    features: np.ndarray
+    #: (B, J) row-normalised feature slice, in the whole graph's format
+    #: (:func:`~repro.graph.sparse.feature_matrix`): the rows of an (N, J)
+    #: CSR matrix are a (B, J) CSR matrix.
+    features: Operand
     #: GCN propagation matrix of the block: CSR for sampled blocks, the
     #: whole graph's :func:`~repro.graph.sparse.propagation_matrix` otherwise.
-    adj_norm: Union[np.ndarray, SparseAdjacency]
+    adj_norm: Operand
     #: global ids of the seed nodes that spawned the batch (== node_ids for
     #: full-batch and cluster loaders; a prefix of node_ids for neighbour
     #: sampling, where the remaining rows are sampled context).
@@ -138,7 +145,7 @@ class FullBatchLoader(MinibatchLoader):
         self.seed = int(seed)
         if inputs is None:
             inputs = (
-                graph.row_normalized_features(),
+                feature_matrix(graph.row_normalized_features()),
                 propagation_matrix(graph.adjacency, self_loops=True),
             )
         node_ids = np.arange(graph.num_nodes, dtype=np.int64)
@@ -160,7 +167,7 @@ class FullBatchLoader(MinibatchLoader):
 
 def _induced_minibatch(
     sparse: SparseAdjacency,
-    features: np.ndarray,
+    features: Operand,
     node_ids: np.ndarray,
     seed_ids: np.ndarray,
 ) -> Minibatch:
@@ -184,7 +191,8 @@ class NeighborLoader(MinibatchLoader):
     times with at most ``fanout`` sampled neighbours per frontier node, and
     the batch block is the subgraph induced by the union.  Seeds occupy the
     first ``num_seeds`` rows of each block.  ``features`` is the graph's
-    row-normalised feature matrix, when the caller already has it.
+    row-normalised feature matrix in its model-input format, when the
+    caller already has it.
     """
 
     def __init__(
@@ -194,7 +202,7 @@ class NeighborLoader(MinibatchLoader):
         fanout: int = 10,
         num_hops: int = 2,
         seed: int = 0,
-        features: Optional[np.ndarray] = None,
+        features: Optional[Operand] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -207,7 +215,9 @@ class NeighborLoader(MinibatchLoader):
         self.fanout = int(fanout)
         self.num_hops = int(num_hops)
         self.seed = int(seed)
-        self._features = graph.row_normalized_features() if features is None else features
+        if features is None:
+            features = feature_matrix(graph.row_normalized_features())
+        self._features = features
 
     @property
     def batches_per_epoch(self) -> int:
@@ -225,7 +235,11 @@ class NeighborLoader(MinibatchLoader):
                     if frontier.size == 0:
                         break
                     _, sampled = self.graph.adjacency.sample_neighbors(frontier, self.fanout, rng)
-                    frontier = np.setdiff1d(sampled, block_nodes, assume_unique=False)
+                    # The sorted unique sampled nodes not yet in the block.  The
+                    # return_counts form sorts; plain np.unique (and setdiff1d)
+                    # hash, and under numpy 2.4 import numpy.ma on first use.
+                    frontier = np.unique(sampled, return_counts=True)[0]
+                    frontier = frontier[~np.isin(frontier, block_nodes, assume_unique=True)]
                     block_nodes = np.concatenate([block_nodes, frontier])
             yield _induced_minibatch(self.graph.adjacency, self._features, block_nodes, seeds)
 
@@ -245,8 +259,9 @@ class ClusterLoader(MinibatchLoader):
     directly.  Each part's renumbered block (features, per-batch
     normalisation) is built once at construction and reused every epoch —
     only the batch order is reshuffled.  The blocks are cut from
-    ``features`` (the graph's row-normalised features, built here when not
-    given); the loader keeps no whole-graph copy of them.
+    ``features`` (the graph's row-normalised features in their model-input
+    format, built here when not given); the loader keeps no whole-graph
+    copy of them.
     """
 
     def __init__(
@@ -257,7 +272,7 @@ class ClusterLoader(MinibatchLoader):
         seed: int = 0,
         partition: Optional[GraphPartition] = None,
         shuffle: bool = True,
-        features: Optional[np.ndarray] = None,
+        features: Optional[Operand] = None,
     ) -> None:
         self.graph = graph
         self.seed = int(seed)
@@ -276,7 +291,7 @@ class ClusterLoader(MinibatchLoader):
             )
         self.partition = partition
         if features is None:
-            features = graph.row_normalized_features()
+            features = feature_matrix(graph.row_normalized_features())
         self._batches: List[Minibatch] = [
             _induced_minibatch(graph.adjacency, features, part, part)
             for part in partition.parts

@@ -29,7 +29,7 @@ from repro.analysis.sanitizers import autograd_leak_check
 from repro.clustering.assignments import estimate_cluster_moments
 from repro.clustering.kmeans import KMeans
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import SparseAdjacency, propagation_matrix
+from repro.graph.sparse import SparseAdjacency, feature_matrix, propagation_matrix
 from repro.nn import functional as F
 from repro.nn.layers import GraphConvolution
 from repro.nn.module import Module
@@ -261,22 +261,25 @@ class GAEClusteringModel(Module):
     @staticmethod
     def prepare_inputs(
         graph: AttributedGraph,
-    ) -> Tuple[np.ndarray, Union[np.ndarray, SparseAdjacency]]:
+    ) -> Tuple[Union[np.ndarray, SparseAdjacency], Union[np.ndarray, SparseAdjacency]]:
         """Return (row-normalised features, GCN propagation matrix).
 
-        The propagation matrix is a :class:`~repro.graph.sparse.SparseAdjacency`
-        for large sparse graphs and a dense array for small or dense ones (see
-        :func:`~repro.graph.sparse.propagation_matrix`); the GCN layers accept
-        both, so callers should treat it as an opaque operator.
+        Each is a :class:`~repro.graph.sparse.SparseAdjacency` on large
+        sparse graphs and a dense array on small or dense ones: the
+        features become an (N, F) CSR matrix when few of them are non-zero
+        (:func:`~repro.graph.sparse.feature_matrix`), the propagation
+        matrix when few edges exist
+        (:func:`~repro.graph.sparse.propagation_matrix`).  The GCN layers
+        accept both, so callers should treat them as opaque operators.
         """
-        features = graph.row_normalized_features()
+        features = feature_matrix(graph.row_normalized_features())
         adj_norm = propagation_matrix(graph.adjacency, self_loops=True)
         return features, adj_norm
 
     # ------------------------------------------------------------------
     # encoding / decoding
     # ------------------------------------------------------------------
-    def encode(self, features: np.ndarray, adj_norm, sample: bool = True) -> Tensor:
+    def encode(self, features, adj_norm, sample: bool = True) -> Tensor:
         """Latent representation tensor ``Z`` (differentiable).
 
         Variational models return a reparameterised sample during training
@@ -299,7 +302,7 @@ class GAEClusteringModel(Module):
         """Deterministic embeddings (posterior mean) as a numpy array."""
         return self.embed_inputs(*self.prepare_inputs(graph))
 
-    def embed_inputs(self, features: np.ndarray, adj_norm) -> np.ndarray:
+    def embed_inputs(self, features, adj_norm) -> np.ndarray:
         """:meth:`embed` on inputs already built by :meth:`prepare_inputs`.
 
         One no-grad posterior-mean forward; it consumes no RNG, so training

@@ -69,20 +69,22 @@ def spmm(adjacency, x: ArrayOrTensor) -> Tensor:
     """Sparse-dense product ``A @ X`` with autograd support through ``X``.
 
     ``adjacency`` is a constant :class:`~repro.graph.sparse.SparseAdjacency`
-    (or any object exposing ``matmul``/``transpose``): the GCN propagation
-    matrix is fixed for a given graph, so no gradient flows into it.  The
-    backward pass is ``∂L/∂X = Aᵀ @ ∂L/∂out``, also computed sparsely, which
-    keeps both directions at O(nnz · d) instead of O(N² d).  Both products
-    run inside a ``kernel.spmm`` span.
+    (or any object exposing ``matmul``/``transpose``), so no gradient flows
+    into it: the (N, N) GCN propagation matrix, which is fixed for a given
+    graph, or the (N, F) input features of the first GCN layer, which
+    multiply its weight ``W`` as ``spmm(X, W)``.  The backward pass is
+    ``∂L/∂X = Aᵀ @ ∂L/∂out`` (``∂L/∂W = Xᵀ G`` for the features), also
+    computed sparsely on the cached transpose, which keeps both directions
+    at O(nnz · d) instead of O(N² d).  Both products run inside a
+    ``kernel.spmm`` span.
     """
     x_t = as_tensor(x)
     with _span("kernel.spmm"):
         out_data = adjacency.matmul(x_t.data)
-    adjacency_t = adjacency.transpose()
 
     def backward(grad: np.ndarray):
         with _span("kernel.spmm"):
-            return (adjacency_t.matmul(grad),)
+            return (adjacency.transpose().matmul(grad),)
 
     return x_t._make_child(out_data, (x_t,), backward)
 

@@ -75,6 +75,10 @@ class GraphConvolution(Module):
     rewrite the graph during training).  It may be a dense ``(N, N)`` array
     or a :class:`~repro.graph.sparse.SparseAdjacency`; the sparse form runs
     propagation (forward and backward) in O(|E| d) via :func:`repro.nn.functional.spmm`.
+    The input ``X`` may likewise be an (N, F) ``SparseAdjacency``: the
+    first layer's constant bag-of-words features
+    (:func:`~repro.graph.sparse.feature_matrix`), whose product ``X W``
+    and weight gradient ``Xᵀ G`` then also run through ``spmm``.
     """
 
     def __init__(
@@ -94,7 +98,10 @@ class GraphConvolution(Module):
         self.activation = resolve_activation(activation)
 
     def forward(self, x, adj_norm) -> Tensor:
-        support = as_tensor(x) @ self.weight
+        if isinstance(x, SparseAdjacency):
+            support = F.spmm(x, self.weight)
+        else:
+            support = as_tensor(x) @ self.weight
         if isinstance(adj_norm, SparseAdjacency):
             out = F.spmm(adj_norm, support)
         else:

@@ -144,6 +144,48 @@ class TestSingleTrialImports:
         )
         assert out.stdout.strip().splitlines()[-1] == "[]"
 
+    def test_sampled_trials_leave_numpy_ma_unimported(self):
+        """Plain ``np.unique`` / ``np.setdiff1d`` import ``numpy.ma`` on first
+        use under numpy 2.4 (9–18 ms): no trial may call them, from building
+        the graph out of unsorted CSR to the final report."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from repro.api import Pipeline
+            from repro.graph import SparseAdjacency
+            from repro.graph.generators import attributed_sbm_graph
+
+            graph = attributed_sbm_graph(
+                num_nodes=300, proportions=[0.5, 0.5], p_intra=0.05, p_inter=0.005,
+                num_features=200, active_per_class=10, signal=0.1, noise=0.01,
+                seed=0, name="probe",
+            )
+            a = graph.adjacency
+            # Every row's entries reversed: AttributedGraph sorts them again.
+            order = np.concatenate(
+                [np.arange(a.indptr[i + 1] - 1, a.indptr[i] - 1, -1) for i in range(300)]
+            )
+            before = "numpy.ma" in sys.modules
+            graph = graph.with_adjacency(
+                SparseAdjacency(a.data[order], a.indices[order], a.indptr, a.shape)
+            )
+            for sampler in ("cluster", "neighbor"):
+                result = (
+                    Pipeline().graph(graph).model("gae").minibatch(sampler, batch_size=128)
+                    .rethink().seed(0).training(pretrain_epochs=2, rethink_epochs=3).run()
+                )
+                assert result.report is not None
+            print(before, "numpy.ma" in sys.modules)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip().splitlines()[-1] == "False False"
+
 
 class TestWorkerSideCache:
     def test_pool_workers_load_dataset_once(self):
