@@ -10,6 +10,10 @@ Measures what the checkpointing subsystem buys and costs:
 * **snapshot save/load latency** — ``Snapshot.capture`` → ``store.put``
   and ``store.get`` → ``snapshot.apply`` round trips per model, so the
   fixed cost of a checkpoint is a tracked number rather than folklore.
+* **concurrent put** — two processes each ``put`` one key 300 times, as
+  two sweeps sharing one store can.  Every call must succeed and the
+  artifact left behind must pass ``store.get``'s verification — CI fails
+  otherwise.
 
 Usage::
 
@@ -22,11 +26,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import shutil
 import sys
 import tempfile
 import time
-from typing import Dict, List
+from typing import Any, Dict, List
+
+import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_model_pair
@@ -68,6 +75,51 @@ def snapshot_latency(model_name: str, dataset: str, epochs: int, store_dir: str,
         store.get(key).apply(target, restore_rng=True)
         load_best = min(load_best, time.perf_counter() - start)
     return {"save_seconds": save_best, "load_seconds": load_best}
+
+
+def _put_repeatedly(store_dir: str, key: str, puts: int) -> List[str]:
+    """``puts`` puts of one small snapshot under ``key``; the errors raised."""
+    store = ArtifactStore(store_dir)
+    snapshot = Snapshot(
+        model_class="Probe", params={"w": np.arange(64.0)}, extra={}, config={}
+    )
+    errors = []
+    for _ in range(puts):
+        try:
+            store.put(key, snapshot)
+        except Exception as error:  # counted: the row fails on any of them
+            errors.append(f"{type(error).__name__}: {error}")
+    return errors
+
+
+def _wait_for(barrier: Any) -> None:
+    barrier.wait()  # the writers start putting together, not one import apart
+
+
+def concurrent_put(store_dir: str, writers: int = 2, puts: int = 300) -> Dict[str, Any]:
+    """``writers`` processes put one key ``puts`` times each, then one verified get."""
+    key = "c0" * 32
+    context = multiprocessing.get_context("spawn")
+    start = time.perf_counter()
+    with context.Pool(
+        writers, initializer=_wait_for, initargs=(context.Barrier(writers),)
+    ) as pool:
+        per_writer = pool.starmap(_put_repeatedly, [(store_dir, key, puts)] * writers)
+    seconds = time.perf_counter() - start
+    errors = [error for errors in per_writer for error in errors]
+    store = ArtifactStore(store_dir)
+    try:
+        store.get(key)
+    except Exception as error:  # counted like a failed put
+        errors.append(f"get: {type(error).__name__}: {error}")
+    return {
+        "check": "concurrent_put",
+        "writers": writers,
+        "puts_per_writer": puts,
+        "seconds": seconds,
+        "errors": len(errors),
+        "first_error": errors[0] if errors else None,
+    }
 
 
 def main(argv=None) -> int:
@@ -139,13 +191,28 @@ def main(argv=None) -> int:
             f"load {latency['load_seconds'] * 1e3:.1f}ms)"
         )
 
+    store_dir = tempfile.mkdtemp(prefix="bench-store-")
+    try:
+        race = concurrent_put(store_dir)
+    finally:
+        shutil.rmtree(store_dir, ignore_errors=True)
+    report["results"].append(race)
+    print(
+        f"concurrent_put: {race['writers']} processes x {race['puts_per_writer']} "
+        f"puts of one key in {race['seconds']:.2f}s, {race['errors']} error(s)"
+    )
+    if race["errors"]:
+        failures.append(
+            f"concurrent_put: {race['errors']} error(s), first: {race['first_error']}"
+        )
+
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(report, handle, indent=2)
         print(f"wrote {args.output}")
 
     if failures:
-        print("WARM-START REGRESSION:", file=sys.stderr)
+        print("ARTIFACT STORE REGRESSION:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1

@@ -582,7 +582,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 2
             print(f"repro-run: wrote Chrome trace to {trace_path}", file=sys.stderr)
         if args.save_to:
-            saved = Pipeline.save(results[0], args.save_to)
+            saved = results[0].save(args.save_to)
             print(f"repro-run: saved snapshot to {saved}", file=sys.stderr)
     except ReproError as error:
         # Unknown dataset / model / callback names only surface when the

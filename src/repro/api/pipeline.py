@@ -549,14 +549,6 @@ class Pipeline:
     # ------------------------------------------------------------------
     # artifact round-trip
     # ------------------------------------------------------------------
-    @staticmethod
-    def save(result: RunResult, path: str) -> str:
-        """Persist a trained :class:`RunResult` as a snapshot file.
-
-        Equivalent to ``result.save(path)``; see :meth:`RunResult.save`.
-        """
-        return result.save(path)
-
     @classmethod
     def load(cls, path: str) -> RunResult:
         """Rebuild a trained model from a snapshot file, without training.
@@ -576,7 +568,7 @@ class Pipeline:
         if snapshot.spec is None:
             raise StoreError(
                 f"snapshot {path!r} carries no RunSpec; only artifacts saved "
-                "through Pipeline.save / RunResult.save can be loaded here"
+                "through RunResult.save can be loaded here"
             )
         spec = RunSpec.from_dict(snapshot.spec)
         num_features = snapshot.config.get("num_features")

@@ -19,9 +19,11 @@ journal entry is *indistinguishable* from re-running the trial — which is
 what makes ``repro-run --resume`` safe: finished trials are skipped and the
 resumed sweep's results equal an uninterrupted run's bit for bit.
 
-Journal entries ride on the store's hardened blob layer: SHA-256 sidecar
-checksums verified on read, corrupt entries quarantined and treated as
-missing (the trial simply re-runs), atomic tmp-file writes.
+Journal entries are store blobs: written atomically with a manifest that
+records their SHA-256, verified on every read, and quarantined when
+corrupt, which the journal treats as missing (the trial simply re-runs).
+Entries journaled before blobs had manifests (a pickle plus a ``.sha256``
+sidecar) count as corrupt, so their trials re-run once on resume.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ The persistence layer between training and everything downstream:
   schema checks and fail-fast validation against the target model.
 * :class:`~repro.store.store.ArtifactStore` — a content-addressed
   filesystem store (``REPRO_STORE_DIR``) keyed by stable hashes of
-  ``(dataset, model, variant, seed, config)``.
+  ``(dataset, model, variant, seed, config)``.  Snapshots and journal
+  blobs alike are a payload plus a JSON manifest recording its SHA-256,
+  written atomically and verified on every read.
 * :func:`~repro.store.pretrain_cache.warm_pretrain` — the pretraining
   snapshot cache that lets D / R-D pairs and multi-seed sweeps skip
   re-pretraining while staying bitwise identical to cold runs.
@@ -23,8 +25,8 @@ Typical use::
     ...
     store.get(key).apply(model, optimizer=opt)   # bitwise resume
 
-or, end to end, ``Pipeline.save(result, path)`` / ``Pipeline.load(path)``
-and ``repro-run --warm-start / --save-to / --from-checkpoint``.
+or, end to end, ``result.save(path)`` / ``Pipeline.load(path)`` and
+``repro-run --warm-start / --save-to / --from-checkpoint``.
 """
 
 from repro.errors import (

@@ -17,7 +17,6 @@ robustness-sweep graphs never alias the clean dataset they came from.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from typing import Any, Dict, Optional
@@ -30,7 +29,7 @@ from repro.errors import (
 from repro.observability.metrics import metric_inc
 from repro.store.keys import graph_fingerprint, pretrain_key
 from repro.store.snapshot import Snapshot
-from repro.store.store import QUARANTINE_DIR, ArtifactStore, active_store
+from repro.store.store import ArtifactStore, active_store
 
 
 def disabled_stats() -> Dict[str, Any]:
@@ -95,17 +94,10 @@ def warm_pretrain(
 
     key = pretrain_cache_key(model, pretrain_epochs, dataset=dataset, graph=graph)
     degraded_reason = None
-    quarantined_path = None
     try:
         snapshot = store.get(key, default=None)
     except (ArtifactCorruptError, SnapshotSchemaError) as error:
         degraded_reason = f"{type(error).__name__}: {error}"
-        original = getattr(error, "path", None)
-        if original:
-            # The store moved the corrupt object here before raising.
-            quarantined_path = os.path.join(
-                store.root, QUARANTINE_DIR, os.path.basename(original)
-            )
         snapshot = None
     if snapshot is not None:
         try:
@@ -122,17 +114,12 @@ def warm_pretrain(
         metric_inc("pretrain.warm_misses")
         if degraded_reason is not None:
             metric_inc("pretrain.degraded")
-            # The full key and the quarantine destination make the incident
-            # actionable straight from the log: `repro-run store-gc` output
-            # and the quarantine/ listing both speak the same names.
-            quarantine_note = (
-                f"; corrupt artifact kept at {quarantined_path}"
-                if quarantined_path is not None
-                else ""
-            )
+            # The full key and, for a corrupt artifact, the quarantine path
+            # the store's error names make the incident actionable straight
+            # from the log: the quarantine/ listing speaks the same names.
             warnings.warn(
                 f"warm start for key {key} (store {store.root}) degraded to "
-                f"cold pretraining ({degraded_reason}){quarantine_note}",
+                f"cold pretraining ({degraded_reason})",
                 RuntimeWarning,
                 stacklevel=2,
             )

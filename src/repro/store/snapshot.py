@@ -23,9 +23,7 @@ mid-training.
 
 from __future__ import annotations
 
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -195,19 +193,15 @@ class Snapshot:
             schema_version=version,
         )
 
+    def to_bytes(self) -> bytes:
+        """The pickled :meth:`to_payload` dict (the inverse of :meth:`from_bytes`)."""
+        return pickle.dumps(self.to_payload(), protocol=pickle.HIGHEST_PROTOCOL)
+
     def save(self, path: str) -> str:
-        """Write the snapshot to ``path`` atomically (tmp file + rename)."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        os.makedirs(directory, exist_ok=True)
-        handle, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                pickle.dump(self.to_payload(), stream, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        """Write the snapshot to ``path`` atomically, through the store's writer."""
+        from repro.store.store import _write_atomic  # store.py imports this module
+
+        _write_atomic(path, self.to_bytes())
         return path
 
     @classmethod

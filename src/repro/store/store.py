@@ -1,37 +1,47 @@
 """Filesystem-backed, content-addressed artifact store.
 
-An :class:`ArtifactStore` maps stable keys (hex digests from
-:mod:`repro.store.keys`) to :class:`~repro.store.snapshot.Snapshot` files
-under one root directory:
+An :class:`ArtifactStore` keeps every artifact under one root directory as
+a payload plus a JSON manifest ``<stem>.json`` beside it that records the
+payload's SHA-256.  Two kinds of artifact share that layout:
 
-* ``<root>/objects/<key[:2]>/<key>.snap`` — the pickled snapshot payload,
-* ``<root>/objects/<key[:2]>/<key>.json`` — a small human-readable manifest
-  (model class, phase, epoch, schema version, the producing spec, and the
-  payload's SHA-256) so a store can be inspected with ``cat`` and ``ls``,
-* ``<root>/<category>/<name>.pkl`` (+ ``.sha256`` sidecar) — generic blob
-  payloads, used by sweep journals (:mod:`repro.resilience.journal`),
-* ``<root>/quarantine/`` — where corrupt objects are moved, never served.
+* ``<root>/objects/<key[:2]>/<key>.snap`` — a pickled
+  :class:`~repro.store.snapshot.Snapshot`, keyed by a hex digest from
+  :mod:`repro.store.keys`.  Its manifest also holds the model class, phase,
+  epoch, schema version and producing spec, so a store can be inspected
+  with ``cat`` and ``ls``.
+* ``<root>/<category>/<name>.pkl`` — a pickled blob, used by sweep journals
+  (:mod:`repro.resilience.journal`).
+
+``<root>/quarantine/`` is where corrupt artifacts are moved, never served.
 
 The root comes from the ``REPRO_STORE_DIR`` environment variable by
 default; :func:`active_store` returns ``None`` when that variable is unset,
 which is how the warm-start machinery stays a no-op until a store is
-configured.  Writes are atomic (tmp file + rename), so concurrent sweep
-workers racing to populate the same key simply last-write-win with
-identical bytes.
+configured.
 
-**Integrity.** Every write records the payload's SHA-256 (in the manifest
-for snapshots, in a sidecar for blobs) and every read verifies it before
-unpickling; a mismatch — truncated file, flipped bits, torn write — moves
-the object into ``quarantine/`` and raises the typed
-:class:`~repro.errors.ArtifactCorruptError` carrying the offending path.
-Corrupt artifacts are therefore *detected at the boundary*, counted in
-:meth:`ArtifactStore.stats`, and can never silently poison a warm start or
-a resumed sweep.
+**Writes.** Every file goes through one atomic writer: a unique temp file,
+then a rename.  Readers see the old file or the new one, and concurrent
+workers writing the same key last-write-win with identical bytes.  The
+manifest lands before its payload, so a payload on disk has its manifest.
+
+**Reads.** Every read checks the payload against its manifest before
+decoding it.  A missing or unreadable manifest, one without a digest, a
+digest mismatch (truncated file, flipped bits, torn write) or a payload
+that cannot be decoded moves the payload and its manifest into
+``quarantine/`` and raises the typed
+:class:`~repro.errors.ArtifactCorruptError`, whose ``path`` is the
+quarantined payload.  Corrupt artifacts are therefore *detected at the
+boundary*, counted in :meth:`ArtifactStore.stats`, and can never silently
+poison a warm start or a resumed sweep.  Stores written before manifests
+covered every artifact degrade once: a journal entry with a ``.sha256``
+sidecar, or a snapshot manifest without ``sha256``, is quarantined on its
+first read, so that trial re-runs or that warm start pretrains cold.
 
 **Eviction.** Sweeps grow a store without bound; :meth:`ArtifactStore.gc`
 (CLI: ``repro-run store-gc``, budget: ``REPRO_STORE_MAX_BYTES``) evicts
-least-recently-used artifacts — reads touch mtimes — until the store fits
-its byte budget.  Quarantined files are exempt: they are evidence.
+least-recently-used artifacts — reads touch mtimes — payload and manifest
+together, until the store fits its byte budget.  Quarantined files are
+exempt: they are evidence.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import env as repro_env
 from repro.errors import (
@@ -61,6 +71,10 @@ STORE_DIR_ENV = repro_env.STORE_DIR_ENV
 DEFAULT_STORE_DIR = ".repro-store"
 #: subdirectory corrupt artifacts are moved into (never read back).
 QUARANTINE_DIR = "quarantine"
+
+#: payload suffixes of snapshots and blobs; every manifest is ``<stem>.json``.
+_SNAPSHOT = ".snap"
+_BLOB = ".pkl"
 
 _MISSING = object()
 
@@ -87,16 +101,23 @@ def _check_blob_part(part: str, what: str) -> str:
     return part
 
 
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _manifest_path(payload_path: str) -> str:
+    return os.path.splitext(payload_path)[0] + ".json"
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+def _stems(directory: str, suffix: str) -> List[str]:
+    """Stems of the payloads ending in ``suffix`` in ``directory`` (unsorted)."""
+    if not os.path.isdir(directory):
+        return []
+    return [name[: -len(suffix)] for name in os.listdir(directory) if name.endswith(suffix)]
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a unique temp file and one rename.
+
+    The store's only writer; :meth:`Snapshot.save` uses it too.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     handle, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -104,13 +125,31 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
             stream.write(data)
         os.replace(tmp_path, path)
     except BaseException:
-        if os.path.exists(tmp_path):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp_path)
         raise
 
 
+def _recorded_sha256(manifest_path: str) -> Optional[str]:
+    """The payload digest a manifest records (None: missing or unreadable)."""
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as stream:
+            manifest = json.load(stream)
+    except (OSError, ValueError):
+        return None
+    value = manifest.get("sha256") if isinstance(manifest, dict) else None
+    return value if isinstance(value, str) else None
+
+
+def _unpickle_blob(data: bytes, path: str) -> Any:
+    try:
+        return pickle.loads(data)
+    except (pickle.UnpicklingError, EOFError, AttributeError, ValueError, IndexError) as error:
+        raise ArtifactCorruptError(path, f"blob cannot be unpickled: {error}") from error
+
+
 class ArtifactStore:
-    """Content-addressed snapshot store rooted at one directory."""
+    """Content-addressed snapshot and blob store rooted at one directory."""
 
     def __init__(self, root: Optional[str] = None) -> None:
         if root is None:
@@ -128,10 +167,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def _object_path(self, key: str) -> str:
         key = _check_key(key)
-        return os.path.join(self.root, "objects", key[:2], f"{key}.snap")
-
-    def _manifest_path(self, key: str) -> str:
-        return self._object_path(key)[: -len(".snap")] + ".json"
+        return os.path.join(self.root, "objects", key[:2], key + _SNAPSHOT)
 
     def _blob_path(self, category: str, name: str) -> str:
         parts = [_check_blob_part(part, "category") for part in str(category).split("/")]
@@ -139,10 +175,83 @@ class ArtifactStore:
             raise StoreError(
                 f"blob category {category!r} collides with a reserved store area"
             )
-        return os.path.join(self.root, *parts, f"{_check_blob_part(name, 'name')}.pkl")
+        return os.path.join(self.root, *parts, _check_blob_part(name, "name") + _BLOB)
 
     def _quarantine_path(self) -> str:
         return os.path.join(self.root, QUARANTINE_DIR)
+
+    # ------------------------------------------------------------------
+    # the one artifact path: a payload and its manifest, as one unit
+    # ------------------------------------------------------------------
+    def _write(self, path: str, name: str, data: bytes, fields: Dict[str, Any]) -> str:
+        """Write the manifest, then the payload ``data`` at ``path``.
+
+        The manifest records ``name``, the payload's SHA-256 and ``fields``;
+        ``name`` is also the artifact's ``store_corrupt`` fault key.
+        """
+        from repro.resilience.faults import corrupt_file
+
+        manifest = {"key": name, "sha256": hashlib.sha256(data).hexdigest(), **fields}
+        text = json.dumps(manifest, indent=2, default=str)
+        _write_atomic(_manifest_path(path), text.encode("utf-8"))
+        _write_atomic(path, data)
+        # after the digest: an injected torn write must be *detected* by the
+        # checksum verification, exactly like real post-write corruption
+        corrupt_file("store_write", name, path)
+        self._stats["puts"] += 1
+        metric_inc("store.puts")
+        return path
+
+    def _read(
+        self, path: str, name: str, decode: Callable[[bytes, str], Any], default: Any
+    ) -> Any:
+        """Verify the payload at ``path`` against its manifest, then ``decode`` it.
+
+        A missing payload is a miss.  Anything else that fails — no usable
+        manifest digest, a mismatch, or an :class:`ArtifactCorruptError`
+        from ``decode`` — quarantines the artifact before raising.
+        """
+        try:
+            with open(path, "rb") as stream:
+                data = stream.read()
+        except FileNotFoundError:
+            self._stats["misses"] += 1
+            metric_inc("store.misses")
+            if default is _MISSING:
+                raise ArtifactNotFoundError(name, self.root) from None
+            return default
+        expected = _recorded_sha256(_manifest_path(path))
+        if expected is None:
+            raise self._corrupt(path, "no readable manifest records its SHA-256")
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != expected:
+            raise self._corrupt(
+                path,
+                f"payload SHA-256 {actual[:12]}… does not match the "
+                f"manifest's {expected[:12]}… (truncated or torn write)",
+            )
+        try:
+            value = decode(data, path)
+        except ArtifactCorruptError as error:
+            raise self._corrupt(path, error.reason) from error
+        os.utime(path)
+        self._stats["hits"] += 1
+        metric_inc("store.hits")
+        return value
+
+    def _corrupt(self, path: str, reason: str) -> ArtifactCorruptError:
+        """Quarantine the artifact at ``path``; the error names where it went."""
+        moved = self.quarantine(path, _manifest_path(path))
+        return ArtifactCorruptError(moved[0] if moved else path, f"{reason}; quarantined")
+
+    def _remove(self, path: str) -> bool:
+        """Delete the artifact at ``path``, payload first; returns whether any file went."""
+        removed = False
+        for member in (path, _manifest_path(path)):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(member)
+                removed = True
+        return removed
 
     # ------------------------------------------------------------------
     # quarantine
@@ -158,10 +267,11 @@ class ArtifactStore:
         os.makedirs(destination_dir, exist_ok=True)
         moved: List[str] = []
         for path in paths:
-            if not os.path.exists(path):
-                continue
             destination = os.path.join(destination_dir, os.path.basename(path))
-            os.replace(path, destination)
+            try:
+                os.rename(path, destination)
+            except FileNotFoundError:
+                continue
             moved.append(destination)
         if moved:
             self._stats["corrupt"] += 1
@@ -196,126 +306,54 @@ class ArtifactStore:
                 f"ArtifactStore stores Snapshot objects, got {type(snapshot).__name__}"
             )
         with _span("store.put"):
-            return self._put(key, snapshot)
-
-    def _put(self, key: str, snapshot: Snapshot) -> str:
-        from repro.resilience.faults import corrupt_file
-
-        path = self._object_path(key)
-        snapshot.save(path)
-        sha256 = _sha256_file(path)
-        # after the digest: an injected torn write must be *detected* by the
-        # checksum verification, exactly like real post-write corruption
-        corrupt_file("store_write", key, path)
-        manifest = {
-            "key": key,
-            "sha256": sha256,
-            "schema_version": snapshot.schema_version,
-            "model_class": snapshot.model_class,
-            "phase": snapshot.phase,
-            "epoch": snapshot.epoch,
-            "config": snapshot.config,
-            "spec": snapshot.spec,
-            "metadata": snapshot.metadata,
-        }
-        manifest_path = self._manifest_path(key)
-        tmp_path = manifest_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as stream:
-            json.dump(manifest, stream, indent=2, default=str)
-        os.replace(tmp_path, manifest_path)
-        self._stats["puts"] += 1
-        metric_inc("store.puts")
-        return path
-
-    def _expected_sha(self, key: str) -> Optional[str]:
-        """The manifest-recorded payload digest (None for legacy manifests)."""
-        manifest_path = self._manifest_path(key)
-        if not os.path.exists(manifest_path):
-            return None
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as stream:
-                manifest = json.load(stream)
-        except (OSError, json.JSONDecodeError):
-            # an unreadable manifest only disables verification; the
-            # object itself may still be intact
-            return None
-        value = manifest.get("sha256")
-        return str(value) if value else None
+            return self._write(
+                self._object_path(key),
+                key,
+                snapshot.to_bytes(),
+                {
+                    "schema_version": snapshot.schema_version,
+                    "model_class": snapshot.model_class,
+                    "phase": snapshot.phase,
+                    "epoch": snapshot.epoch,
+                    "config": snapshot.config,
+                    "spec": snapshot.spec,
+                    "metadata": snapshot.metadata,
+                },
+            )
 
     def get(self, key: str, default: Any = _MISSING) -> Snapshot:
         """Load the snapshot stored under ``key``, integrity-checked.
 
         A miss raises :class:`~repro.errors.ArtifactNotFoundError` unless a
-        ``default`` is given.  A checksum mismatch or unreadable payload
-        quarantines the object and raises
-        :class:`~repro.errors.ArtifactCorruptError` with the offending
+        ``default`` is given.  A missing or mismatching manifest, or an
+        unreadable payload, quarantines the object and raises
+        :class:`~repro.errors.ArtifactCorruptError` carrying the quarantine
         path.  Successful reads touch the object's mtime (the LRU signal
         :meth:`gc` evicts by).  Hit/miss counters feed the cache statistics
         surfaced in ``RunResult.extra``.
         """
         with _span("store.get"):
-            return self._get(key, default)
-
-    def _get(self, key: str, default: Any = _MISSING) -> Snapshot:
-        path = self._object_path(key)
-        if not os.path.exists(path):
-            self._stats["misses"] += 1
-            metric_inc("store.misses")
-            if default is _MISSING:
-                raise ArtifactNotFoundError(key, self.root)
-            return default
-        expected = self._expected_sha(key)
-        if expected is not None:
-            actual = _sha256_file(path)
-            if actual != expected:
-                self.quarantine(path, self._manifest_path(key))
-                raise ArtifactCorruptError(
-                    path,
-                    f"payload SHA-256 {actual[:12]}… does not match the "
-                    f"manifest's {expected[:12]}… (truncated or torn write); "
-                    f"object quarantined",
-                )
-        try:
-            snapshot = Snapshot.load(path)
-        except ArtifactCorruptError:
-            self.quarantine(path, self._manifest_path(key))
-            raise
-        os.utime(path)
-        self._stats["hits"] += 1
-        metric_inc("store.hits")
-        return snapshot
+            return self._read(self._object_path(key), key, Snapshot.from_bytes, default)
 
     def manifest(self, key: str) -> Dict[str, Any]:
         """The JSON manifest written next to the snapshot."""
-        path = self._manifest_path(key)
-        if not os.path.exists(path):
-            raise ArtifactNotFoundError(key, self.root)
-        with open(path, "r", encoding="utf-8") as stream:
-            return json.load(stream)
+        try:
+            with open(_manifest_path(self._object_path(key)), "r", encoding="utf-8") as stream:
+                return json.load(stream)
+        except FileNotFoundError:
+            raise ArtifactNotFoundError(key, self.root) from None
 
     def delete(self, key: str) -> bool:
         """Remove an artifact; returns whether anything was deleted."""
-        removed = False
-        for path in (self._object_path(key), self._manifest_path(key)):
-            if os.path.exists(path):
-                os.unlink(path)
-                removed = True
-        return removed
+        return self._remove(self._object_path(key))
 
     def keys(self) -> List[str]:
         """Every stored key (sorted)."""
         objects_root = os.path.join(self.root, "objects")
-        found: List[str] = []
-        if not os.path.isdir(objects_root):
-            return found
-        for shard in os.listdir(objects_root):
-            shard_dir = os.path.join(objects_root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in os.listdir(shard_dir):
-                if name.endswith(".snap"):
-                    found.append(name[: -len(".snap")])
-        return sorted(found)
+        shards = os.listdir(objects_root) if os.path.isdir(objects_root) else []
+        return sorted(
+            key for shard in shards for key in _stems(os.path.join(objects_root, shard), _SNAPSHOT)
+        )
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -335,127 +373,64 @@ class ArtifactStore:
     # generic blob payloads (journals and friends)
     # ------------------------------------------------------------------
     def put_blob(self, category: str, name: str, value: Any) -> str:
-        """Pickle ``value`` under ``<category>/<name>``, checksummed.
+        """Pickle ``value`` under ``<category>/<name>`` with a manifest like :meth:`put`'s.
 
-        Atomic write plus a SHA-256 sidecar; like :meth:`put`, the write is
-        a ``store_corrupt`` fault choke point.  Returns the written path.
+        Like :meth:`put`, the write is a ``store_corrupt`` fault choke
+        point.  Returns the written path.
         """
-        from repro.resilience.faults import corrupt_file
-
         with _span("store.put_blob"):
-            path = self._blob_path(category, name)
-            data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            _atomic_write_bytes(path, data)
-            sha256 = _sha256_file(path)
-            corrupt_file("store_write", f"{category}/{name}", path)
-            _atomic_write_bytes(path + ".sha256", sha256.encode("ascii"))
-            self._stats["puts"] += 1
-            metric_inc("store.puts")
-            return path
+            return self._write(
+                self._blob_path(category, name),
+                f"{category}/{name}",
+                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
+                {},
+            )
 
     def get_blob(self, category: str, name: str, default: Any = _MISSING) -> Any:
-        """Load a blob, verifying its checksum before unpickling.
+        """Load a blob, verified against its manifest before unpickling.
 
-        Corrupt blobs (checksum mismatch, missing sidecar, unpicklable
+        Corrupt blobs (checksum mismatch, missing manifest, unpicklable
         payload) are quarantined and raise
-        :class:`~repro.errors.ArtifactCorruptError` with the path.
+        :class:`~repro.errors.ArtifactCorruptError` with the quarantine path.
         """
         with _span("store.get_blob"):
-            return self._get_blob(category, name, default)
-
-    def _get_blob(self, category: str, name: str, default: Any = _MISSING) -> Any:
-        path = self._blob_path(category, name)
-        if not os.path.exists(path):
-            self._stats["misses"] += 1
-            metric_inc("store.misses")
-            if default is _MISSING:
-                raise ArtifactNotFoundError(f"{category}/{name}", self.root)
-            return default
-        sidecar = path + ".sha256"
-        expected = None
-        if os.path.exists(sidecar):
-            with open(sidecar, "r", encoding="ascii") as stream:
-                expected = stream.read().strip()
-        actual = _sha256_file(path)
-        if expected is None or actual != expected:
-            self.quarantine(path, sidecar)
-            raise ArtifactCorruptError(
-                path,
-                "blob has no checksum sidecar (torn write)"
-                if expected is None
-                else f"blob SHA-256 {actual[:12]}… does not match the "
-                f"recorded {expected[:12]}…; blob quarantined",
+            return self._read(
+                self._blob_path(category, name), f"{category}/{name}", _unpickle_blob, default
             )
-        with open(path, "rb") as stream:
-            data = stream.read()
-        try:
-            value = pickle.loads(data)
-        except (pickle.UnpicklingError, EOFError, AttributeError, ValueError, IndexError) as error:
-            self.quarantine(path, sidecar)
-            raise ArtifactCorruptError(
-                path, f"blob cannot be unpickled: {error}"
-            ) from error
-        os.utime(path)
-        self._stats["hits"] += 1
-        metric_inc("store.hits")
-        return value
 
     def blob_names(self, category: str) -> List[str]:
         """Names stored under a blob category (sorted)."""
-        directory = os.path.dirname(self._blob_path(category, "probe"))
-        if not os.path.isdir(directory):
-            return []
-        return sorted(
-            name[: -len(".pkl")]
-            for name in os.listdir(directory)
-            if name.endswith(".pkl")
-        )
+        return sorted(_stems(os.path.dirname(self._blob_path(category, "probe")), _BLOB))
 
     def delete_blob(self, category: str, name: str) -> bool:
-        """Remove one blob (and its sidecar); returns whether it existed."""
-        path = self._blob_path(category, name)
-        removed = False
-        for target in (path, path + ".sha256"):
-            if os.path.exists(target):
-                os.unlink(target)
-                removed = True
-        return removed
+        """Remove one blob (and its manifest); returns whether it existed."""
+        return self._remove(self._blob_path(category, name))
 
     # ------------------------------------------------------------------
     # garbage collection
     # ------------------------------------------------------------------
-    def _gc_entries(self) -> List[Tuple[float, int, List[str]]]:
-        """Evictable units: ``(mtime, bytes, paths)`` — primary + sidecars.
+    def _gc_entries(self) -> List[Tuple[float, int, str]]:
+        """Evictable artifacts: ``(mtime, bytes of payload + manifest, payload path)``.
 
-        Snapshots pair with their manifest, blobs with their checksum
-        sidecar, so eviction never leaves half an artifact behind.
         Quarantined files and in-flight ``.tmp`` files are exempt.
         """
-        entries: List[Tuple[float, int, List[str]]] = []
+        entries: List[Tuple[float, int, str]] = []
         for dirpath, dirnames, filenames in os.walk(self.root):
             if os.path.relpath(dirpath, self.root).split(os.sep)[0] == QUARANTINE_DIR:
                 dirnames[:] = []
                 continue
-            names = set(filenames)
-            for name in sorted(names):
-                path = os.path.join(dirpath, name)
-                if name.endswith(".snap"):
-                    group = [path]
-                    manifest = name[: -len(".snap")] + ".json"
-                    if manifest in names:
-                        group.append(os.path.join(dirpath, manifest))
-                elif name.endswith(".pkl"):
-                    group = [path]
-                    if name + ".sha256" in names:
-                        group.append(path + ".sha256")
-                else:
+            for name in filenames:
+                if not name.endswith((_SNAPSHOT, _BLOB)):
                     continue
+                path = os.path.join(dirpath, name)
                 try:
                     mtime = os.path.getmtime(path)
-                    size = sum(os.path.getsize(member) for member in group)
+                    size = os.path.getsize(path)
                 except FileNotFoundError:
                     continue  # raced with a concurrent delete; skip
-                entries.append((mtime, size, group))
+                with contextlib.suppress(FileNotFoundError):
+                    size += os.path.getsize(_manifest_path(path))
+                entries.append((mtime, size, path))
         return entries
 
     def total_bytes(self) -> int:
@@ -492,12 +467,10 @@ class ArtifactStore:
         if max_bytes == 0:
             return stats
         remaining = total
-        for _, size, group in entries:
+        for _, size, path in entries:
             if remaining <= max_bytes:
                 break
-            for member in group:
-                if os.path.exists(member):
-                    os.unlink(member)
+            self._remove(path)
             remaining -= size
             stats["evicted"] += 1
             stats["freed_bytes"] += size

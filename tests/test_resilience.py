@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -44,6 +45,7 @@ from repro.resilience import (
 )
 from repro.resilience.faults import FaultRule, corrupt_file
 from repro.store import ArtifactStore, Snapshot, warm_pretrain
+from repro.store.store import _manifest_path
 
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -332,6 +334,25 @@ class TestSweepJournal:
         assert journal.load() == {0: "fine"}  # corrupt entry re-runs
         assert store.quarantined()  # and was quarantined as evidence
 
+    def test_entry_without_manifest_reruns_once(self, tmp_path):
+        # the layout of journals written before blobs had manifests: a
+        # pickle plus a bare SHA-256 sidecar
+        import hashlib
+
+        store = ArtifactStore(str(tmp_path))
+        journal = SweepJournal(store, ["t0"])
+        path = store._blob_path(journal.category, "t0")
+        os.makedirs(os.path.dirname(path))
+        data = pickle.dumps("old")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with open(path + ".sha256", "w") as handle:
+            handle.write(hashlib.sha256(data).hexdigest())
+        assert journal.load() == {}  # quarantined: the trial re-runs
+        assert store.quarantined() == ["t0.pkl"]
+        journal.record(0, "new")
+        assert journal.load() == {0: "new"}
+
 
 # ----------------------------------------------------------------------
 # store hardening
@@ -375,7 +396,7 @@ class TestStoreHardening:
         import hashlib
         import json as json_mod
 
-        manifest_path = store._manifest_path(key)
+        manifest_path = _manifest_path(path)
         with open(manifest_path) as handle:
             manifest = json_mod.load(handle)
         with open(path, "rb") as handle:
@@ -413,6 +434,132 @@ class TestStoreHardening:
         assert "blob1" not in survivors
         # budget 0 disables eviction
         assert store.gc(max_bytes=0)["evicted"] == 0
+
+    def test_gc_evicts_snapshots_and_blobs_with_their_manifests(self, tmp_path):
+        _, _, snapshot = self._snapshot()
+        store = ArtifactStore(str(tmp_path))
+        for index in range(3):
+            store.put(f"{index:02x}" + "0" * 62, snapshot)
+            store.put_blob("journal/gc", f"blob{index}", b"x" * 1000 * index)
+        torn = store.put_blob("journal/gc", "torn", [1])
+        with open(torn, "ab") as handle:
+            handle.write(b"bitrot")
+        with pytest.raises(ArtifactCorruptError):
+            store.get_blob("journal/gc", "torn")
+        evidence = store.quarantined()
+        assert evidence == ["torn.json", "torn.pkl"]
+
+        def stored_files():
+            return sorted(
+                os.path.relpath(os.path.join(directory, name), str(tmp_path))
+                for directory, _, names in os.walk(str(tmp_path))
+                for name in names
+                if os.path.relpath(directory, str(tmp_path)).split(os.sep)[0] != "quarantine"
+            )
+
+        payloads = [name for name in stored_files() if not name.endswith(".json")]
+        assert len(payloads) == 6
+        # every artifact is its payload plus one manifest
+        assert [name for name in stored_files() if name.endswith(".json")] == sorted(
+            os.path.splitext(name)[0] + ".json" for name in payloads
+        )
+        total = store.total_bytes()
+        assert total == sum(
+            os.path.getsize(os.path.join(str(tmp_path), name)) for name in stored_files()
+        )
+        stats = store.gc(max_bytes=total // 2)
+        assert 0 < stats["evicted"] < 6
+        left = stored_files()
+        assert len(left) == 2 * (6 - stats["evicted"])
+        for name in left:  # no half artifact: payload and manifest go together
+            stem = os.path.splitext(name)[0]
+            assert sum(os.path.splitext(other)[0] == stem for other in left) == 2
+        stats = store.gc(max_bytes=1)
+        assert stored_files() == []  # no orphan manifest either
+        assert stats["remaining_bytes"] == 0
+        assert store.keys() == [] and store.blob_names("journal/gc") == []
+        assert store.quarantined() == evidence
+
+    def test_put_does_not_depend_on_a_fixed_temp_name(self, tmp_path):
+        # a directory where a fixed manifest temp name would go stands in
+        # for a concurrent writer of the same key
+        _, _, snapshot = self._snapshot()
+        store = ArtifactStore(str(tmp_path))
+        key = "ef" + "0" * 62
+        os.makedirs(_manifest_path(store._object_path(key)) + ".tmp")
+        store.put(key, snapshot)
+        loaded = store.get(key)
+        assert store.stats()["hits"] == 1
+        for name, value in snapshot.params.items():
+            assert (loaded.params[name] == value).all()
+
+    def test_snapshot_without_manifest_is_corrupt(self, tmp_path):
+        _, _, snapshot = self._snapshot()
+        store = ArtifactStore(str(tmp_path))
+        key = "ab" + "1" * 62
+        path = store.put(key, snapshot)
+        os.unlink(_manifest_path(path))
+        with open(path, "ab") as handle:
+            handle.write(b"bitrot")  # unpickling alone would not notice
+        with pytest.raises(ArtifactCorruptError, match="manifest") as caught:
+            store.get(key)
+        quarantined = os.path.join(str(tmp_path), "quarantine", os.path.basename(path))
+        assert caught.value.path == quarantined
+        assert not store.contains(key)
+        assert store.quarantined() == [os.path.basename(path)]
+        assert store.get(key, default=None) is None
+
+    def test_snapshot_manifest_without_digest_is_corrupt(self, tmp_path):
+        import json as json_mod
+
+        _, _, snapshot = self._snapshot()
+        store = ArtifactStore(str(tmp_path))
+        key = "ab" + "2" * 62
+        path = store.put(key, snapshot)
+        manifest = store.manifest(key)
+        del manifest["sha256"]
+        with open(_manifest_path(path), "w") as handle:
+            json_mod.dump(manifest, handle)
+        with pytest.raises(ArtifactCorruptError, match="manifest"):
+            store.get(key)
+        assert not store.contains(key)
+        assert store.quarantined() == sorted(
+            os.path.basename(name) for name in (path, _manifest_path(path))
+        )
+        assert store.stats()["corrupt"] == 1
+
+    def test_blob_without_manifest_is_corrupt(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        path = store.put_blob("journal/abc", "entry", [1, 2, 3])
+        os.unlink(_manifest_path(path))
+        with pytest.raises(ArtifactCorruptError, match="manifest"):
+            store.get_blob("journal/abc", "entry")
+        assert store.blob_names("journal/abc") == []
+        assert store.quarantined() == ["entry.pkl"]
+
+    def test_warm_pretrain_degrades_once_on_a_manifest_without_digest(self, tmp_path):
+        import json as json_mod
+
+        from repro.models import build_model
+        from repro.store import pretrain_cache_key
+
+        graph, model, _ = self._snapshot()
+        store = ArtifactStore(str(tmp_path))
+        warm_pretrain(model, graph, pretrain_epochs=2, store=store)
+        key = pretrain_cache_key(model, 2, graph=graph)
+        manifest = store.manifest(key)
+        del manifest["sha256"]
+        with open(_manifest_path(store._object_path(key)), "w") as handle:
+            json_mod.dump(manifest, handle)
+
+        def fresh():
+            return build_model("gae", graph.num_features, graph.num_clusters, seed=0)
+
+        quarantined = os.path.join(str(tmp_path), "quarantine", key + ".snap")
+        with pytest.warns(RuntimeWarning, match=re.escape(quarantined)):
+            stats = warm_pretrain(fresh(), graph, pretrain_epochs=2, store=store)
+        assert stats["degraded"] and not stats["hit"]
+        assert warm_pretrain(fresh(), graph, pretrain_epochs=2, store=store)["hit"]
 
     def test_gc_budget_from_env(self, tmp_path, monkeypatch):
         store = ArtifactStore(str(tmp_path))

@@ -155,7 +155,7 @@ class TestPipelineSaveLoad:
     def test_save_load_round_trip(self, tmp_path):
         result = tiny_pipeline(model="dgae", variant="rethink").run()
         path = str(tmp_path / "dgae.snap")
-        assert Pipeline.save(result, path) == path
+        assert result.save(path) == path
         loaded = Pipeline.load(path)
         assert loaded.spec.to_dict() == result.spec.to_dict()
         assert loaded.extra["phase"] == "trained"
