@@ -50,10 +50,10 @@ def bench_jobs():
     """Process-pool width for the multi-seed table benchmarks.
 
     Controlled by the ``REPRO_BENCH_JOBS`` environment variable: unset or
-    ``1`` keeps the historical serial behaviour, an integer fans the
-    (model, dataset, seed) trials of each pair out over that many worker
-    processes, and ``auto`` uses every core.  Per-seed results are bitwise
-    identical either way (see :mod:`repro.parallel`).
+    ``1`` keeps the historical serial behaviour, an integer fans the seeds
+    of each pair's D and R-D sweeps out over that many worker processes,
+    and ``auto`` uses every core.  Per-seed results are bitwise identical
+    either way (see :mod:`repro.parallel`).
     """
     return env_jobs(BENCH_JOBS_ENV, 1)
 
@@ -86,8 +86,11 @@ SECOND_GROUP_MODELS = tuple(MODELS.names(group="second"))
 def cached_pair(model_name: str, dataset_name: str) -> PairResult:
     """Train (and cache) the D / R-D pair for a model-dataset combination.
 
-    Multi-seed trials fan out across ``REPRO_BENCH_JOBS`` worker processes,
-    which parallelises the Table 2/4/17 style mean ± std benchmarks.
+    The pair is two sweeps (D, then R-D) whose seeds fan out across
+    ``REPRO_BENCH_JOBS`` worker processes, which parallelises the Table
+    2/4/17 style mean ± std benchmarks.  Each trial is the one its spec
+    describes: ``Pipeline.from_spec(trial.spec).run()`` gives the same
+    report.
     """
     return run_model_pair(
         model_name, dataset_name, config=BENCH_CONFIG, jobs=bench_jobs()

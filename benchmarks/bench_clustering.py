@@ -13,7 +13,7 @@ follow-up kernel work on the clustering side of the R-GAE procedure:
   (vectorised edge-set operations on the COO arrays) against the
   historical per-reliable-node / per-neighbour dense loop (target ≥ 4×),
 * **trials_parallel** (optional, ``--trials-jobs N``) — the end-to-end
-  multi-seed executor :func:`repro.parallel.run_seeded`: bitwise equality
+  multi-seed executor :func:`repro.parallel.run_sweep`: bitwise equality
   of per-seed results is always asserted; the ≥ 2.5× wall-clock target is
   only enforced on machines with at least ``N`` cores.
 
@@ -319,7 +319,7 @@ def bench_upsilon(repeats: int, seed: int) -> Dict:
 
 def bench_trials(jobs: int, seed: int) -> Dict:
     """End-to-end multi-seed executor: wall clock and bitwise equality."""
-    from repro.parallel import run_seeded
+    from repro.parallel import run_sweep
 
     spec = {
         "dataset": "brazil_air_sim",
@@ -330,12 +330,13 @@ def bench_trials(jobs: int, seed: int) -> Dict:
         "rethink": {"overrides": {"update_omega_every": 5, "update_graph_every": 5}},
     }
     seeds = list(range(seed, seed + jobs))
+    specs = [dict(spec, seed=s) for s in seeds]
 
     start = time.perf_counter()
-    serial = run_seeded(spec, seeds, jobs=1)
+    serial = run_sweep(specs, jobs=1).results
     serial_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    pooled = run_seeded(spec, seeds, jobs=jobs)
+    pooled = run_sweep(specs, jobs=jobs).results
     pooled_seconds = time.perf_counter() - start
 
     def strip(result):

@@ -3,10 +3,12 @@
 Measures what the checkpointing subsystem buys and costs:
 
 * **cold vs warm sweep** — a D / R-D ``run_model_pair`` sweep against an
-  empty store (every seed pretrains and populates it) and then the same
-  sweep against the warm store (every seed loads its pretraining snapshot).
-  The warm sweep must report a cache hit for every trial and reproduce the
-  cold sweep's metrics bit for bit — CI fails otherwise.
+  empty store, then the same sweep against the warm store.  In the cold
+  sweep each seed's D trial must miss (it pretrains and writes the
+  snapshot) and its R-D trial must hit (it reads that snapshot instead of
+  pretraining again), leaving one snapshot per seed.  Every warm trial
+  must hit and reproduce the cold sweep's metrics bit for bit — CI fails
+  otherwise.
 * **snapshot save/load latency** — ``Snapshot.capture`` → ``store.put``
   and ``store.get`` → ``snapshot.apply`` round trips per model, so the
   fixed cost of a checkpoint is a tracked number rather than folklore.
@@ -48,10 +50,13 @@ def sweep_wall_time(model: str, dataset: str, config: ExperimentConfig, store_di
     start = time.perf_counter()
     pair = run_model_pair(model, dataset, config, store_dir=store_dir)
     seconds = time.perf_counter() - start
+    hits = {
+        variant: [bool(t.extra.get("pretrain_cache", {}).get("hit")) for t in pair.trials(variant)]
+        for variant in ("base", "rethink")
+    }
     trials = pair.base_trials + pair.rethink_trials
-    hits = [bool(t.extra.get("pretrain_cache", {}).get("hit")) for t in trials]
     metrics = [
-        (t.variant, t.seed, t.report.accuracy, t.report.nmi, t.report.ari)
+        (t.variant, t.spec.seed, t.report.accuracy, t.report.nmi, t.report.ari)
         for t in trials
     ]
     return {"seconds": seconds, "hits": hits, "num_trials": len(trials)}, metrics
@@ -160,15 +165,27 @@ def main(argv=None) -> int:
         store_dir = tempfile.mkdtemp(prefix="bench-store-")
         try:
             cold, cold_metrics = sweep_wall_time(model, args.dataset, config, store_dir)
+            snapshots = len(ArtifactStore(store_dir))
             warm, warm_metrics = sweep_wall_time(model, args.dataset, config, store_dir)
             latency = snapshot_latency(
                 model, args.dataset, pretrain_epochs, store_dir, repeats
             )
         finally:
             shutil.rmtree(store_dir, ignore_errors=True)
-        if any(cold["hits"]):
-            failures.append(f"{model}: cold sweep hit the empty store {cold['hits']}")
-        if not all(warm["hits"]):
+        if any(cold["hits"]["base"]):
+            failures.append(f"{model}: a cold D trial hit the empty store {cold['hits']['base']}")
+        if not all(cold["hits"]["rethink"]):
+            failures.append(
+                f"{model}: a cold R-D trial pretrained again instead of reading "
+                f"its D trial's snapshot (hits: {cold['hits']['rethink']})"
+            )
+        if snapshots != trials:
+            failures.append(
+                f"{model}: the cold sweep left {snapshots} snapshot(s), one per seed "
+                f"({trials}) expected"
+            )
+        warm_hits = warm["hits"]["base"] + warm["hits"]["rethink"]
+        if not all(warm_hits):
             failures.append(
                 f"{model}: warm sweep did not skip pretraining for every trial "
                 f"(hits: {warm['hits']})"
@@ -180,13 +197,14 @@ def main(argv=None) -> int:
             "cold": cold,
             "warm": warm,
             "speedup": cold["seconds"] / max(warm["seconds"], 1e-12),
+            "snapshots": snapshots,
             "snapshot": latency,
             "metrics_identical": warm_metrics == cold_metrics,
         }
         report["results"].append(row)
         print(
             f"{model:>10} {cold['seconds']:9.2f}s {warm['seconds']:9.2f}s "
-            f"{row['speedup']:7.2f}x {sum(warm['hits'])}/{warm['num_trials']:>3} "
+            f"{row['speedup']:7.2f}x {sum(warm_hits)}/{warm['num_trials']:>3} "
             f"(save {latency['save_seconds'] * 1e3:.1f}ms, "
             f"load {latency['load_seconds'] * 1e3:.1f}ms)"
         )

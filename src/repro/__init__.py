@@ -59,8 +59,7 @@ from repro.api import Registry
 _LAZY_EXPORTS = {
     "Pipeline": ("repro.api.pipeline", "Pipeline"),
     "RunSpec": ("repro.api.spec", "RunSpec"),
-    "run_trials": ("repro.parallel", "run_trials"),
-    "run_seeded": ("repro.parallel", "run_seeded"),
+    "run_sweep": ("repro.parallel", "run_sweep"),
     "parallel_map": ("repro.parallel", "parallel_map"),
     "ArtifactStore": ("repro.store", "ArtifactStore"),
     "Snapshot": ("repro.store", "Snapshot"),
@@ -78,8 +77,7 @@ __all__ = [
     "Pipeline",
     "Registry",
     "RunSpec",
-    "run_trials",
-    "run_seeded",
+    "run_sweep",
     "parallel_map",
     "ArtifactStore",
     "Snapshot",

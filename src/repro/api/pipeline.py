@@ -68,14 +68,14 @@ class RunResult:
         The snapshot carries the producing spec and a metric summary, so
         :meth:`Pipeline.load` can rebuild and serve the model without
         touching the training path.  Only results from :meth:`Pipeline.run`
-        can be saved — pooled ``run_trials`` results drop their models.
+        can be saved — pooled ``run_sweep`` results drop their models.
         """
         from repro.errors import StoreError
         from repro.store import Snapshot
 
         if self.model is None:
             raise StoreError(
-                "this RunResult holds no model (pooled run_trials results "
+                "this RunResult holds no model (pooled run_sweep results "
                 "drop them); run the trial with Pipeline.run() to save it"
             )
         epoch = self.history.epochs_run if self.history is not None else 0
@@ -239,9 +239,11 @@ class Pipeline:
     def pretrained_state(self, state: Any) -> "Pipeline":
         """Start from a pretraining snapshot instead of pretraining afresh.
 
-        This is how the paper's fairness protocol ("D and R-D share the
-        same pretraining weights") is expressed with pipelines: pretrain
-        once, then hand the same state to a base and a rethink pipeline.
+        This is one way to express the paper's fairness protocol ("D and
+        R-D share the same pretraining weights"): pretrain once, then hand
+        the same state to a base and a rethink pipeline.  The table pairs
+        share a :meth:`warm_start` store instead, which also carries the
+        post-pretraining RNG stream.
 
         Accepts a raw ``state_dict`` mapping, a
         :class:`repro.store.Snapshot`, or an artifact-store key string
@@ -474,30 +476,42 @@ class Pipeline:
         )
 
     def run_sweep(self, seeds, jobs=None, resume=False, policy=None, fail_fast=False):
-        """Like :meth:`run_trials`, returning the full sweep outcome.
+        """Run this pipeline once per seed, optionally over a process pool.
 
-        The :class:`~repro.resilience.SweepOutcome` carries the ordered
-        per-seed results, the quarantined
-        :class:`~repro.resilience.TrialFailure` entries, the number of
+        Returns the :class:`~repro.resilience.SweepOutcome`: the ordered
+        per-seed ``results``, the quarantined ``failures``, the number of
         journal-resumed trials, and a JSON failure report
         (:meth:`~repro.resilience.SweepOutcome.report`) — what
-        ``repro-run --failure-report`` serialises.
+        ``repro-run --failure-report`` serialises.  Unlike :meth:`run`, the
+        results hold no trained model: models carry autograd closures that
+        cannot cross process boundaries.
+
+        The results are bitwise identical whatever ``jobs`` is (``None``/1
+        serial, an int, or ``"auto"`` for the cpu count).  A
+        :meth:`warm_start` store reaches the workers through
+        ``REPRO_STORE_DIR``, so a later sweep skips pretraining.  Retries,
+        ``fail_fast`` and ``resume`` behave as in
+        :func:`repro.parallel.run_sweep`.
+
+        Requires a registry dataset and declarative callbacks: an explicit
+        :meth:`graph` or live callback objects cannot be shipped to worker
+        processes.
         """
         from repro.parallel import _normalise_spec, run_sweep
 
         if self._graph is not None:
             raise SpecError(
-                "run_trials requires a registered dataset; pipelines built "
+                "run_sweep requires a registered dataset; pipelines built "
                 "with .graph(...) cannot be re-materialised in pool workers"
             )
         if self._callback_objects:
             raise SpecError(
-                "run_trials requires declarative callbacks (names or spec "
+                "run_sweep requires declarative callbacks (names or spec "
                 "dicts); live callback objects cannot be shipped to workers"
             )
         if self._pretrained_state is not None:
             raise SpecError(
-                "run_trials re-runs pretraining per seed; pretrained_state "
+                "run_sweep re-runs pretraining per seed; pretrained_state "
                 "snapshots are not supported (use .warm_start() to share "
                 "pretraining through the artifact store instead)"
             )
@@ -513,38 +527,6 @@ class Pipeline:
             store_dir=None if store is None else store.root,
             resume=resume, policy=policy, fail_fast=fail_fast,
         )
-
-    def run_trials(
-        self, seeds, jobs=None, resume=False, policy=None, fail_fast=False
-    ) -> List[RunResult]:
-        """Run this pipeline once per seed, optionally over a process pool.
-
-        The per-seed results are bitwise identical whatever ``jobs`` is
-        (``None``/1 serial, an int, or ``"auto"`` for the cpu count): each
-        trial re-derives all randomness from its spec inside its worker.
-        Unlike :meth:`run`, the trained models are not returned — they hold
-        autograd closures that cannot cross process boundaries.
-
-        A :meth:`warm_start` store propagates to the workers (via
-        ``REPRO_STORE_DIR``), so repeated sweeps skip re-pretraining: the
-        first run per seed populates the store, every later run hits it.
-
-        Execution is supervised (see :func:`repro.parallel.run_sweep`):
-        crashes and hangs retry under ``REPRO_MAX_RETRIES`` /
-        ``REPRO_TRIAL_TIMEOUT`` (or an explicit
-        :class:`~repro.resilience.RetryPolicy`), a trial that exhausts its
-        budget leaves a :class:`~repro.resilience.TrialFailure` in its
-        result slot (``fail_fast=True`` raises instead), and with a store
-        configured ``resume=True`` skips seeds a previous interrupted sweep
-        already finished — bitwise identical to an uninterrupted run.
-
-        Requires a registry dataset and declarative callbacks: an explicit
-        :meth:`graph` or live callback objects cannot be shipped to worker
-        processes.
-        """
-        return self.run_sweep(
-            seeds, jobs=jobs, resume=resume, policy=policy, fail_fast=fail_fast
-        ).results
 
     # ------------------------------------------------------------------
     # artifact round-trip

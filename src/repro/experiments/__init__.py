@@ -3,9 +3,6 @@
 from repro.experiments.config import ExperimentConfig, rethink_hyperparameters
 from repro.experiments.runner import (
     PairResult,
-    TrialResult,
-    run_baseline_model,
-    run_rethink_model,
     run_model_pair,
     aggregate_reports,
 )
@@ -30,9 +27,6 @@ __all__ = [
     "ExperimentConfig",
     "rethink_hyperparameters",
     "PairResult",
-    "TrialResult",
-    "run_baseline_model",
-    "run_rethink_model",
     "run_model_pair",
     "aggregate_reports",
     "format_table",

@@ -9,15 +9,17 @@ workloads (the mean ± std tables, ``repro-run --jobs N``, the benchmark
 suite) out over a process pool while keeping results indistinguishable from
 a serial run:
 
-* :func:`run_trials` executes a list of specs and returns their
+* :func:`run_sweep` executes a list of specs and returns a
+  :class:`~repro.resilience.SweepOutcome` whose ``results`` are the
   :class:`~repro.api.pipeline.RunResult` objects *in input order* —
-  ``run_trials(specs, jobs=4)`` equals ``run_trials(specs, jobs=1)``
-  element-wise (the trained model is not returned in either mode; models
-  hold autograd closures that cannot cross process boundaries).
-* :func:`run_seeded` expands one spec over a list of seeds.
-* :func:`parallel_map` is the underlying order-preserving pool map used by
-  the experiment runner for work units that are not spec-shaped (e.g. the
-  shared-pretraining D / R-D pairs of Tables 2, 4 and 17).
+  ``run_sweep(specs, jobs=4).results`` equals ``run_sweep(specs,
+  jobs=1).results`` element-wise (the trained model is not returned in
+  either mode; models hold autograd closures that cannot cross process
+  boundaries).  :meth:`repro.api.Pipeline.run_sweep` expands one pipeline
+  over a list of seeds into such a sweep, and each D / R-D pair of Tables
+  1-4 and 17 runs as two of them.
+* :func:`parallel_map` is the underlying order-preserving, fail-fast pool
+  map for work units that are not spec-shaped.
 * :func:`load_dataset_cached` is the worker-side dataset memoisation: a
   per-process LRU keyed by the full dataset spec, so a worker executing
   many trials of one sweep materialises the graph once
@@ -38,7 +40,6 @@ base; no third-party dependency is involved.
 
 from __future__ import annotations
 
-import copy
 import os
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar, Union
 
@@ -282,62 +283,3 @@ def _spec_key(spec_dict: Dict[str, Any]) -> str:
 
     return run_key(spec_dict)
 
-
-def run_trials(
-    specs: Iterable[Any],
-    jobs: Union[int, str, None] = None,
-    store_dir: Optional[str] = None,
-    resume: bool = False,
-    policy: Optional[RetryPolicy] = None,
-    fail_fast: bool = False,
-) -> List[Any]:
-    """Execute specs (RunSpec / dict / JSON) and return results in order.
-
-    Each trial is seeded entirely by its spec, so the per-spec results are
-    bitwise identical regardless of ``jobs``; only wall-clock time changes.
-    ``store_dir`` points ``REPRO_STORE_DIR`` at a warm-start artifact store
-    for the duration of the sweep — pool workers inherit the environment,
-    so every trial consults the same pretraining cache
-    (``RunResult.extra['pretrain_cache']`` records the hit/miss per trial).
-
-    This is :func:`run_sweep` returning just the ordered result list: by
-    default the sweep degrades gracefully, leaving a
-    :class:`~repro.resilience.TrialFailure` in the slot of any trial that
-    exhausted its retries (``fail_fast=True`` raises instead); with a store
-    configured, completions are journaled and ``resume=True`` skips trials
-    a previous interrupted sweep already finished.
-    """
-    return run_sweep(
-        specs,
-        jobs=jobs,
-        store_dir=store_dir,
-        resume=resume,
-        policy=policy,
-        fail_fast=fail_fast,
-    ).results
-
-
-def run_seeded(
-    spec: Any,
-    seeds: Sequence[int],
-    jobs: Union[int, str, None] = None,
-    store_dir: Optional[str] = None,
-    resume: bool = False,
-    policy: Optional[RetryPolicy] = None,
-    fail_fast: bool = False,
-) -> List[Any]:
-    """Run one spec once per seed (in ``seeds`` order), optionally pooled."""
-    base = _normalise_spec(spec)
-    expanded = []
-    for seed in seeds:
-        spec_dict = copy.deepcopy(base)
-        spec_dict["seed"] = int(seed)
-        expanded.append(spec_dict)
-    return run_trials(
-        expanded,
-        jobs=jobs,
-        store_dir=store_dir,
-        resume=resume,
-        policy=policy,
-        fail_fast=fail_fast,
-    )

@@ -186,7 +186,7 @@ class SweepOutcome:
     #: the quarantined items, in input order.
     failures: List[TrialFailure]
     #: how many input items were served from a journal instead of executed
-    #: (filled in by :func:`repro.parallel.run_trials` on resume).
+    #: (filled in by :func:`repro.parallel.run_sweep` on resume).
     resumed: int = 0
     policy: Optional[RetryPolicy] = None
     #: merged sweep telemetry (``repro-trace/1`` document: spans and summed

@@ -259,15 +259,26 @@ class ArtifactStore:
     def quarantine(self, *paths: str) -> List[str]:
         """Move files out of service into ``quarantine/`` (kept as evidence).
 
-        Returns the destination paths; missing sources are skipped.  Called
-        on every integrity failure before the typed error is raised, so a
-        corrupt object can fail at most one read.
+        Files keep their basenames unless one would overwrite earlier
+        evidence (one trial journaled by two sweeps): then the group moves
+        under one new stem, ``<stem>-<n>``, so a payload stays beside its
+        manifest.  Returns the destination paths; missing sources are
+        skipped.  Called on every integrity failure before the typed error
+        is raised, so a corrupt object can fail at most one read.
         """
         destination_dir = self._quarantine_path()
         os.makedirs(destination_dir, exist_ok=True)
+        names = [os.path.splitext(os.path.basename(path)) for path in paths]
+        tag, n = "", 0
+        while any(
+            os.path.exists(os.path.join(destination_dir, stem + tag + ext))
+            for stem, ext in names
+        ):
+            n += 1
+            tag = f"-{n}"
         moved: List[str] = []
-        for path in paths:
-            destination = os.path.join(destination_dir, os.path.basename(path))
+        for path, (stem, ext) in zip(paths, names):
+            destination = os.path.join(destination_dir, stem + tag + ext)
             try:
                 os.rename(path, destination)
             except FileNotFoundError:

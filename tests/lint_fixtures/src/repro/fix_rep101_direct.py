@@ -1,5 +1,5 @@
 """REP101 fixture, zero-hop case: unpicklable callables handed straight to the pool."""
-from repro.parallel import parallel_map, run_trials
+from repro.parallel import parallel_map, run_sweep
 from repro.resilience import supervised_map
 
 
@@ -16,7 +16,7 @@ def violations(items, specs):
     bumped = parallel_map(local_fn, items, jobs=2)  # flagged: closure
     mapped = supervised_map(lambda x: x, items, 2)  # flagged: lambda
     closed = supervised_map(local_fn, items, 2)  # flagged: closure
-    return doubled, bumped, mapped, closed, run_trials(specs, jobs=2)  # fine: specs are data
+    return doubled, bumped, mapped, closed, run_sweep(specs, jobs=2)  # fine: specs are data
 
 
 def suppressed(items):

@@ -6,7 +6,7 @@ pre-PR per-cluster / per-restart / per-neighbour loops here as
 ``_reference_*`` implementations and pins 1e-10 agreement under fixed
 seeds, including the awkward corners: empty-cluster reseeding, clusters
 with no reliable nodes, and all-``-inf`` log-sum-exp rows.  The last class
-checks that :func:`repro.parallel.run_trials` is a pure throughput knob —
+checks that :func:`repro.parallel.run_sweep` is a pure throughput knob —
 ``jobs=4`` returns bitwise the same per-seed results as ``jobs=1``.
 """
 
@@ -25,7 +25,7 @@ from repro.clustering.kmeans import (
 from repro.core.graph_transform import _cluster_centroid_nodes, build_clustering_oriented_graph
 from repro.graph.sparse import SparseAdjacency
 from repro.metrics.hungarian import align_labels, hungarian_matching
-from repro.parallel import parallel_map, resolve_jobs, run_seeded, run_trials
+from repro.parallel import parallel_map, resolve_jobs, run_sweep
 
 
 # ----------------------------------------------------------------------
@@ -561,8 +561,8 @@ class TestParallelExecutor:
         """The acceptance-criteria determinism guarantee: fanning the same
         specs over a pool changes wall-clock only, never the numbers."""
         seeds = [0, 1, 2, 3]
-        serial = run_seeded(_TRIAL_SPEC, seeds, jobs=1)
-        pooled = run_seeded(_TRIAL_SPEC, seeds, jobs=4)
+        serial = run_sweep([dict(_TRIAL_SPEC, seed=s) for s in seeds], jobs=1).results
+        pooled = run_sweep([dict(_TRIAL_SPEC, seed=s) for s in seeds], jobs=4).results
 
         def strip(result):
             summary = result.summary()
@@ -578,9 +578,9 @@ class TestParallelExecutor:
         from repro.errors import SpecError
 
         with pytest.raises(SpecError):
-            run_trials([{"model": "no_such_model_field_missing_dataset"}], jobs=1)
+            run_sweep([{"model": "no_such_model_field_missing_dataset"}], jobs=1)
         with pytest.raises(SpecError):
-            run_trials([42], jobs=1)
+            run_sweep([42], jobs=1)
 
     def test_pipeline_run_trials_rejects_unpicklable_setups(self):
         from repro.api.pipeline import Pipeline
@@ -589,16 +589,28 @@ class TestParallelExecutor:
 
         graph = load_dataset("brazil_air_sim", seed=0)
         with pytest.raises(SpecError):
-            Pipeline().graph(graph).model("gae").run_trials([0, 1])
+            Pipeline().graph(graph).model("gae").run_sweep([0, 1])
 
-    def test_run_model_pair_jobs_matches_serial(self):
+    @pytest.mark.parametrize("model", ["gae", "vgae"])
+    def test_run_model_pair_jobs_matches_serial(self, model):
+        """Every pair trial is the trial its own spec describes, at any jobs.
+
+        VGAE draws noise after pretraining, so it also checks that the R-D
+        trial continues the pretraining RNG stream like a cold run does.
+        """
+        from repro.api.pipeline import Pipeline
         from repro.experiments import ExperimentConfig
         from repro.experiments.runner import run_model_pair
 
         config = ExperimentConfig(
             pretrain_epochs=3, clustering_epochs=2, rethink_epochs=3, num_trials=2
         )
-        serial = run_model_pair("gae", "brazil_air_sim", config=config, jobs=1)
-        pooled = run_model_pair("gae", "brazil_air_sim", config=config, jobs=2)
+        serial = run_model_pair(model, "brazil_air_sim", config=config, jobs=1)
+        pooled = run_model_pair(model, "brazil_air_sim", config=config, jobs=2)
         assert serial.mean_std("base") == pooled.mean_std("base")
         assert serial.mean_std("rethink") == pooled.mean_std("rethink")
+        for variant in ("base", "rethink"):
+            for trial, other in zip(serial.trials(variant), pooled.trials(variant)):
+                assert trial.report == other.report
+                cold = Pipeline.from_spec(trial.spec).warm_start(False).run()
+                assert cold.report == trial.report

@@ -31,7 +31,7 @@ from repro.minibatch import (
 from repro.graph.generators import attributed_sbm_graph
 from repro.models import build_model
 from repro.observability.tracer import tracing_session
-from repro.parallel import run_seeded
+from repro.parallel import run_sweep
 
 
 def random_sparse(n: int, p: float, seed: int) -> tuple:
@@ -600,8 +600,8 @@ _MINIBATCH_SPEC = {
 class TestJobsDeterminism:
     def test_jobs4_bitwise_equals_jobs1_with_sampler(self):
         seeds = [0, 1, 2, 3]
-        serial = run_seeded(_MINIBATCH_SPEC, seeds, jobs=1)
-        pooled = run_seeded(_MINIBATCH_SPEC, seeds, jobs=4)
+        serial = run_sweep([dict(_MINIBATCH_SPEC, seed=s) for s in seeds], jobs=1).results
+        pooled = run_sweep([dict(_MINIBATCH_SPEC, seed=s) for s in seeds], jobs=4).results
 
         def strip(result):
             summary = result.summary()

@@ -26,7 +26,7 @@ from repro.parallel import (
     clear_dataset_cache,
     dataset_cache_info,
     load_dataset_cached,
-    run_seeded,
+    run_sweep,
 )
 
 
@@ -189,7 +189,7 @@ class TestSingleTrialImports:
 
 class TestWorkerSideCache:
     def test_pool_workers_load_dataset_once(self):
-        results = run_seeded(_CACHED_SPEC, [0, 1, 2, 3], jobs=2)
+        results = run_sweep([dict(_CACHED_SPEC, seed=s) for s in [0, 1, 2, 3]], jobs=2).results
         by_pid = {}
         for result in results:
             info = result.extra["dataset_cache"]
@@ -205,7 +205,7 @@ class TestWorkerSideCache:
             assert max(info["hits"] for info in busiest) >= trials_in_busiest - 1
 
     def test_serial_run_trials_also_memoises(self):
-        results = run_seeded(_CACHED_SPEC, [0, 1, 2], jobs=1)
+        results = run_sweep([dict(_CACHED_SPEC, seed=s) for s in [0, 1, 2]], jobs=1).results
         final = results[-1].extra["dataset_cache"]
         assert final["misses"] == 1 and final["hits"] >= 2
 

@@ -32,7 +32,7 @@ from repro.errors import (
     TrialFailedError,
     TrialTimeoutError,
 )
-from repro.parallel import run_seeded, run_sweep
+from repro.parallel import run_sweep
 from repro.resilience import (
     RetryPolicy,
     SweepJournal,
@@ -334,6 +334,23 @@ class TestSweepJournal:
         assert journal.load() == {0: "fine"}  # corrupt entry re-runs
         assert store.quarantined()  # and was quarantined as evidence
 
+    def test_one_trial_corrupt_in_two_sweeps_keeps_both_as_evidence(self, tmp_path):
+        import json
+
+        store = ArtifactStore(str(tmp_path))
+        first = SweepJournal(store, ["t0", "t1"])
+        second = SweepJournal(store, ["t1", "t2"])  # same trial, other sweep
+        for journal, index in ((first, 1), (second, 0)):
+            with open(journal.record(index, journal.sweep_key), "r+b") as handle:
+                handle.truncate(3)
+        assert first.load() == {} and second.load() == {}
+        assert store.stats()["corrupt"] == 2
+        assert store.quarantined() == ["t1-1.json", "t1-1.pkl", "t1.json", "t1.pkl"]
+        # each payload still sits beside the manifest written with it
+        for stem, journal in (("t1", first), ("t1-1", second)):
+            with open(os.path.join(str(tmp_path), "quarantine", stem + ".json")) as handle:
+                assert json.load(handle)["key"] == f"{journal.category}/t1"
+
     def test_entry_without_manifest_reruns_once(self, tmp_path):
         # the layout of journals written before blobs had manifests: a
         # pickle plus a bare SHA-256 sidecar
@@ -599,7 +616,7 @@ class TestChaosDeterminism:
     def test_faulty_pooled_sweep_equals_fault_free_serial(self, tmp_path, monkeypatch):
         seeds = [0, 1, 2]
         monkeypatch.delenv(FAULTS_ENV, raising=False)
-        baseline = run_seeded(_SWEEP_SPEC, seeds, jobs=1)
+        baseline = run_sweep([dict(_SWEEP_SPEC, seed=s) for s in seeds], jobs=1).results
 
         # crash probability stays low: a pool break with several trials in
         # flight charges none of them but runs each alone afterwards, where

@@ -82,9 +82,9 @@ class TestPipelineWarmStart:
 
     def test_run_trials_propagates_store(self, tmp_path):
         pipeline = tiny_pipeline().warm_start(str(tmp_path))
-        cold = pipeline.run_trials([0, 1], jobs=1)
+        cold = pipeline.run_sweep([0, 1], jobs=1).results
         assert [r.extra["pretrain_cache"]["hit"] for r in cold] == [False, False]
-        warm = pipeline.run_trials([0, 1], jobs=2)
+        warm = pipeline.run_sweep([0, 1], jobs=2).results
         assert [r.extra["pretrain_cache"]["hit"] for r in warm] == [True, True]
         for a, b in zip(cold, warm):
             assert a.report == b.report
@@ -148,7 +148,7 @@ class TestPretrainedStateHandoff:
     def test_run_trials_rejects_pretrained_state(self):
         pipeline = tiny_pipeline().pretrained_state({"w": np.zeros(2)})
         with pytest.raises(SpecError, match="warm_start"):
-            pipeline.run_trials([0, 1])
+            pipeline.run_sweep([0, 1])
 
 
 class TestPipelineSaveLoad:
@@ -177,7 +177,7 @@ class TestPipelineSaveLoad:
             Pipeline.load(path)
 
     def test_pooled_results_cannot_be_saved(self, tmp_path):
-        results = tiny_pipeline().run_trials([0])
+        results = tiny_pipeline().run_sweep([0]).results
         with pytest.raises(StoreError, match="no model"):
             results[0].save(str(tmp_path / "x.snap"))
 
@@ -224,7 +224,11 @@ class TestRunnerWarmStart:
         )
         for trial in populate.base_trials + populate.rethink_trials:
             assert trial.extra["pretrain_cache"]["enabled"]
+        # D trials pretrain and write the snapshot; R-D trials read it.
+        for trial in populate.base_trials:
             assert not trial.extra["pretrain_cache"]["hit"]
+        for trial in populate.rethink_trials:
+            assert trial.extra["pretrain_cache"]["hit"]
         for trial in warm.base_trials + warm.rethink_trials:
             assert trial.extra["pretrain_cache"]["hit"]
         # One snapshot per seed: the D / R-D pair shares it.
@@ -248,9 +252,12 @@ class TestRunnerWarmStart:
             second = run_model_pair(
                 "gae", "brazil_air_sim", config, store_dir=str(tmp_path)
             )
-        for trial in second.base_trials + second.rethink_trials:
+        for trial in second.base_trials:
             stats = trial.extra["pretrain_cache"]
             assert stats["degraded"] and not stats["hit"]
+        # the degraded D trial rewrote the snapshot; its R-D trial reads it
+        for trial in second.rethink_trials:
+            assert trial.extra["pretrain_cache"]["hit"]
         for a, b in zip(
             first.base_trials + first.rethink_trials,
             second.base_trials + second.rethink_trials,
