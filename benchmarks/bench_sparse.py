@@ -27,29 +27,39 @@ times faster (default 5×, checked for N ≥ 2000) on the spmm kernel, GCN
 propagation and the quadratic form, otherwise the script exits non-zero so
 CI fails loudly on hot-path perf regressions.  The feature-product rows
 are reported, not gated: they record the crossover behind the feature
-density threshold, and like the gated rows they depend on the number of
-BLAS threads.
+density threshold.
+
+Run as a script, it pins BLAS to one thread before numpy loads, as the
+end-to-end benchmark's environment does: the CSR kernel is
+single-threaded, while more BLAS threads speed up the dense baseline
+alone, so with two threads the N = 2000 rows swing across the gate from
+run to run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import tracemalloc
 from typing import Callable, Dict, Optional
 
-import numpy as np
+if __name__ == "__main__":
+    # Before numpy is imported: BLAS reads these once, when it loads.
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
-from repro.graph.laplacian import (
+import numpy as np  # noqa: E402
+
+from repro.graph.laplacian import (  # noqa: E402
     laplacian_quadratic_form,
     laplacian_quadratic_form_dense,
     normalize_adjacency,
 )
-from repro.graph.sparse import FEATURE_DENSITY_THRESHOLD, SparseAdjacency
-from repro.nn.layers import GraphConvolution
-from repro.observability.metrics import metrics_report as unified_report
+from repro.graph.sparse import FEATURE_DENSITY_THRESHOLD, SparseAdjacency  # noqa: E402
+from repro.nn.layers import GraphConvolution  # noqa: E402
+from repro.observability.metrics import metrics_report as unified_report  # noqa: E402
 
 FEATURE_DIM = 32
 HIDDEN_DIM = 16

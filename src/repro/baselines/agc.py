@@ -16,6 +16,7 @@ from repro.clustering.kmeans import KMeans
 from repro.errors import InternalInvariantError
 from repro.graph.graph import AttributedGraph
 from repro.graph.laplacian import normalize_adjacency
+from repro.graph.sparse import as_dense
 
 
 class AGC:
@@ -56,7 +57,7 @@ class AGC:
         adj_norm = normalize_adjacency(graph.adjacency.to_dense(), self_loops=True)
         # Low-pass filter G = I - L_sym / 2 = (I + A_norm) / 2.
         filter_matrix = (np.eye(graph.num_nodes) + adj_norm) / 2.0
-        features = graph.row_normalized_features()
+        features = as_dense(graph.row_normalized_features())
         best_labels: Optional[np.ndarray] = None
         best_variance = np.inf
         previous_variance = np.inf

@@ -19,6 +19,7 @@ import numpy as np
 from repro.clustering.kmeans import KMeans
 from repro.graph.graph import AttributedGraph
 from repro.graph.laplacian import normalize_adjacency
+from repro.graph.sparse import as_dense
 
 
 class AGE:
@@ -44,7 +45,7 @@ class AGE:
     def _smooth(self, graph: AttributedGraph) -> np.ndarray:
         adj_norm = normalize_adjacency(graph.adjacency.to_dense(), self_loops=True)
         filter_matrix = (np.eye(graph.num_nodes) + adj_norm) / 2.0
-        smoothed = graph.row_normalized_features()
+        smoothed = as_dense(graph.row_normalized_features())
         for _ in range(self.smoothing_order):
             smoothed = filter_matrix @ smoothed
         return smoothed

@@ -15,6 +15,7 @@ import numpy as np
 from repro.clustering.kmeans import KMeans
 from repro.graph.graph import AttributedGraph
 from repro.graph.laplacian import normalize_adjacency
+from repro.graph.sparse import as_dense
 
 
 class MGAE:
@@ -53,7 +54,7 @@ class MGAE:
 
     def fit(self, graph: AttributedGraph) -> "MGAE":
         adj_norm = normalize_adjacency(graph.adjacency.to_dense(), self_loops=True)
-        hidden = graph.row_normalized_features()
+        hidden = as_dense(graph.row_normalized_features())
         for _ in range(self.num_layers):
             hidden = adj_norm @ hidden
             hidden = self._marginalized_layer(hidden)

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from repro.clustering.kmeans import KMeans
-from repro.graph.graph import AttributedGraph
+from repro.graph.graph import AttributedGraph, Features
+from repro.graph.sparse import as_dense
 
 
 class TADW:
@@ -47,9 +48,9 @@ class TADW:
         a_hat = adjacency / degrees
         return (a_hat + a_hat @ a_hat) / 2.0
 
-    def _reduced_text(self, features: np.ndarray) -> np.ndarray:
+    def _reduced_text(self, features: Features) -> np.ndarray:
         """SVD-reduced attribute matrix ``X`` (text_dim x N)."""
-        features = np.asarray(features, dtype=np.float64)
+        features = as_dense(features)
         rank = min(self.text_dim, min(features.shape) - 1)
         u, s, _ = np.linalg.svd(features, full_matrices=False)
         return (u[:, :rank] * s[:rank]).T

@@ -3,7 +3,8 @@
 The paper row-normalises every feature matrix with the Euclidean norm and,
 for the attribute-free air-traffic networks, uses a one-hot encoding of the
 node degree as the feature matrix (Section 5.1).  Both constructions are
-reproduced here.
+reproduced here; :func:`row_normalize` lives with the feature formats in
+:mod:`repro.graph.sparse` and keeps the format it is given.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graph.sparse import SparseAdjacency
+from repro.graph.sparse import SparseAdjacency, row_normalize
+
+__all__ = ["degree_one_hot_features", "row_normalize"]
 
 
 def degree_one_hot_features(
@@ -35,20 +38,3 @@ def degree_one_hot_features(
     features = np.zeros((degrees.shape[0], max_degree + 1))
     features[np.arange(degrees.shape[0]), capped] = 1.0
     return features
-
-
-def row_normalize(features: np.ndarray, norm: str = "l2") -> np.ndarray:
-    """Row-normalise a feature matrix.
-
-    ``norm`` is ``"l2"`` (Euclidean, the paper's choice) or ``"l1"``.
-    All-zero rows are left untouched.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if norm == "l2":
-        scale = np.linalg.norm(features, axis=1, keepdims=True)
-    elif norm == "l1":
-        scale = np.abs(features).sum(axis=1, keepdims=True)
-    else:
-        raise ValueError(f"unknown norm: {norm!r}")
-    scale[scale == 0.0] = 1.0
-    return features / scale

@@ -1,7 +1,13 @@
 """Graph substrate: containers, normalisation, generators and graph edits."""
 
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import SparseAdjacency, feature_matrix, propagation_matrix
+from repro.graph.sparse import (
+    SparseAdjacency,
+    as_dense,
+    feature_matrix,
+    propagation_matrix,
+    row_normalize,
+)
 from repro.graph.laplacian import (
     degree_vector,
     degree_matrix,
@@ -38,6 +44,8 @@ __all__ = [
     "SparseAdjacency",
     "propagation_matrix",
     "feature_matrix",
+    "row_normalize",
+    "as_dense",
     "laplacian_quadratic_form_dense",
     "degree_vector",
     "degree_matrix",

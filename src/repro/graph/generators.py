@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import SparseAdjacency
+from repro.graph.sparse import ROW_BLOCK, SparseAdjacency
 
 
 def _cluster_sizes(num_nodes: int, proportions: Sequence[float]) -> np.ndarray:
@@ -37,11 +37,6 @@ def _cluster_sizes(num_nodes: int, proportions: Sequence[float]) -> np.ndarray:
     for index in range(remainder):
         sizes[order[index % len(sizes)]] += 1
     return sizes
-
-
-#: rows of the (N, N) uniform draw sampled at a time; row blocks consume the
-#: generator stream exactly like one (N, N) draw.
-ROW_BLOCK = 256
 
 
 def _sample_edges(
@@ -120,34 +115,46 @@ def planted_partition_features(
     signal: float,
     noise: float,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> SparseAdjacency:
     """Sparse binary bag-of-words-like features correlated with the labels.
 
     Each class owns ``active_per_class`` "topic words"; a node activates each
     of its class words with probability ``signal`` and every other word with
     probability ``noise``.  The result mimics the sparse binary features of
-    citation networks.
+    citation networks, and comes as a canonical (N, F) CSR matrix.  The
+    noise uniforms are drawn one row block at a time, so the features and
+    the generator state afterwards equal those of a single
+    ``rng.random((N, F))`` draw while memory stays O(ROW_BLOCK · F).
     """
     labels = np.asarray(labels)
     num_nodes = labels.shape[0]
     num_classes = int(labels.max()) + 1
     if active_per_class * num_classes > num_features:
         raise ValueError("num_features too small for the requested class vocabulary")
-    features = (rng.random((num_nodes, num_features)) < noise).astype(np.float64)
+    # Entries are keyed row * F + column; flatnonzero lists a block's in order.
+    keys = [
+        start * num_features
+        + np.flatnonzero(rng.random((min(ROW_BLOCK, num_nodes - start), num_features)) < noise)
+        for start in range(0, num_nodes, ROW_BLOCK)
+    ]
     for klass in range(num_classes):
         members = np.flatnonzero(labels == klass)
-        start = klass * active_per_class
-        stop = start + active_per_class
-        activations = rng.random((members.shape[0], active_per_class)) < signal
-        features[np.ix_(members, np.arange(start, stop))] = np.maximum(
-            features[np.ix_(members, np.arange(start, stop))], activations
-        )
+        rows, words = np.nonzero(rng.random((members.shape[0], active_per_class)) < signal)
+        keys.append(members[rows] * num_features + klass * active_per_class + words)
+    merged = np.sort(np.concatenate(keys))
+    # A class word that is also a noise word is one entry.
+    merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
     # Guarantee no all-zero rows (every document has at least one word).
-    empty = features.sum(axis=1) == 0
-    if np.any(empty):
-        cols = rng.integers(0, num_features, size=int(empty.sum()))
-        features[np.flatnonzero(empty), cols] = 1.0
-    return features
+    counts = np.bincount(merged // num_features, minlength=num_nodes)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        words = rng.integers(0, num_features, size=empty.shape[0])
+        merged = np.sort(np.concatenate([merged, empty * num_features + words]))
+        counts[empty] = 1
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return SparseAdjacency(
+        np.ones(merged.shape[0]), merged % num_features, indptr, (num_nodes, num_features)
+    )
 
 
 def attributed_sbm_graph(

@@ -4,7 +4,11 @@ The paper works with a non-directed attributed graph ``G = (V, E, X)`` with
 adjacency matrix ``A`` (binary, symmetric, zero diagonal), node feature
 matrix ``X`` and, for evaluation only, ground-truth cluster labels ``y``.
 ``A`` is held in CSR; code that needs the (N, N) array calls
-``graph.adjacency.to_dense()`` itself.
+``graph.adjacency.to_dense()`` itself.  ``X`` is held in the format the
+first GCN layer multiplies (:func:`~repro.graph.sparse.feature_matrix`):
+CSR for bag-of-words features of large graphs, a dense array otherwise;
+code that needs the array whatever the format calls
+:func:`~repro.graph.sparse.as_dense`.
 """
 
 from __future__ import annotations
@@ -14,21 +18,17 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.graph.sparse import SparseAdjacency
+from repro.graph.sparse import SparseAdjacency, feature_matrix, row_normalize
+
+#: a feature matrix in either of its formats.
+Features = Union[np.ndarray, SparseAdjacency]
 
 
 def _canonical(adjacency: Union[np.ndarray, SparseAdjacency]) -> SparseAdjacency:
     """``adjacency`` as CSR with sorted rows (dense input is converted once)."""
     if not isinstance(adjacency, SparseAdjacency):
         return SparseAdjacency.from_dense(adjacency)
-    n = adjacency.num_nodes
-    rows, cols, values = adjacency.coo()
-    keys = rows * n + cols
-    if np.all(np.diff(keys) > 0):
-        return adjacency
-    if np.any(np.diff(np.sort(keys)) == 0):
-        raise ValueError("adjacency has duplicate entries")
-    return SparseAdjacency.from_coo(rows, cols, values, n)
+    return adjacency.canonical()
 
 
 @dataclass
@@ -41,7 +41,9 @@ class AttributedGraph:
         (N, N) binary symmetric CSR matrix with zero diagonal and sorted
         rows; a dense array passed to the constructor is converted.
     features:
-        (N, J) node feature matrix.
+        (N, J) node feature matrix, held in the format
+        :func:`~repro.graph.sparse.feature_matrix` picks for it (a canonical
+        CSR matrix or a dense array); either format may be passed.
     labels:
         Optional (N,) integer array of ground-truth cluster labels, used only
         to *evaluate* clustering (never during training).
@@ -52,14 +54,14 @@ class AttributedGraph:
     """
 
     adjacency: SparseAdjacency
-    features: np.ndarray
+    features: Features
     labels: Optional[np.ndarray] = None
     name: str = "graph"
     metadata: Dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.adjacency = _canonical(self.adjacency)
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = feature_matrix(self.features)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
         self.validate()
@@ -101,7 +103,7 @@ class AttributedGraph:
         """Check structural invariants in O(|E|); raise ``ValueError`` on violation."""
         a = self.adjacency
         n = a.num_nodes
-        if self.features.ndim != 2 or self.features.shape[0] != n:
+        if len(self.features.shape) != 2 or self.features.shape[0] != n:
             raise ValueError(
                 "features must be (N, J) with N matching the adjacency "
                 f"(got {self.features.shape} vs N={n})"
@@ -128,16 +130,18 @@ class AttributedGraph:
         """Return a copy of the graph with a replacement adjacency matrix."""
         return self._copy_with(adjacency, self.features)
 
-    def with_features(self, features: np.ndarray) -> "AttributedGraph":
+    def with_features(self, features: Features) -> "AttributedGraph":
         """Return a copy of the graph with a replacement feature matrix."""
         return self._copy_with(self.adjacency.copy(), features)
 
     def _copy_with(
-        self, adjacency: Union[np.ndarray, SparseAdjacency], features: np.ndarray
+        self, adjacency: Union[np.ndarray, SparseAdjacency], features: Features
     ) -> "AttributedGraph":
+        held = feature_matrix(features)
         return AttributedGraph(
             adjacency=adjacency,
-            features=np.array(features, dtype=np.float64),
+            # Copy the caller's object only: a converted matrix is new already.
+            features=held.copy() if held is features else held,
             labels=None if self.labels is None else self.labels.copy(),
             name=self.name,
             metadata=dict(self.metadata),
@@ -154,8 +158,7 @@ class AttributedGraph:
         upper = cols > rows
         return np.stack([rows[upper], cols[upper]], axis=1)
 
-    def row_normalized_features(self) -> np.ndarray:
-        """Features row-normalised by their Euclidean norm (paper Section 5.1)."""
-        norms = np.linalg.norm(self.features, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return self.features / norms
+    def row_normalized_features(self) -> Features:
+        """Features row-normalised by their Euclidean norm (paper Section 5.1),
+        in the format the graph holds them in."""
+        return row_normalize(self.features, norm="l2")

@@ -14,7 +14,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import SparseAdjacency
+from repro.graph.sparse import SparseAdjacency, as_dense
 from repro.graph.stats import _upper_edges
 
 
@@ -56,18 +56,27 @@ def add_feature_noise(
     if variance == 0.0:
         return graph.copy()
     noise = rng.normal(0.0, np.sqrt(variance), size=graph.features.shape)
-    return graph.with_features(graph.features + noise)
+    return graph.with_features(as_dense(graph.features) + noise)
 
 
 def drop_random_features(
     graph: AttributedGraph, num_columns: int, rng: np.random.Generator
 ) -> AttributedGraph:
     """Zero out ``num_columns`` randomly chosen feature columns."""
-    num_features = graph.features.shape[1]
+    features = graph.features
+    num_features = features.shape[1]
     if num_columns > num_features:
         raise ValueError("cannot drop more columns than the graph has features")
     columns = rng.choice(num_features, size=num_columns, replace=False)
-    features = graph.features.copy()
+    if isinstance(features, SparseAdjacency):
+        dropped = np.zeros(num_features, dtype=bool)
+        dropped[columns] = True
+        # The graph drops the zeroed entries when it canonicalises them.
+        data = np.where(dropped[features.indices], 0.0, features.data)
+        return graph.with_features(
+            SparseAdjacency(data, features.indices, features.indptr, features.shape)
+        )
+    features = features.copy()
     features[:, columns] = 0.0
     return graph.with_features(features)
 

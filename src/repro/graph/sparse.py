@@ -8,7 +8,8 @@ operations the training path needs, each in O(|E|) per feature column:
 
 * construction from a dense matrix, a COO triple or an undirected edge list,
 * rectangular (N, F) matrices too, for bag-of-words node features, with a
-  row gather (``matrix[rows]``) for the minibatch blocks,
+  row gather (``matrix[rows]``) for the minibatch blocks, dense row blocks
+  for the row norms and digests, and :func:`row_normalize`,
 * symmetric normalisation ``D^{-1/2} (A + I) D^{-1/2}`` with the same
   isolated-node handling as the dense :func:`repro.graph.laplacian.normalize_adjacency`,
 * sparse @ dense multiplication (``spmm``) in O(|E| d), through a
@@ -21,15 +22,17 @@ operations the training path needs, each in O(|E|) per feature column:
 
 The class is deliberately numpy-only, like the rest of the library (numpy
 is its one runtime dependency).  Code that needs an (N, N) array by
-definition calls :meth:`SparseAdjacency.to_dense` itself;
-:func:`propagation_matrix` is the single place that decides whether a
-whole graph propagates through CSR or through a dense BLAS matrix, and
-:func:`feature_matrix` the one that decides the same for its features.
+definition calls :meth:`SparseAdjacency.to_dense` itself, and code that
+needs dense features calls :func:`as_dense`; :func:`propagation_matrix` is
+the single place that decides whether a whole graph propagates through
+CSR or through a dense BLAS matrix, and :func:`feature_matrix` the one
+that decides the format its features are held in, from the generator to
+the first GCN layer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +40,9 @@ __all__ = [
     "SparseAdjacency",
     "propagation_matrix",
     "feature_matrix",
+    "row_normalize",
+    "as_dense",
+    "ROW_BLOCK",
     "SPARSE_NODE_THRESHOLD",
     "SPARSE_DENSITY_THRESHOLD",
     "FEATURE_DENSITY_THRESHOLD",
@@ -64,6 +70,10 @@ ROW_CAP = 64
 #: gathered (entries × columns) elements per spmm step, which bounds the
 #: product's transient memory independently of nnz.
 SPMM_CHUNK = 1 << 16
+
+#: rows of a dense block at a time, wherever an (N, F) or (N, N) matrix is
+#: only ever needed piecewise (random draws, row norms, digests).
+ROW_BLOCK = 256
 
 
 class _SpmmLayout(NamedTuple):
@@ -132,7 +142,8 @@ class SparseAdjacency:
 
     A rectangular matrix supports what a constant operand of a product
     needs: :meth:`matmul`, :meth:`transpose`, the row gather
-    ``matrix[rows]``, degrees, :meth:`scale` and the conversions.  The
+    ``matrix[rows]``, degrees, :meth:`scale`, :meth:`canonical` and the
+    conversions, :meth:`dense_row_blocks` among them.  The
     graph operations (:attr:`num_nodes`, :meth:`add_self_loops`,
     :meth:`normalize`, :meth:`induced_subgraph`, :meth:`sample_neighbors`,
     :meth:`quadratic_form_cross_term`) raise ``ValueError`` on it.
@@ -321,6 +332,34 @@ class SparseAdjacency:
         dense = np.zeros(self.shape, dtype=np.float64)
         dense[self.row_indices(), self.indices] = self.data
         return dense
+
+    def dense_row_blocks(self) -> Iterator[np.ndarray]:
+        """The dense matrix, :data:`ROW_BLOCK` rows at a time, top to bottom.
+
+        Each block is a fresh C-ordered array, so the blocks' bytes follow
+        one another exactly like those of :meth:`to_dense`'s result.
+        """
+        rows = self.row_indices()
+        for start in range(0, self.shape[0], ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, self.shape[0])
+            entries = slice(self.indptr[start], self.indptr[stop])
+            block = np.zeros((stop - start, self.shape[1]), dtype=np.float64)
+            block[rows[entries] - start, self.indices[entries]] = self.data[entries]
+            yield block
+
+    def canonical(self) -> "SparseAdjacency":
+        """The same matrix with sorted columns in every row and no stored
+        zeros; ``self`` when it already is.  Duplicate coordinates raise
+        ``ValueError``."""
+        rows, cols, values = self.coo()
+        keys = rows * self.shape[1] + cols
+        if np.all(np.diff(keys) > 0) and np.all(values != 0.0):
+            return self
+        order = np.argsort(keys, kind="stable")
+        if np.any(np.diff(keys[order]) == 0):
+            raise ValueError("matrix has duplicate entries")
+        order = order[values[order] != 0.0]
+        return SparseAdjacency._from_sorted_coo(rows[order], cols[order], values[order], self.shape)
 
     def copy(self) -> "SparseAdjacency":
         return SparseAdjacency(
@@ -615,21 +654,79 @@ def propagation_matrix(
     return normalize_adjacency(adjacency.to_dense(), self_loops=self_loops)
 
 
-def feature_matrix(features: np.ndarray) -> Union[np.ndarray, SparseAdjacency]:
-    """The (N, F) input features in the format the first GCN layer multiplies.
+def feature_matrix(
+    features: Union[np.ndarray, SparseAdjacency],
+) -> Union[np.ndarray, SparseAdjacency]:
+    """The (N, F) node features in the format the graph holds them in.
 
     Features of graphs with ≥ :data:`SPARSE_NODE_THRESHOLD` nodes of which
     at most :data:`FEATURE_DENSITY_THRESHOLD` are non-zero (bag-of-words
-    attributes) become a rectangular :class:`SparseAdjacency`, so ``X W``
-    and its backward ``Xᵀ G`` run through the CSR kernel.  Smaller or
-    denser ones are returned as they are and keep the exact BLAS path
-    (bit-identical results).  Like :func:`propagation_matrix`, the choice
-    depends on the graph alone.
+    attributes) are a canonical rectangular :class:`SparseAdjacency`
+    (:meth:`~SparseAdjacency.canonical`), so ``X W`` and its backward
+    ``Xᵀ G`` run through the CSR kernel.  Smaller or denser ones are a
+    dense array and keep the exact BLAS path (bit-identical results).
+    Either format comes in, and an input already in its format comes back
+    as the same object.  Like :func:`propagation_matrix`, the choice
+    depends on the graph alone; :class:`~repro.graph.graph.AttributedGraph`
+    applies it once, when it is built.
     """
+    if isinstance(features, SparseAdjacency):
+        features = features.canonical()
+        nonzero = features.nnz
+    else:
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2:
+            return features
+        nonzero = np.count_nonzero(features)
+    rows, cols = features.shape
+    sparse = rows >= SPARSE_NODE_THRESHOLD and nonzero <= FEATURE_DENSITY_THRESHOLD * rows * cols
+    if sparse == isinstance(features, SparseAdjacency):
+        return features
+    return SparseAdjacency.from_matrix(features) if sparse else features.to_dense()
+
+
+#: per-row scale of each :func:`row_normalize` norm, over a dense row block.
+_ROW_SCALES = {
+    "l2": lambda rows: np.linalg.norm(rows, axis=1),
+    "l1": lambda rows: np.abs(rows).sum(axis=1),
+}
+
+
+def row_normalize(
+    features: Union[np.ndarray, SparseAdjacency], norm: str = "l2"
+) -> Union[np.ndarray, SparseAdjacency]:
+    """Row-normalise a feature matrix, in the format it comes in.
+
+    ``norm`` is ``"l2"`` (Euclidean, the paper's choice) or ``"l1"``.
+    All-zero rows are left untouched.  CSR rows are scaled by the norms of
+    their dense row blocks (:meth:`SparseAdjacency.dense_row_blocks`): a
+    sum over the non-zeros alone would add in another order, so the result
+    is bit-identical to normalising the dense array.
+    """
+    if norm not in _ROW_SCALES:
+        raise ValueError(f"unknown norm: {norm!r}")
+    row_scale = _ROW_SCALES[norm]
+    if isinstance(features, SparseAdjacency):
+        scale = np.empty(features.shape[0])
+        start = 0
+        for block in features.dense_row_blocks():
+            scale[start : start + block.shape[0]] = row_scale(block)
+            start += block.shape[0]
+        scale[scale == 0.0] = 1.0
+        data = features.data / scale[features.row_indices()]
+        return SparseAdjacency(data, features.indices, features.indptr, features.shape).canonical()
     features = np.asarray(features, dtype=np.float64)
-    if (
-        features.shape[0] >= SPARSE_NODE_THRESHOLD
-        and np.count_nonzero(features) <= FEATURE_DENSITY_THRESHOLD * features.size
-    ):
-        return SparseAdjacency.from_matrix(features)
-    return features
+    scale = row_scale(features)[:, None]
+    scale[scale == 0.0] = 1.0
+    return features / scale
+
+
+def as_dense(matrix: Union[np.ndarray, SparseAdjacency]) -> np.ndarray:
+    """``matrix`` as an array: CSR is materialised, an array comes back as is.
+
+    For the code that needs a feature matrix dense by definition (the
+    spectral and matrix-factorisation baselines, Gaussian feature noise).
+    """
+    if isinstance(matrix, SparseAdjacency):
+        return matrix.to_dense()
+    return np.asarray(matrix, dtype=np.float64)

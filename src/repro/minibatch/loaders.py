@@ -35,7 +35,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import SparseAdjacency, feature_matrix, propagation_matrix
+from repro.graph.sparse import SparseAdjacency, propagation_matrix
 from repro.minibatch.partition import ClusterPartitioner, GraphPartition
 from repro.nn.functional import TiledTarget
 from repro.observability.tracer import span as _span
@@ -145,7 +145,7 @@ class FullBatchLoader(MinibatchLoader):
         self.seed = int(seed)
         if inputs is None:
             inputs = (
-                feature_matrix(graph.row_normalized_features()),
+                graph.row_normalized_features(),
                 propagation_matrix(graph.adjacency, self_loops=True),
             )
         node_ids = np.arange(graph.num_nodes, dtype=np.int64)
@@ -216,7 +216,7 @@ class NeighborLoader(MinibatchLoader):
         self.num_hops = int(num_hops)
         self.seed = int(seed)
         if features is None:
-            features = feature_matrix(graph.row_normalized_features())
+            features = graph.row_normalized_features()
         self._features = features
 
     @property
@@ -291,7 +291,7 @@ class ClusterLoader(MinibatchLoader):
             )
         self.partition = partition
         if features is None:
-            features = feature_matrix(graph.row_normalized_features())
+            features = graph.row_normalized_features()
         self._batches: List[Minibatch] = [
             _induced_minibatch(graph.adjacency, features, part, part)
             for part in partition.parts

@@ -29,7 +29,7 @@ from repro.analysis.sanitizers import autograd_leak_check
 from repro.clustering.assignments import estimate_cluster_moments
 from repro.clustering.kmeans import KMeans
 from repro.graph.graph import AttributedGraph
-from repro.graph.sparse import SparseAdjacency, feature_matrix, propagation_matrix
+from repro.graph.sparse import SparseAdjacency, propagation_matrix
 from repro.nn import functional as F
 from repro.nn.layers import GraphConvolution
 from repro.nn.module import Module
@@ -266,13 +266,14 @@ class GAEClusteringModel(Module):
 
         Each is a :class:`~repro.graph.sparse.SparseAdjacency` on large
         sparse graphs and a dense array on small or dense ones: the
-        features become an (N, F) CSR matrix when few of them are non-zero
-        (:func:`~repro.graph.sparse.feature_matrix`), the propagation
-        matrix when few edges exist
+        features keep the format the graph holds them in, an (N, F) CSR
+        matrix when few of them are non-zero
+        (:func:`~repro.graph.sparse.feature_matrix`), and the propagation
+        matrix is CSR when few edges exist
         (:func:`~repro.graph.sparse.propagation_matrix`).  The GCN layers
         accept both, so callers should treat them as opaque operators.
         """
-        features = feature_matrix(graph.row_normalized_features())
+        features = graph.row_normalized_features()
         adj_norm = propagation_matrix(graph.adjacency, self_loops=True)
         return features, adj_norm
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Iterable, Tuple
 
 import numpy as np
 
 from repro.errors import StoreError
+from repro.graph.sparse import SparseAdjacency
 
 
 def _canonical(value: Any) -> Any:
@@ -63,14 +64,37 @@ def config_hash(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def array_digest(array: np.ndarray) -> str:
-    """Hex SHA-256 of an array's dtype, shape and contiguous bytes."""
-    array = np.ascontiguousarray(array)
+def _digest(dtype: Any, shape: Tuple[int, ...], blocks: Iterable[np.ndarray]) -> str:
+    """Hex SHA-256 of a dtype and shape header, then the blocks' C-order bytes."""
     digest = hashlib.sha256()
-    digest.update(str(array.dtype).encode("utf-8"))
-    digest.update(str(array.shape).encode("utf-8"))
-    digest.update(array.tobytes())
+    digest.update(str(dtype).encode("utf-8"))
+    digest.update(str(shape).encode("utf-8"))
+    for block in blocks:
+        digest.update(block.tobytes())
     return digest.hexdigest()
+
+
+def array_digest(array: np.ndarray) -> str:
+    """Hex SHA-256 of an array's dtype, shape and contiguous bytes.
+
+    Anything but an ``np.ndarray`` raises ``TypeError``: numpy would wrap
+    another object in a 0-d object array, whose bytes are a pointer.
+    """
+    if not isinstance(array, np.ndarray):
+        raise TypeError(f"array_digest takes an np.ndarray, got {type(array).__name__}")
+    array = np.ascontiguousarray(array)
+    return _digest(array.dtype, array.shape, [array])
+
+
+def _features_digest(features: Any) -> str:
+    """:func:`array_digest` of the dense feature matrix, in either format.
+
+    CSR features are streamed as dense row blocks, so they hash to the
+    digest of their dense array without materialising it.
+    """
+    if isinstance(features, SparseAdjacency):
+        return _digest(np.dtype(np.float64), features.shape, features.dense_row_blocks())
+    return array_digest(features)
 
 
 def graph_fingerprint(graph: Any) -> Dict[str, Any]:
@@ -81,14 +105,15 @@ def graph_fingerprint(graph: Any) -> Dict[str, Any]:
     pretraining input, so corrupted/robustness-sweep graphs never alias the
     clean dataset they were derived from.  The adjacency digest covers the
     CSR structure, which the graph container keeps canonical (sorted rows,
-    every value 1.0).
+    every value 1.0); the feature digest covers the dense values, whatever
+    format the graph holds them in.
     """
     adjacency = graph.adjacency
     return {
         "name": getattr(graph, "name", "graph"),
         "num_nodes": int(graph.num_nodes),
         "adjacency": [array_digest(adjacency.indptr), array_digest(adjacency.indices)],
-        "features": array_digest(graph.features),
+        "features": _features_digest(graph.features),
     }
 
 

@@ -40,8 +40,11 @@ first read, so that trial re-runs or that warm start pretrains cold.
 **Eviction.** Sweeps grow a store without bound; :meth:`ArtifactStore.gc`
 (CLI: ``repro-run store-gc``, budget: ``REPRO_STORE_MAX_BYTES``) evicts
 least-recently-used artifacts — reads touch mtimes — payload and manifest
-together, until the store fits its byte budget.  Quarantined files are
-exempt: they are evidence.
+together, until the store fits its byte budget.  Files that belong to no
+artifact (legacy ``.sha256`` sidecars, a manifest whose payload never
+landed) count and go the same way.  Quarantined files are exempt: they are
+evidence; so are trace exports under ``traces/`` and in-flight ``.tmp``
+files.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import env as repro_env
 from repro.errors import (
@@ -128,6 +131,16 @@ def _write_atomic(path: str, data: bytes) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp_path)
         raise
+
+
+def _unlink(paths: Iterable[str]) -> bool:
+    """Delete the files that exist among ``paths``; returns whether any did."""
+    removed = False
+    for path in paths:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+            removed = True
+    return removed
 
 
 def _recorded_sha256(manifest_path: str) -> Optional[str]:
@@ -246,12 +259,7 @@ class ArtifactStore:
 
     def _remove(self, path: str) -> bool:
         """Delete the artifact at ``path``, payload first; returns whether any file went."""
-        removed = False
-        for member in (path, _manifest_path(path)):
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(member)
-                removed = True
-        return removed
+        return _unlink((path, _manifest_path(path)))
 
     # ------------------------------------------------------------------
     # quarantine
@@ -420,28 +428,43 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # garbage collection
     # ------------------------------------------------------------------
-    def _gc_entries(self) -> List[Tuple[float, int, str]]:
-        """Evictable artifacts: ``(mtime, bytes of payload + manifest, payload path)``.
+    def _gc_entries(self) -> List[Tuple[float, int, Tuple[str, ...]]]:
+        """Evictable files: ``(mtime, bytes, files removed together)``.
 
-        Quarantined files and in-flight ``.tmp`` files are exempt.
+        An artifact is its payload and its manifest.  Any other file is an
+        orphan, evicted on its own: a legacy ``.sha256`` sidecar, or a
+        manifest whose payload never landed (or is landing right now: the
+        manifest is written first, so an eviction then makes that payload
+        degrade once on its first read).  Quarantined files, trace exports
+        under ``traces/`` and in-flight ``.tmp`` files are exempt.
         """
-        entries: List[Tuple[float, int, str]] = []
+        entries: List[Tuple[float, int, Tuple[str, ...]]] = []
         for dirpath, dirnames, filenames in os.walk(self.root):
-            if os.path.relpath(dirpath, self.root).split(os.sep)[0] == QUARANTINE_DIR:
+            area = os.path.relpath(dirpath, self.root).split(os.sep)[0]
+            if area == QUARANTINE_DIR:
                 dirnames[:] = []
                 continue
+            names = set(filenames)
             for name in filenames:
-                if not name.endswith((_SNAPSHOT, _BLOB)):
-                    continue
-                path = os.path.join(dirpath, name)
+                stem, suffix = os.path.splitext(name)
+                if suffix in (_SNAPSHOT, _BLOB):
+                    members: Tuple[str, ...] = (name, stem + ".json")
+                elif suffix == ".json" and not names.isdisjoint((stem + _SNAPSHOT, stem + _BLOB)):
+                    continue  # counted with its payload
+                elif suffix == ".tmp" or area == "traces":
+                    continue  # exempt
+                else:
+                    members = (name,)  # an orphan
+                paths = tuple(os.path.join(dirpath, member) for member in members)
                 try:
-                    mtime = os.path.getmtime(path)
-                    size = os.path.getsize(path)
+                    mtime = os.path.getmtime(paths[0])
+                    size = os.path.getsize(paths[0])
                 except FileNotFoundError:
                     continue  # raced with a concurrent delete; skip
-                with contextlib.suppress(FileNotFoundError):
-                    size += os.path.getsize(_manifest_path(path))
-                entries.append((mtime, size, path))
+                for member in paths[1:]:
+                    with contextlib.suppress(FileNotFoundError):
+                        size += os.path.getsize(member)
+                entries.append((mtime, size, paths))
         return entries
 
     def total_bytes(self) -> int:
@@ -478,10 +501,10 @@ class ArtifactStore:
         if max_bytes == 0:
             return stats
         remaining = total
-        for _, size, path in entries:
+        for _, size, paths in entries:
             if remaining <= max_bytes:
                 break
-            self._remove(path)
+            _unlink(paths)
             remaining -= size
             stats["evicted"] += 1
             stats["freed_bytes"] += size

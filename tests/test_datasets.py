@@ -63,7 +63,7 @@ class TestRegistry:
 
     def test_features_are_row_normalized(self):
         graph = load_dataset("cora_sim")
-        norms = np.linalg.norm(graph.features, axis=1)
+        norms = np.linalg.norm(graph.features.to_dense(), axis=1)
         nonzero = norms > 0
         np.testing.assert_allclose(norms[nonzero], 1.0, atol=1e-9)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,21 @@ def _one_shot_sbm(num_nodes, proportions, p_intra, p_inter, rng, degree_exponent
         probs = np.clip(probs * propensity[:, None] * propensity[None, :], 0.0, 1.0)
     upper = np.triu(rng.random((num_nodes, num_nodes)) < probs, k=1)
     return (upper | upper.T).astype(np.float64), labels
+
+
+def _one_shot_features(labels, num_features, active_per_class, signal, noise, rng):
+    """The historical planted-partition features: one (N, F) uniform draw."""
+    features = (rng.random((labels.shape[0], num_features)) < noise).astype(np.float64)
+    for klass in range(int(labels.max()) + 1):
+        members = np.flatnonzero(labels == klass)
+        words = np.arange(klass * active_per_class, (klass + 1) * active_per_class)
+        activations = rng.random((members.shape[0], active_per_class)) < signal
+        features[np.ix_(members, words)] = np.maximum(features[np.ix_(members, words)], activations)
+    empty = features.sum(axis=1) == 0
+    if np.any(empty):
+        cols = rng.integers(0, num_features, size=int(empty.sum()))
+        features[np.flatnonzero(empty), cols] = 1.0
+    return features
 
 
 def _dense_edge_difference(original, modified, labels):
@@ -254,14 +271,29 @@ class TestGenerators:
         np.testing.assert_array_equal(labels, expected_labels)
         assert rng.random() == reference_rng.random()
 
+    @pytest.mark.parametrize("num_nodes", [ROW_BLOCK // 2 + 1, 2 * ROW_BLOCK + 37])
+    @pytest.mark.parametrize("noise", [0.01, 0.0])
+    def test_feature_row_blocks_reproduce_the_one_shot_draw(self, num_nodes, noise):
+        """Row-block feature sampling yields the features and the generator
+        state of one (N, F) draw, empty-row fill-ins included (noise 0
+        leaves most rows without a noise word)."""
+        labels = np.random.default_rng(0).integers(0, 4, num_nodes)
+        reference_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        expected = _one_shot_features(labels, 90, 12, 0.2, noise, reference_rng)
+        features = planted_partition_features(labels, 90, 12, 0.2, noise, rng)
+        assert isinstance(features, SparseAdjacency)
+        assert features.canonical() is features
+        assert features.to_dense().tobytes() == expected.tobytes()
+        assert rng.random() == reference_rng.random()
+
     def test_planted_features_no_empty_rows(self, rng):
         labels = np.repeat(np.arange(3), 20)
         features = planted_partition_features(labels, 60, 10, 0.3, 0.01, rng)
-        assert np.all(features.sum(axis=1) > 0)
+        assert np.all(features.to_dense().sum(axis=1) > 0)
 
     def test_planted_features_class_correlation(self, rng):
         labels = np.repeat(np.arange(2), 50)
-        features = planted_partition_features(labels, 40, 10, 0.5, 0.01, rng)
+        features = planted_partition_features(labels, 40, 10, 0.5, 0.01, rng).to_dense()
         class0_block = features[labels == 0][:, :10].mean()
         class1_block = features[labels == 1][:, :10].mean()
         assert class0_block > 5.0 * class1_block
@@ -416,3 +448,43 @@ class TestGraphIO:
         path = tmp_path / "nolabels.npz"
         save_graph_npz(graph, path)
         assert load_graph_npz(path).labels is None
+
+    def test_npz_roundtrip_of_csr_features(self, tmp_path):
+        """A ≥ 256-node graph keeps its CSR adjacency and features, bytewise,
+        in an archive of plain arrays (no dense (N, N) array, no pickle)."""
+        graph = attributed_sbm_graph(
+            300, [0.5, 0.5], 0.05, 0.005, 400, 20, 0.2, 0.005, seed=1, name="csr"
+        )
+        assert isinstance(graph.features, SparseAdjacency)
+        path = tmp_path / "csr.npz"
+        save_graph_npz(graph, path)
+        with np.load(path, allow_pickle=False) as archive:
+            assert "adjacency" not in archive.files and "features" not in archive.files
+            assert archive["adjacency_indptr"].shape == (graph.num_nodes + 1,)
+        loaded = load_graph_npz(path)
+        assert isinstance(loaded.features, SparseAdjacency)
+        for name in ("data", "indices", "indptr"):
+            for matrix in ("adjacency", "features"):
+                expected = getattr(getattr(graph, matrix), name)
+                assert getattr(getattr(loaded, matrix), name).tobytes() == expected.tobytes()
+        assert loaded.features.shape == graph.features.shape
+        np.testing.assert_array_equal(loaded.labels, graph.labels)
+        assert loaded.name == "csr" and loaded.metadata == graph.metadata
+
+    def test_npz_loads_the_dense_layout(self, tiny_graph, tmp_path):
+        """Archives that hold the dense adjacency and features still load."""
+        path = tmp_path / "dense.npz"
+        np.savez_compressed(
+            path,
+            adjacency=tiny_graph.adjacency.to_dense(),
+            features=tiny_graph.features,
+            labels=tiny_graph.labels,
+            name=np.array(tiny_graph.name),
+            metadata_json=np.array(json.dumps(tiny_graph.metadata)),
+        )
+        loaded = load_graph_npz(path)
+        assert loaded.adjacency.indices.tobytes() == tiny_graph.adjacency.indices.tobytes()
+        assert loaded.adjacency.indptr.tobytes() == tiny_graph.adjacency.indptr.tobytes()
+        assert loaded.features.tobytes() == tiny_graph.features.tobytes()
+        np.testing.assert_array_equal(loaded.labels, tiny_graph.labels)
+        assert loaded.metadata == tiny_graph.metadata

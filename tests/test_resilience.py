@@ -497,6 +497,36 @@ class TestStoreHardening:
         assert store.keys() == [] and store.blob_names("journal/gc") == []
         assert store.quarantined() == evidence
 
+    def test_gc_counts_and_evicts_orphan_files(self, tmp_path):
+        """A legacy sidecar and a manifest whose payload never landed are
+        reclaimable bytes; traces, quarantine and temp files are not."""
+        store = ArtifactStore(str(tmp_path))
+        live = store.put_blob("journal/gc", "live", b"x" * 100)
+        sidecar = os.path.join(os.path.dirname(live), "old.pkl.sha256")
+        manifest_only = _manifest_path(store._object_path("ab" + "0" * 62))
+        exempt = [
+            os.path.join(str(tmp_path), "traces", "0123.trace.json"),
+            os.path.join(str(tmp_path), "quarantine", "t1.pkl"),
+            os.path.join(os.path.dirname(live), "in-flight.tmp"),
+        ]
+        for path, size in [(sidecar, 64), (manifest_only, 80)] + [(p, 50) for p in exempt]:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(b"y" * size)
+        live_bytes = os.path.getsize(live) + os.path.getsize(_manifest_path(live))
+        assert store.total_bytes() == live_bytes + 64 + 80
+        os.utime(live, (0, 0))  # the live artifact is the oldest: evicted first
+        stats = store.gc(max_bytes=80)
+        assert stats["scanned_bytes"] == live_bytes + 64 + 80
+        assert stats["evicted"] == 2 and stats["remaining_bytes"] == 80
+        assert not os.path.exists(live) and not os.path.exists(sidecar)
+        assert os.path.exists(manifest_only)
+        stats = store.gc(max_bytes=1)
+        assert stats["evicted"] == 1 and stats["remaining_bytes"] == 0
+        assert not os.path.exists(manifest_only)
+        assert all(os.path.exists(path) for path in exempt)
+        assert store.total_bytes() == 0
+
     def test_put_does_not_depend_on_a_fixed_temp_name(self, tmp_path):
         # a directory where a fixed manifest temp name would go stands in
         # for a concurrent writer of the same key

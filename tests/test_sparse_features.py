@@ -5,20 +5,30 @@ on the citation graphs.  On large graphs with sparse features they are an
 (N, F) ``SparseAdjacency`` and ``X W`` runs through ``spmm``; everything
 else keeps the dense array.  This file pins the rectangular CSR matrix
 against dense references, the format rule, the agreement of all six models
-between the two formats on ``cora_sim`` and the minibatch blocks cut from
-CSR features.
+between the two formats on ``cora_sim``, the minibatch blocks cut from
+CSR features, and that graphs hold their features in that format from the
+generator on (memory guard, registry formats, CSR row norms and edits).
 """
 
 from __future__ import annotations
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.datasets import load_dataset
-from repro.graph import AttributedGraph, SparseAdjacency, add_feature_noise, feature_matrix
-from repro.graph.sparse import FEATURE_DENSITY_THRESHOLD, SPARSE_NODE_THRESHOLD
+from repro.baselines import build_baseline
+from repro.datasets import available_datasets, load_dataset, row_normalize
+from repro.graph import (
+    AttributedGraph,
+    SparseAdjacency,
+    add_feature_noise,
+    drop_random_features,
+    feature_matrix,
+    planted_partition_features,
+)
+from repro.graph.sparse import FEATURE_DENSITY_THRESHOLD, ROW_BLOCK, SPARSE_NODE_THRESHOLD
 from repro.minibatch import ClusterLoader, FullBatchLoader, NeighborLoader
 from repro.models import GAEClusteringModel, build_model, reconstruction_target
 from repro.nn import GraphConvolution
@@ -140,7 +150,8 @@ class TestFeatureFormatRule:
         graph = sparse_feature_graph(rng)
         features, _ = GAEClusteringModel.prepare_inputs(graph)
         assert isinstance(features, SparseAdjacency)
-        assert features.to_dense().tobytes() == graph.row_normalized_features().tobytes()
+        dense = row_normalize(graph.features.to_dense())
+        assert features.to_dense().tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("name", ["tiny", "brazil_air_sim"])
     def test_small_graphs_keep_the_dense_array(self, name, tiny_graph):
@@ -230,7 +241,7 @@ class TestBlocksOfCsrFeatures:
     def test_blocks_are_the_dense_row_slices(self, make, rng):
         """Blocks cut from CSR features hold the dense loader's nodes and rows."""
         graph = sparse_feature_graph(rng)
-        dense = graph.row_normalized_features()
+        dense = graph.row_normalized_features().to_dense()
         csr_loader, dense_loader = make(graph, None), make(graph, dense)
         assert len(csr_loader) == len(dense_loader) > 1
         for epoch in (0, 1):
@@ -240,3 +251,86 @@ class TestBlocksOfCsrFeatures:
                 assert np.array_equal(csr.node_ids, plain.node_ids)
                 assert csr.features.to_dense().tobytes() == plain.features.tobytes()
                 assert plain.features.tobytes() == dense[plain.node_ids].tobytes()
+
+
+#: the feature format each registry dataset's model input had when graphs
+#: still held dense features; the graph now holds that format itself.
+REGISTRY_FORMATS = {
+    "cora_sim": SparseAdjacency,
+    "citeseer_sim": SparseAdjacency,
+    "pubmed_sim": np.ndarray,
+    "usa_air_sim": np.ndarray,
+    "europe_air_sim": np.ndarray,
+    "brazil_air_sim": np.ndarray,
+}
+
+
+class TestFeaturesHeldInTheirFormat:
+    def test_generating_and_normalising_stays_below_one_dense_array(self):
+        """minibatch_trial's 3000 x 500 bag of words never exists densely."""
+        n, f = 3000, 500
+        labels = np.arange(n) % 7
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            features = planted_partition_features(
+                labels, f, 35, 0.10, 0.010, np.random.default_rng(0)
+            )
+            normalized = row_normalize(features, norm="l2")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert isinstance(normalized, SparseAdjacency)
+        assert peak < n * f * np.dtype(np.float64).itemsize
+
+    def test_registry_pins_every_dataset(self):
+        assert set(REGISTRY_FORMATS) == set(available_datasets())
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY_FORMATS))
+    def test_registry_datasets_hold_their_model_input_format(self, name):
+        graph = load_dataset(name, seed=0)
+        features, _ = GAEClusteringModel.prepare_inputs(graph)
+        assert type(graph.features) is REGISTRY_FORMATS[name]
+        assert type(features) is REGISTRY_FORMATS[name]
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_row_normalize_of_csr_is_the_dense_result_bytewise(self, rng, norm):
+        dense = random_features(rng, 2 * ROW_BLOCK + 37, 90, 0.03) * 3.7
+        dense[[0, ROW_BLOCK, 2 * ROW_BLOCK + 36]] = 0.0  # empty rows, one per block
+        matrix = SparseAdjacency.from_matrix(dense)
+        normalized = row_normalize(matrix, norm=norm)
+        assert isinstance(normalized, SparseAdjacency)
+        assert normalized.canonical() is normalized
+        assert normalized.to_dense().tobytes() == row_normalize(dense, norm=norm).tobytes()
+        assert matrix.to_dense().tobytes() == dense.tobytes()  # input unchanged
+
+    def test_construction_applies_the_format_rule(self, rng, tiny_graph):
+        graph = sparse_feature_graph(rng)
+        assert isinstance(graph.features, SparseAdjacency)
+        assert graph.features.canonical() is graph.features
+        copied = graph.copy()
+        assert isinstance(copied.features, SparseAdjacency)
+        assert copied.features.data is not graph.features.data
+        assert copied.features.to_dense().tobytes() == graph.features.to_dense().tobytes()
+        small = tiny_graph.with_features(SparseAdjacency.from_matrix(tiny_graph.features))
+        assert small.features.tobytes() == tiny_graph.features.tobytes()
+
+    def test_drop_random_features_on_csr_matches_the_dense_edit(self, rng):
+        graph = sparse_feature_graph(rng)
+        modified = drop_random_features(graph, 30, np.random.default_rng(3))
+        expected = graph.features.to_dense()
+        expected[:, np.random.default_rng(3).choice(graph.num_features, 30, replace=False)] = 0.0
+        assert isinstance(modified.features, SparseAdjacency)
+        assert modified.features.canonical() is modified.features
+        assert modified.features.to_dense().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["tadw", "mgae", "agc", "age"])
+    def test_baselines_take_csr_features(self, name, rng):
+        graph = sparse_feature_graph(rng)
+        assert isinstance(graph.features, SparseAdjacency)
+        labels = build_baseline(name, graph.num_clusters, seed=0).fit_predict(graph)
+        assert labels.shape == (graph.num_nodes,)

@@ -36,6 +36,7 @@ from repro.store import (
 )
 
 from repro.graph.generators import attributed_sbm_graph
+from repro.graph.sparse import ROW_BLOCK, SparseAdjacency
 
 
 def make_tiny_graph(seed: int = 0):
@@ -92,6 +93,26 @@ class TestKeys:
         b = a.copy()
         b[0] += 1e-12
         assert array_digest(a) != array_digest(b)
+
+    def test_array_digest_rejects_non_arrays(self):
+        """A CSR matrix would hash as a 0-d object array: its address."""
+        for value in (SparseAdjacency.from_matrix(np.eye(3)), [1.0, 2.0], 3.0):
+            with pytest.raises(TypeError, match="np.ndarray"):
+                array_digest(value)
+
+    def test_graph_fingerprint_of_csr_features_is_the_dense_digest(self):
+        """CSR features hash like their dense array (streamed in row
+        blocks), so keys of explicit graphs whose features were held dense
+        before still hit."""
+        graph = attributed_sbm_graph(
+            300, [0.5, 0.5], 0.05, 0.005, 400, 20, 0.2, 0.005, seed=1, name="fp"
+        )
+        assert isinstance(graph.features, SparseAdjacency)
+        assert graph.num_nodes > ROW_BLOCK
+        digest = graph_fingerprint(graph)["features"]
+        assert digest == array_digest(graph.features.to_dense())
+        # the digest of this graph's dense feature array, before CSR features
+        assert digest == "b2c29af6044bae37388835a54f09973036a67b78d56584d0f1e6a975adc010fb"
 
     def test_graph_fingerprint_distinguishes_corrupted_graphs(self):
         graph = make_tiny_graph()
