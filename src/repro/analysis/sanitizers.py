@@ -5,10 +5,11 @@ in CI) or programmatically via :func:`install_sanitizers` /
 :func:`sanitized`.  Three guards are provided:
 
 * **NaN/Inf tensor guard** — every autograd op output and every gradient
-  accumulated during ``backward()`` is checked for non-finite values;
-  violations raise :class:`~repro.errors.NonFiniteTensorError` at the op
-  that produced them instead of surfacing as a corrupted metric hundreds
-  of steps later.
+  ``backward()`` computes (for intermediate nodes too, which keep no
+  ``.grad``) is checked for non-finite values; violations raise
+  :class:`~repro.errors.NonFiniteTensorError` at the op that produced
+  them instead of surfacing as a corrupted metric hundreds of steps
+  later.
 * **Autograd leak detector** — :func:`autograd_leak_check` tracks every
   graph node created inside its scope and fails if any still holds a
   backward closure at exit.  The training loops wrap their epochs in it,

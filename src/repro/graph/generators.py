@@ -55,16 +55,42 @@ def _sample_edges(
     n = labels.shape[0]
     sources, targets = [], []
     for start in range(0, n, ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
-        probs = np.where(labels[block, None] == labels[None, :], p_intra, p_inter)
-        if propensity is not None:
-            probs = np.clip(probs * propensity[block, None] * propensity[None, :], 0.0, 1.0)
-        rows, cols = np.nonzero(rng.random(probs.shape) < probs)
-        rows += start
-        sources.append(rows[cols > rows])
-        targets.append(cols[cols > rows])
+        # One call per block: its (ROW_BLOCK, N) arrays are freed on return,
+        # before the next draw and before the CSR build.
+        rows, cols = _upper_edges_of_block(labels, start, p_intra, p_inter, rng, propensity)
+        sources.append(rows)
+        targets.append(cols)
     edges = np.stack([np.concatenate(sources), np.concatenate(targets)], axis=1)
     return SparseAdjacency.from_edges(edges, n)
+
+
+def _upper_edges_of_block(
+    labels: np.ndarray,
+    start: int,
+    p_intra: float,
+    p_inter: float,
+    rng: np.random.Generator,
+    propensity: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of the kept edges ``i < j`` of the row block at ``start``.
+
+    The plain SBM compares the uniforms with its two probabilities through
+    the same-label mask, so no float probability block is built; the
+    degree-corrected one needs the per-pair block.
+    """
+    block = slice(start, start + ROW_BLOCK)
+    same = labels[block, None] == labels[None, :]
+    if propensity is None:
+        uniforms = rng.random(same.shape)
+        kept = np.where(same, uniforms < p_intra, uniforms < p_inter)
+    else:
+        probs = np.where(same, p_intra, p_inter)
+        probs = np.clip(probs * propensity[block, None] * propensity[None, :], 0.0, 1.0)
+        kept = rng.random(probs.shape) < probs
+    rows, cols = np.nonzero(kept)
+    rows += start
+    upper = cols > rows
+    return rows[upper], cols[upper]
 
 
 def stochastic_block_model(

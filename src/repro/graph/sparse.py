@@ -347,13 +347,22 @@ class SparseAdjacency:
             block[rows[entries] - start, self.indices[entries]] = self.data[entries]
             yield block
 
+    def _row_major_keys(self) -> np.ndarray:
+        """Key ``row * F + col`` of every stored entry, in storage order."""
+        return self.row_indices() * self.shape[1] + self.indices
+
+    def _is_canonical(self, keys: np.ndarray) -> bool:
+        """Whether ``keys`` (:meth:`_row_major_keys`) strictly ascend and no
+        stored value is zero."""
+        return bool(np.all(np.diff(keys) > 0) and np.all(self.data != 0.0))
+
     def canonical(self) -> "SparseAdjacency":
         """The same matrix with sorted columns in every row and no stored
         zeros; ``self`` when it already is.  Duplicate coordinates raise
         ``ValueError``."""
         rows, cols, values = self.coo()
-        keys = rows * self.shape[1] + cols
-        if np.all(np.diff(keys) > 0) and np.all(values != 0.0):
+        keys = self._row_major_keys()
+        if self._is_canonical(keys):
             return self
         order = np.argsort(keys, kind="stable")
         if np.any(np.diff(keys[order]) == 0):
@@ -389,13 +398,36 @@ class SparseAdjacency:
     # structural edits (each returns a new instance)
     # ------------------------------------------------------------------
     def add_self_loops(self, value: float = 1.0) -> "SparseAdjacency":
-        """Return ``A + value·I`` (existing diagonal entries are summed)."""
+        """Return ``A + value·I`` (existing diagonal entries are summed).
+
+        A :meth:`canonical` matrix needs no sort: each row's diagonal slot
+        is found by binary search on the row-major keys, ``value`` is added
+        where the diagonal is stored and inserted where it is not.  Any
+        other input is rebuilt through :meth:`from_coo`; both paths give
+        the same bytes.
+        """
         n = self._square("add_self_loops")
+        value = float(value)
         diag = np.arange(n, dtype=np.int64)
-        rows = np.concatenate([self.row_indices(), diag])
-        cols = np.concatenate([self.indices, diag])
-        values = np.concatenate([self.data, np.full(n, float(value))])
-        return SparseAdjacency.from_coo(rows, cols, values, n)
+        keys = self._row_major_keys()
+        if not self._is_canonical(keys):
+            rows = np.concatenate([self.row_indices(), diag])
+            cols = np.concatenate([self.indices, diag])
+            values = np.concatenate([self.data, np.full(n, value)])
+            return SparseAdjacency.from_coo(rows, cols, values, n)
+        diag_keys = diag * (n + 1)
+        slots = np.searchsorted(keys, diag_keys)
+        stored = slots < keys.shape[0]
+        stored[stored] = keys[slots[stored]] == diag_keys[stored]
+        missing = ~stored
+        data = self.data.copy()
+        data[slots[stored]] += value
+        # from_coo sums into zeros, which turns a -0.0 value into 0.0
+        data = np.insert(data, slots[missing], 0.0 + value)
+        indices = np.insert(self.indices, slots[missing], diag[missing])
+        indptr = self.indptr.copy()
+        indptr[1:] += np.cumsum(missing)
+        return SparseAdjacency(data, indices, indptr, self.shape)
 
     def scale(self, row_factors: np.ndarray, col_factors: np.ndarray) -> "SparseAdjacency":
         """Return ``diag(row_factors) @ A @ diag(col_factors)``."""

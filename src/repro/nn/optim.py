@@ -12,6 +12,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.nn.tensor import Tensor
+from repro.observability.tracer import span as _span
 
 
 class Optimizer:
@@ -206,17 +207,22 @@ def train_step(
     that is minimised, the others are carried along for logging (or for the
     hook).  ``after_backward`` sees that dict once the gradients are in and
     before ``optimizer.step()`` — adversarial models train their
-    discriminator there.  The step's graph is released whatever happens, so
-    a failing step leaks nothing; the returned tensors keep their values.
+    discriminator there, as a step of its own.  The step's graph is
+    released whatever happens, so a failing step leaks nothing; the
+    returned tensors keep their values.  Traced, the three phases are the
+    ``step.forward``, ``step.backward`` and ``step.optimizer`` spans.
     """
     optimizer.zero_grad()
-    terms = forward()
+    with _span("step.forward"):
+        terms = forward()
     loss = terms["loss"]
     try:
-        loss.backward()
+        with _span("step.backward"):
+            loss.backward()
         if after_backward is not None:
             after_backward(terms)
-        optimizer.step()
+        with _span("step.optimizer"):
+            optimizer.step()
     finally:
         loss.release_graph()
     return terms

@@ -2,7 +2,10 @@
 
 The :class:`Tensor` class records a dynamic computation graph as operations
 are applied and computes gradients of a scalar loss with respect to every
-tensor that has ``requires_grad=True`` via :meth:`Tensor.backward`.
+leaf tensor that has ``requires_grad=True`` via :meth:`Tensor.backward`.
+Intermediate results pass their gradient on and keep none; to read the
+gradient at an intermediate value, wrap its data as a new leaf,
+``Tensor(value.data, requires_grad=True)``, and build the rest on that.
 
 Only the operations required by the GAE model family are implemented, but
 each one supports full numpy broadcasting with correct gradient
@@ -28,8 +31,8 @@ _GRAD_STATE = threading.local()
 # Sanitizer hook points (repro.analysis.sanitizers).  ``None`` when the
 # sanitizers are off, which keeps the hot-path cost to one global load and
 # an is-None test per operation.  The child hook sees every tensor produced
-# by an autograd op; the grad hook sees every gradient accumulated during
-# backward().
+# by an autograd op; the grad hook sees the gradient backward() computes
+# for every node, leaf or not.
 _CHILD_HOOK: Optional[Callable[["Tensor"], None]] = None
 _GRAD_HOOK: Optional[Callable[["Tensor", np.ndarray], None]] = None
 
@@ -162,12 +165,11 @@ class Tensor:
         Every ``_backward`` closure captures its output tensor, so a
         computation graph is a web of reference cycles that only the
         *cyclic* garbage collector can reclaim; until it runs, the large
-        intermediate arrays (and their accumulated gradients) of past
-        steps pile up.  Training loops call this after ``optimizer.step()``
-        so each step's graph is freed immediately by reference counting —
-        essential for minibatch loops running many steps per epoch.  Leaf
-        tensors (parameters) have no parents or closure and keep their
-        accumulated ``grad``.
+        intermediate arrays of past steps pile up.  Training loops call
+        this after ``optimizer.step()`` so each step's graph is freed
+        immediately by reference counting — essential for minibatch loops
+        running many steps per epoch.  Leaf tensors (parameters) have no
+        parents or closure and keep their accumulated ``grad``.
         """
         stack: List["Tensor"] = [self]
         seen = set()
@@ -211,7 +213,7 @@ class Tensor:
             self.grad = self.grad + grad
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Back-propagate from this tensor.
+        """Back-propagate from this tensor into the ``.grad`` of its leaves.
 
         If the tensor is not a scalar an explicit upstream ``grad`` of the
         same shape must be provided.
@@ -245,14 +247,20 @@ class Tensor:
             for parent in reversed(node._parents):
                 stack.append((parent, False))
 
+        # Only leaves (no ``_backward``: parameters and user tensors made
+        # with requires_grad=True) store ``.grad``; an intermediate node
+        # hands its gradient to its parents and keeps none.  The grad hook
+        # sees every node's gradient, leaves and intermediates alike.
         grads = {id(self): grad}
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            node._accumulate(node_grad)
             if node._backward is None:
+                node._accumulate(node_grad)
                 continue
+            if _GRAD_HOOK is not None:
+                _GRAD_HOOK(node, node_grad)
             parent_grads = node._backward(node_grad)
             if parent_grads is None:
                 continue

@@ -52,7 +52,6 @@ is a cheap no-op.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -195,6 +194,9 @@ def fault_decision(rule: FaultRule, site: str, key: str) -> bool:
 
 def in_worker_process() -> bool:
     """Whether this process was spawned by a multiprocessing parent."""
+    # Imported here: a trial that starts no pool never loads multiprocessing.
+    import multiprocessing
+
     return multiprocessing.parent_process() is not None
 
 

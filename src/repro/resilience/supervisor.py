@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -62,6 +61,9 @@ from repro.observability.metrics import metric_inc
 from repro.observability.tracer import span as _span
 from repro.observability.tracer import trace_event
 from repro.resilience import faults
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -369,6 +371,9 @@ def supervised_map(
     ]
     if jobs == 1 or len(items) <= 1:
         return _serial_map(fn, states, policy, fail_fast, on_result)
+    # Imported here: a sweep that runs in-process never loads the pool.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
 
     results: List[Any] = [None] * len(states)
     failures: List[TrialFailure] = []

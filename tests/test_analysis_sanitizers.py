@@ -109,6 +109,20 @@ def test_nonfinite_gradient_raises(sanitized_runtime):
         loss.backward()  # d sqrt/dx at 0 = inf
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_gradient_at_an_intermediate_node_raises(sanitized_runtime):
+    """Intermediate nodes keep no ``.grad``, but the guard still sees their
+    gradient.  ``hidden`` passes zeros on to ``x``, so only the check at
+    ``hidden`` itself can catch the Inf."""
+    x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+    hidden = x._make_child(x.data.copy(), (x,), lambda grad: (np.zeros_like(grad),))
+    loss = (hidden ** 0.5).sum()  # forward is finite: sqrt(0) = 0
+    with pytest.raises(NonFiniteTensorError, match="gradient"):
+        loss.backward()  # d sqrt/dh at 0 = inf arrives at `hidden`
+    assert x.grad is None
+    loss.release_graph()
+
+
 def test_finite_training_step_passes(sanitized_runtime):
     loss = small_loss()
     loss.backward()

@@ -143,6 +143,78 @@ class TestSparseAdjacencyConstruction:
         np.testing.assert_array_equal(sparse.T.to_dense(), dense.T)
 
 
+def _coo_self_loops(matrix, value=1.0):
+    """``A + value·I`` rebuilt through ``from_coo``, the sorting path."""
+    n = matrix.shape[0]
+    diag = np.arange(n)
+    return SparseAdjacency.from_coo(
+        np.concatenate([matrix.row_indices(), diag]),
+        np.concatenate([matrix.indices, diag]),
+        np.concatenate([matrix.data, np.full(n, float(value))]),
+        n,
+    )
+
+
+def _assert_same_bytes(got, expected):
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        got_array, expected_array = getattr(got, name), getattr(expected, name)
+        assert got_array.dtype == expected_array.dtype
+        assert got_array.tobytes() == expected_array.tobytes()
+
+
+class TestAddSelfLoops:
+    """The sort-free path for canonical input gives ``from_coo``'s bytes."""
+
+    def test_stored_diagonal_is_summed(self):
+        dense = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 3.0], [0.0, 3.0, -0.5]])
+        sparse = SparseAdjacency.from_dense(dense)
+        looped = sparse.add_self_loops()
+        _assert_same_bytes(looped, _coo_self_loops(sparse))
+        np.testing.assert_array_equal(looped.to_dense(), dense + np.eye(3))
+
+    def test_missing_diagonal_is_inserted(self, adjacency):
+        sparse = SparseAdjacency.from_dense(adjacency)
+        looped = sparse.add_self_loops()
+        _assert_same_bytes(looped, _coo_self_loops(sparse))
+        assert looped.nnz == sparse.nnz + adjacency.shape[0]
+
+    def test_canonical_input_is_not_rebuilt(self, adjacency, monkeypatch):
+        sparse = SparseAdjacency.from_dense(adjacency)
+        expected = _coo_self_loops(sparse)
+        monkeypatch.setattr(SparseAdjacency, "from_coo", None)
+        _assert_same_bytes(sparse.add_self_loops(), expected)
+
+    def test_empty_rows(self):
+        dense = np.zeros((6, 6))
+        dense[1, 4] = dense[4, 1] = 1.0
+        dense[3, 3] = 5.0
+        for matrix in (dense, np.zeros((6, 6))):
+            sparse = SparseAdjacency.from_dense(matrix)
+            _assert_same_bytes(sparse.add_self_loops(), _coo_self_loops(sparse))
+
+    @pytest.mark.parametrize("value", [2.5, -1.0, 0.0, -0.0])
+    def test_values_other_than_one(self, value):
+        rng = np.random.default_rng(4)
+        dense = (rng.random((30, 30)) < 0.2) * rng.normal(size=(30, 30))
+        dense[np.arange(0, 30, 3), np.arange(0, 30, 3)] = 1.0
+        sparse = SparseAdjacency.from_dense(dense)
+        _assert_same_bytes(sparse.add_self_loops(value), _coo_self_loops(sparse, value))
+
+    def test_non_canonical_input_takes_the_coo_path(self):
+        """Unsorted columns, a stored zero and a duplicate entry."""
+        sparse = SparseAdjacency(
+            np.array([1.0, 2.0, 0.0, 4.0, 4.0]),
+            np.array([2, 0, 1, 2, 2]),
+            np.array([0, 2, 3, 5]),
+            (3, 3),
+        )
+        assert sparse.add_self_loops().to_dense().tolist() == [
+            [3.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 9.0],
+        ]
+        _assert_same_bytes(sparse.add_self_loops(), _coo_self_loops(sparse))
+
+
 class TestNormalizationEquivalence:
     @pytest.mark.parametrize("self_loops", [True, False])
     def test_matches_dense(self, adjacency, self_loops):

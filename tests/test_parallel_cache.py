@@ -144,6 +144,47 @@ class TestSingleTrialImports:
         )
         assert out.stdout.strip().splitlines()[-1] == "[]"
 
+    def test_pool_modules_load_with_the_first_pool(self, tmp_path):
+        """Importing the pool's packages, a ``Pipeline.run`` and a ``repro-run``
+        without ``--seeds`` load neither ``multiprocessing`` nor
+        ``concurrent.futures``; a jobs=2 map loads both."""
+        spec = tmp_path / "trial.json"
+        spec.write_text(
+            '{"dataset": "brazil_air_sim", "model": "gae", '
+            '"training": {"pretrain_epochs": 2, "rethink_epochs": 2}}'
+        )
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import repro.parallel
+            import repro.resilience
+            from repro.api import Pipeline
+            from repro.api.cli import main
+            from repro.resilience import RetryPolicy, supervised_map
+
+            assert repro.parallel.SweepOutcome is repro.resilience.SweepOutcome
+            assert RetryPolicy().max_attempts == 1
+            result = (
+                Pipeline().dataset("brazil_air_sim").model("gae").rethink().seed(0)
+                .training(pretrain_epochs=2, rethink_epochs=2).run()
+            )
+            assert result.report is not None
+            assert main([{str(spec)!r}, "--json"]) == 0
+            pool = ("multiprocessing", "concurrent.futures")
+            print([name for name in pool if name in sys.modules])
+            assert supervised_map(abs, [-1, 2], jobs=2).results == [1, 2]
+            print([name for name in pool if name in sys.modules])
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        lines = out.stdout.strip().splitlines()
+        assert lines[-2] == "[]"
+        assert lines[-1] == "['multiprocessing', 'concurrent.futures']"
+
     def test_sampled_trials_leave_numpy_ma_unimported(self):
         """Plain ``np.unique`` / ``np.setdiff1d`` import ``numpy.ma`` on first
         use under numpy 2.4 (9–18 ms): no trial may call them, from building

@@ -235,6 +235,27 @@ def test_each_boundary_fits_kmeans_and_upsilon_once(tiny_graph):
     assert history.final_report is not None
 
 
+def test_every_step_opens_forward_backward_and_optimizer_spans(tiny_graph):
+    from repro.observability import tracing_session
+
+    model = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
+    config = small_config(epochs=3, pretrain_epochs=2)
+    with tracing_session(enabled=True) as tracer:
+        RethinkTrainer(model, config).fit(tiny_graph)
+    (fit,) = [root for root in tracer.export() if root["name"] == "trainer.fit"]
+    phases = [child for child in fit["children"] if child["name"] == "trainer.pretrain"]
+    phases += [child for child in fit["children"] if child["name"] == "trainer.epoch"]
+    step = ["step.forward", "step.backward", "step.optimizer"]
+    steps = [2, 1, 1, 1]
+    assert len(phases) == len(steps)
+    for phase, count in zip(phases, steps):
+        children = [child for child in phase["children"] if child["name"].startswith("step.")]
+        assert [child["name"] for child in children] == step * count
+        for forward in children[::3]:
+            names = [kernel["name"] for kernel in forward["children"]]
+            assert "kernel.inner_product_bce" in names
+
+
 def test_operator_state_is_empty_until_epoch_zero(tiny_graph):
     from repro.api.callbacks import LambdaCallback
 
