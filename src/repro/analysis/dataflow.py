@@ -78,7 +78,7 @@ _RNG_CONSTRUCTORS = {
 _RNG_STATE_READS = {"get_state"}
 
 #: repro.env accessor functions (REP104 flags calls in worker-reachable code).
-_ENV_ACCESSORS = {"env_raw", "env_str", "env_int", "env_float", "env_flag", "env_jobs"}
+_ENV_ACCESSORS = {"env_raw", "env_str", "env_flag", "env_jobs"}
 
 #: container methods that mutate their receiver in place.
 _MUTATOR_METHODS = {

@@ -243,8 +243,8 @@ def check_backward_release(ctx: ModuleContext) -> Iterator[RuleViolation]:
 )
 def check_env_accessor(ctx: ModuleContext) -> Iterator[RuleViolation]:
     """:mod:`repro.env` is the one place that reads ``os.environ``: it
-    validates types, registers every supported ``REPRO_*`` variable, and
-    generates the documentation table.  Reads anywhere else reintroduce
+    validates types and registers every supported ``REPRO_*`` variable, which
+    the README table documents.  Reads anywhere else reintroduce
     undocumented configuration surface."""
     if ctx.module_is("repro.env"):
         return
@@ -255,7 +255,7 @@ def check_env_accessor(ctx: ModuleContext) -> Iterator[RuleViolation]:
                 yield _violation(
                     node,
                     f"{dotted}(...) bypasses the repro.env accessor; use "
-                    f"repro.env.env_str/env_int/env_flag (and register the "
+                    f"repro.env.env_str/env_flag/env_jobs (and register the "
                     f"variable) instead",
                 )
         elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
@@ -263,7 +263,7 @@ def check_env_accessor(ctx: ModuleContext) -> Iterator[RuleViolation]:
                 yield _violation(
                     node,
                     "os.environ[...] bypasses the repro.env accessor; use "
-                    "repro.env.env_str/env_int/env_flag (and register the "
+                    "repro.env.env_str/env_flag/env_jobs (and register the "
                     "variable) instead",
                 )
 

@@ -340,18 +340,15 @@ class TrainingTelemetry(RethinkCallback):
 class ConvergenceStopping(RethinkCallback):
     """Early stopping on the paper's convergence criterion (|Ω| ≥ 0.9 N).
 
-    The criterion is only armed once Ξ has refreshed Ω at least once
+    The fraction is the trainer config's ``convergence_fraction``.  The
+    criterion is only armed once Ξ has refreshed Ω at least once
     (``epoch >= update_omega_every``) so the initial, possibly permissive
     sampling cannot stop training immediately.
     """
 
-    def __init__(self, fraction: Optional[float] = None) -> None:
-        self.fraction = fraction
-
     def on_epoch_end(self, epoch: int, logs: Dict[str, float]) -> None:
         config = self.trainer.config
-        fraction = config.convergence_fraction if self.fraction is None else self.fraction
-        if logs["coverage"] >= fraction and epoch >= config.update_omega_every:
+        if logs["coverage"] >= config.convergence_fraction and epoch >= config.update_omega_every:
             self.trainer.history_.converged = True
             self.trainer.stop_training = True
 

@@ -30,11 +30,10 @@ dataset without any training.
 
 Fault tolerance (:mod:`repro.resilience`): multi-seed sweeps run under a
 supervised pool — worker crashes and hung trials are retried with
-deterministic backoff (``--max-retries`` / ``REPRO_MAX_RETRIES``), each
-attempt bounded by ``--trial-timeout`` / ``REPRO_TRIAL_TIMEOUT``.  A seed
-that exhausts its budget is quarantined and the sweep completes with the
-other seeds (``--fail-fast`` aborts instead); ``--failure-report`` writes
-the machine-readable post-mortem.  With a warm store configured, finished
+deterministic backoff (``--max-retries``), each attempt bounded by
+``--trial-timeout``.  A seed that exhausts its budget is quarantined and
+the sweep completes with the other seeds (``--fail-fast`` aborts
+instead); ``--failure-report`` writes the machine-readable post-mortem.  With a warm store configured, finished
 seeds are journaled as they complete and ``--resume`` replays them after an
 interruption, bitwise identical to an uninterrupted run.
 
@@ -127,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="retries per seed after the first attempt (default: "
-        "$REPRO_MAX_RETRIES or 0)",
+        help="retries per seed after the first attempt (default: 0)",
     )
     resilience.add_argument(
         "--trial-timeout",
@@ -136,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-attempt wall-clock budget; over-budget trials are reaped "
-        "and retried (default: $REPRO_TRIAL_TIMEOUT; 0 disables; "
-        "enforced for --jobs > 1)",
+        "and retried (default and 0: no timeout; enforced for --jobs > 1)",
     )
     resilience.add_argument(
         "--fail-fast",
@@ -273,6 +270,25 @@ def _load_spec_document(text: str):
     return data, seeds
 
 
+def _retry_policy(args):
+    """The sweep's RetryPolicy from --max-retries / --trial-timeout.
+
+    ``None`` when neither flag is given (the sweep's default policy).  A
+    timeout of 0 means "no timeout"; any other value RetryPolicy rejects
+    (negative, NaN, infinite) is a usage error.
+    """
+    if args.max_retries is None and args.trial_timeout is None:
+        return None
+    if args.max_retries is not None and args.max_retries < 0:
+        raise SpecError(f"--max-retries must be >= 0, got {args.max_retries}")
+    from repro.resilience import RetryPolicy
+
+    return RetryPolicy(
+        max_attempts=1 + (args.max_retries or 0),
+        timeout=None if args.trial_timeout == 0 else args.trial_timeout,
+    )
+
+
 def _resolve_warm_start(value):
     """Map the --warm-start flag to a store root (None = flag absent)."""
     if value is None:
@@ -303,8 +319,8 @@ def _run_store_gc(argv: Sequence[str]) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="byte budget to shrink to (default: $REPRO_STORE_MAX_BYTES; "
-        "0 or unset only reports the store size)",
+        help="byte budget to shrink to (0 or unset only reports the store "
+        "size)",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit the gc stats as JSON"
@@ -456,6 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pipeline = Pipeline.from_spec(data)
         spec = pipeline.spec()
         pipeline, spec = _apply_minibatch_flags(pipeline, spec, args)
+        policy = _retry_policy(args)
     except (OSError, ReproError) as error:
         print(f"repro-run: {error}", file=sys.stderr)
         return 2
@@ -504,24 +521,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     outcome = None
     try:
-        from repro.resilience import RetryPolicy
-        from repro.store import store_env
-
-        policy = None
-        if args.max_retries is not None or args.trial_timeout is not None:
-            if args.max_retries is not None and args.max_retries < 0:
-                raise SpecError(
-                    f"--max-retries must be >= 0, got {args.max_retries}"
-                )
-            policy = RetryPolicy.from_env(
-                max_attempts=None
-                if args.max_retries is None
-                else 1 + args.max_retries,
-                timeout=args.trial_timeout,
-            )
         from contextlib import nullcontext
 
         from repro.env import TRACE_ENV, env_override
+        from repro.store import store_env
 
         trace_path = None
         if args.trace is not None:

@@ -28,7 +28,9 @@ partially-configured pipeline can be reused as a template for many trials.
 from __future__ import annotations
 
 import copy
+import os
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
@@ -113,11 +115,11 @@ class Pipeline:
         self._callback_objects: List[Any] = []
         self._tags: Dict[str, str] = {}
         self._graph = None  # explicit AttributedGraph, bypasses the registry
-        #: a raw state dict, repro.store.Snapshot, or artifact-store key.
-        self._pretrained_state: Optional[Any] = None
+        #: a model state_dict loaded instead of pretraining.
+        self._pretrained_state: Optional[Mapping] = None
         #: warm-start setting: None = follow REPRO_STORE_DIR, False = off,
-        #: True = default store, str = store root, ArtifactStore = use as-is.
-        self._warm_start: Optional[Any] = None
+        #: str = store root.
+        self._warm_start: Union[None, bool, str] = None
 
     def _clone(self) -> "Pipeline":
         clone = copy.copy(self)
@@ -179,7 +181,6 @@ class Pipeline:
         batch_size: Optional[int] = None,
         fanout: Optional[int] = None,
         num_hops: Optional[int] = None,
-        sampler_seed: Optional[int] = None,
     ) -> "Pipeline":
         """Run the R- phase with a :mod:`repro.minibatch` loader.
 
@@ -194,8 +195,6 @@ class Pipeline:
             overrides["fanout"] = fanout
         if num_hops is not None:
             overrides["num_hops"] = num_hops
-        if sampler_seed is not None:
-            overrides["sampler_seed"] = sampler_seed
         return self.rethink(**overrides)
 
     def variant(self, variant: str) -> "Pipeline":
@@ -236,42 +235,46 @@ class Pipeline:
         clone._tags.update({key: str(value) for key, value in tags.items()})
         return clone
 
-    def pretrained_state(self, state: Any) -> "Pipeline":
-        """Start from a pretraining snapshot instead of pretraining afresh.
+    def pretrained_state(self, state: Mapping) -> "Pipeline":
+        """Start from a pretrained ``state_dict`` instead of pretraining afresh.
 
         This is one way to express the paper's fairness protocol ("D and
         R-D share the same pretraining weights"): pretrain once, then hand
-        the same state to a base and a rethink pipeline.  The table pairs
-        share a :meth:`warm_start` store instead, which also carries the
+        the same ``model.state_dict()`` to a base and a rethink pipeline.
+        The model keeps its freshly seeded RNG.  The table pairs share a
+        :meth:`warm_start` store instead, which also carries the
         post-pretraining RNG stream.
 
-        Accepts a raw ``state_dict`` mapping, a
-        :class:`repro.store.Snapshot`, or an artifact-store key string
-        (resolved against the pipeline's store — see :meth:`warm_start` /
-        ``REPRO_STORE_DIR``).  Whatever the form, the state is validated
-        against the pipeline's model as soon as :meth:`run` builds it, so a
-        mismatched checkpoint fails before any training happens.  Snapshots
-        restore weights and clustering extras but keep the model's freshly
-        seeded RNG, exactly like the raw-dict handoff.
+        :meth:`run` loads the state into the model it builds before any
+        training, so a state with missing, unexpected or misshaped
+        parameters fails first.
         """
+        if not isinstance(state, Mapping):
+            raise SpecError(
+                "pretrained_state takes a model state_dict (a mapping of "
+                f"parameter arrays), got {type(state).__name__}"
+            )
         clone = self._clone()
         clone._pretrained_state = state
         return clone
 
-    def warm_start(self, store: Any = True) -> "Pipeline":
+    def warm_start(self, store: Union[str, "os.PathLike[str]", bool]) -> "Pipeline":
         """Serve (and populate) pretraining from an artifact store.
 
-        ``store`` is ``True`` for the default store (``REPRO_STORE_DIR`` or
-        ``.repro-store``), a directory path, an
-        :class:`repro.store.ArtifactStore` instance, or ``False`` to force
-        cold pretraining even when ``REPRO_STORE_DIR`` is set.  On a warm
-        store the run skips pretraining entirely and restores the exact
+        ``store`` is the store's root directory, or ``False`` to force cold
+        pretraining even when ``REPRO_STORE_DIR`` is set.  On a warm store
+        the run skips pretraining entirely and restores the exact
         post-pretraining state (RNG included), so its metrics are bitwise
         identical to a cold run's; cache statistics land in
         ``RunResult.extra['pretrain_cache']``.
         """
+        if store is not False and not isinstance(store, (str, os.PathLike)):
+            raise SpecError(
+                "warm_start takes a store directory or False, got "
+                f"{type(store).__name__}"
+            )
         clone = self._clone()
-        clone._warm_start = store
+        clone._warm_start = store if store is False else os.fspath(store)
         return clone
 
     # ------------------------------------------------------------------
@@ -336,49 +339,11 @@ class Pipeline:
         """The ArtifactStore this pipeline should use, or ``None`` (cold)."""
         from repro.store import ArtifactStore, active_store
 
-        setting = self._warm_start
-        if setting is None:
+        if self._warm_start is None:
             return active_store()
-        if setting is False:
+        if self._warm_start is False:
             return None
-        if setting is True:
-            return ArtifactStore()
-        if isinstance(setting, ArtifactStore):
-            return setting
-        return ArtifactStore(str(setting))
-
-    def _apply_pretrained_state(self, model) -> Optional[Dict[str, Any]]:
-        """Validate and load ``pretrained_state`` before training starts.
-
-        Returns cache stats when the state came through the store machinery
-        (key / Snapshot), ``None`` for the legacy raw-dict handoff.
-        """
-        from repro.errors import StoreError
-        from repro.store import Snapshot
-
-        state = self._pretrained_state
-        source = "pretrained_state"
-        key = None
-        if isinstance(state, str):
-            store = self._resolve_store()
-            if store is None:
-                raise StoreError(
-                    f"pretrained_state was given store key {state[:16]!r}… but "
-                    "no artifact store is configured; set REPRO_STORE_DIR or "
-                    "call .warm_start(<dir>)"
-                )
-            key = state
-            state = store.get(state)  # raises ArtifactNotFoundError on a miss
-        if isinstance(state, Snapshot):
-            # Fail fast: class/shape validation happens here, before any
-            # epoch runs.  restore_rng=False keeps the fairness protocol's
-            # freshly seeded generator (matching the raw-dict handoff).
-            state.apply(model, restore_rng=False)
-            return {"enabled": True, "hit": True, "key": key, "source": source}
-        # Raw dict: load_state_dict rejects missing/unexpected/misshaped
-        # parameters, which is the same fail-fast point.
-        model.load_state_dict(state)
-        return None
+        return ArtifactStore(str(self._warm_start))
 
     def run(self) -> RunResult:
         """Execute the trial end-to-end and return its :class:`RunResult`."""
@@ -427,8 +392,11 @@ class Pipeline:
             config = RethinkConfig(**settings)
 
         if self._pretrained_state is not None:
+            # load_state_dict rejects missing, unexpected or misshaped
+            # parameters, before any epoch runs.
             with span("pipeline.pretrained_state"):
-                pretrain_stats = self._apply_pretrained_state(model) or disabled_stats()
+                model.load_state_dict(self._pretrained_state)
+            pretrain_stats = disabled_stats()
         else:
             # Keyed like load_dataset_cached: registry trials by their
             # dataset spec, explicit graphs by content fingerprint.  The
@@ -511,9 +479,9 @@ class Pipeline:
             )
         if self._pretrained_state is not None:
             raise SpecError(
-                "run_sweep re-runs pretraining per seed; pretrained_state "
-                "snapshots are not supported (use .warm_start() to share "
-                "pretraining through the artifact store instead)"
+                "run_sweep re-runs pretraining per seed; a pretrained_state "
+                "cannot be shipped to workers (use .warm_start(<dir>) to "
+                "share pretraining through the artifact store instead)"
             )
         base = _normalise_spec(self.spec())
         expanded = []

@@ -10,10 +10,8 @@ them: a named, ordered mapping from entry name to factory, with
 * uniform error reporting (:class:`~repro.errors.UnknownEntryError`, a
   ``KeyError`` subclass listing the available names).
 
-A registry is a :class:`~collections.abc.Mapping`, so legacy code that
-treated the old dicts as plain mappings (``name in BUILDERS``,
-``BUILDERS[name]``, iteration) keeps working when the dict is replaced by a
-``Registry`` instance.
+A registry is a :class:`~collections.abc.Mapping`: ``name in MODELS``,
+``MODELS[name]`` and iteration work as on a plain dict.
 """
 
 from __future__ import annotations
@@ -101,8 +99,7 @@ class Registry(Mapping):
     def get(self, name: str, default: Optional[Callable[..., Any]] = None):
         """The registered factory for ``name``, or ``default`` if unknown.
 
-        Keeps :meth:`dict.get` semantics so the legacy ``*_BUILDERS``
-        mappings remain drop-in compatible; use ``registry[name]`` or
+        Keeps :meth:`dict.get` semantics; use ``registry[name]`` or
         :meth:`entry` for a raising lookup.
         """
         try:

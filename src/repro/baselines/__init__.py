@@ -19,7 +19,6 @@ from repro.baselines.agc import AGC
 from repro.baselines.age import AGE
 from repro.baselines.registry import (
     BASELINES,
-    BASELINE_BUILDERS,
     build_baseline,
     available_baselines,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "MGAE",
     "AGC",
     "AGE",
-    "BASELINE_BUILDERS",
     "build_baseline",
     "available_baselines",
 ]

@@ -1,7 +1,6 @@
 """Registry of non-GAE clustering baselines (Table 17).
 
-Backed by the generic :class:`repro.api.registry.Registry`; the legacy
-``BASELINE_BUILDERS`` mapping is kept as a view over it.
+Backed by the generic :class:`repro.api.registry.Registry`.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ BASELINES.add("tadw", TADW, description="text-associated DeepWalk (matrix factor
 BASELINES.add("mgae", MGAE, description="marginalised GAE + spectral clustering")
 BASELINES.add("agc", AGC, description="adaptive graph convolution")
 BASELINES.add("age", AGE, description="adaptive graph encoder")
-
-#: deprecated alias — a Mapping view over :data:`BASELINES`.
-BASELINE_BUILDERS = BASELINES
 
 
 def available_baselines() -> List[str]:

@@ -75,9 +75,6 @@ class RethinkConfig:
     fanout: int = 10
     #: neighbourhood expansion rounds ("neighbor" only).
     num_hops: int = 2
-    #: seed of the batch shuffles / neighbour sampling; None derives it from
-    #: the model seed so equal specs give identical minibatch sequences.
-    sampler_seed: Optional[int] = None
     # Ablation switches -------------------------------------------------
     protection_delay: int = 0
     single_step_transform: bool = False
@@ -451,7 +448,7 @@ class RethinkTrainer:
             batch_size=config.batch_size,
             fanout=config.fanout,
             num_hops=config.num_hops,
-            seed=model.seed if config.sampler_seed is None else config.sampler_seed,
+            seed=model.seed,
             inputs=(features, adj_norm),
         )
         optimizer = Adam(model.parameters(), lr=model.learning_rate)

@@ -14,7 +14,6 @@ See DESIGN.md §2 for the substitution rationale.
 
 from repro.datasets.registry import (
     DATASETS,
-    DATASET_BUILDERS,
     available_datasets,
     load_dataset,
     citation_datasets,
@@ -28,7 +27,6 @@ from repro.datasets.features import (
 
 __all__ = [
     "DATASETS",
-    "DATASET_BUILDERS",
     "available_datasets",
     "load_dataset",
     "citation_datasets",

@@ -20,24 +20,11 @@ import os
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from repro import env as repro_env
-from repro.errors import ConfigError
-
-#: environment variable bounding the per-process dataset cache (0 disables).
-#: Declared in :mod:`repro.env`.
-DATASET_CACHE_SIZE_ENV = repro_env.DATASET_CACHE_SIZE_ENV
-DEFAULT_DATASET_CACHE_SIZE = 8
+#: max entries of the per-process dataset cache.
+DATASET_CACHE_SIZE = 8
 
 _dataset_cache: "OrderedDict[Tuple[str, int, str], Any]" = OrderedDict()
 _dataset_cache_stats: Dict[str, int] = {"hits": 0, "misses": 0}
-
-
-def dataset_cache_limit() -> int:
-    """Max entries of the per-process dataset cache (env-configurable)."""
-    limit = repro_env.env_int(DATASET_CACHE_SIZE_ENV, DEFAULT_DATASET_CACHE_SIZE)  # repro: noqa[REP104] cache limit is per-process capacity, not trial-visible state
-    if limit < 0:
-        raise ConfigError(f"{DATASET_CACHE_SIZE_ENV} must be >= 0, got {limit}")
-    return limit
 
 
 def load_dataset_cached(
@@ -47,22 +34,20 @@ def load_dataset_cached(
 
     The key is the full dataset spec — name, generation seed and options —
     so distinct specs never alias.  Least-recently-used entries are evicted
-    beyond :func:`dataset_cache_limit` (a limit of 0 disables caching).
+    beyond :data:`DATASET_CACHE_SIZE`.
     """
     from repro.datasets.registry import DATASETS
 
-    limit = dataset_cache_limit()
     key = (str(name), int(seed), json.dumps(options or {}, sort_keys=True))
-    if limit and key in _dataset_cache:
+    if key in _dataset_cache:
         _dataset_cache.move_to_end(key)  # repro: noqa[REP102] per-worker dataset cache; entries are deterministic by (name, seed, options)
         _dataset_cache_stats["hits"] += 1  # repro: noqa[REP102] per-worker cache stats, observability only, never trial-visible
         return _dataset_cache[key]
     _dataset_cache_stats["misses"] += 1
     graph = DATASETS[name](int(seed), **(options or {}))
-    if limit:
-        _dataset_cache[key] = graph
-        while len(_dataset_cache) > limit:
-            _dataset_cache.popitem(last=False)
+    _dataset_cache[key] = graph
+    while len(_dataset_cache) > DATASET_CACHE_SIZE:
+        _dataset_cache.popitem(last=False)
     return graph
 
 
@@ -77,7 +62,7 @@ def dataset_cache_info() -> Dict[str, int]:
         "hits": _dataset_cache_stats["hits"],
         "misses": _dataset_cache_stats["misses"],
         "size": len(_dataset_cache),
-        "limit": dataset_cache_limit(),
+        "limit": DATASET_CACHE_SIZE,
         "pid": os.getpid(),
     }
 

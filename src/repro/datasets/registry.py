@@ -24,9 +24,6 @@ from repro.graph.stats import describe
 #: the unified dataset registry (name → builder, with family metadata).
 DATASETS = Registry("dataset")
 
-#: deprecated alias — a Mapping view over :data:`DATASETS`.
-DATASET_BUILDERS = DATASETS
-
 
 def _finalize(graph: AttributedGraph) -> AttributedGraph:
     """Apply the paper's preprocessing: L2 row-normalised features."""

@@ -9,9 +9,9 @@ and no way for tooling to check that a new variable was documented.
 
 Now every variable must be declared here (:data:`ENV_VARS`), every read
 goes through the typed getters below, and the REP005 lint rule rejects
-``os.environ`` reads anywhere else in the library.  ``describe_env()``
-renders the registry as documentation rows; the README table is generated
-from it.
+``os.environ`` reads anywhere else in the library.  The README's
+"Environment variables" table lists the same names, types and defaults,
+and a test compares the two.
 
 This module is intentionally dependency-free (stdlib only) so anything —
 including :mod:`repro.errors` consumers and the linter itself — can import
@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 from repro.errors import ConfigError
 
@@ -31,22 +31,15 @@ __all__ = [
     "EnvVar",
     "ENV_VARS",
     "STORE_DIR_ENV",
-    "DATASET_CACHE_SIZE_ENV",
     "BENCH_JOBS_ENV",
     "SANITIZE_ENV",
-    "TRIAL_TIMEOUT_ENV",
-    "MAX_RETRIES_ENV",
     "FAULTS_ENV",
-    "STORE_MAX_BYTES_ENV",
     "TRACE_ENV",
     "env_raw",
     "env_str",
-    "env_int",
-    "env_float",
     "env_flag",
     "env_jobs",
     "env_override",
-    "describe_env",
 ]
 
 
@@ -61,8 +54,8 @@ class EnvVar:
 
 
 #: Registry of every supported variable, in documentation order.  Adding a
-#: variable here (and nowhere else) is what makes a new ``REPRO_*`` read
-#: pass REP005 — see CONTRIBUTING.md.
+#: variable here is what makes a new ``REPRO_*`` read pass REP005 — see
+#: CONTRIBUTING.md; the README table then needs its row too.
 ENV_VARS: Dict[str, EnvVar] = {}
 
 
@@ -78,13 +71,6 @@ STORE_DIR_ENV = _register(
     "Root directory of the warm-start artifact store; unset disables "
     "checkpoint reuse entirely.",
 )
-DATASET_CACHE_SIZE_ENV = _register(
-    "REPRO_DATASET_CACHE_SIZE",
-    "int >= 0",
-    "8",
-    "Max entries of the per-process dataset LRU used by pool workers; "
-    "0 disables caching.",
-)
 BENCH_JOBS_ENV = _register(
     "REPRO_BENCH_JOBS",
     "int >= 1 or 'auto'",
@@ -99,22 +85,6 @@ SANITIZE_ENV = _register(
     "Enables the runtime sanitizers (NaN/Inf tensor guard, autograd leak "
     "detector, pool-worker RNG isolation) — see repro.analysis.sanitizers.",
 )
-TRIAL_TIMEOUT_ENV = _register(
-    "REPRO_TRIAL_TIMEOUT",
-    "float seconds > 0",
-    "(unset: no timeout)",
-    "Per-attempt wall-clock budget of a pooled trial; a trial running "
-    "longer is killed (worker terminated, pool respawned) and retried or "
-    "quarantined.  Enforced for jobs > 1 only.",
-)
-MAX_RETRIES_ENV = _register(
-    "REPRO_MAX_RETRIES",
-    "int >= 0",
-    "0",
-    "Retries granted to a failed/timed-out/crashed trial before it is "
-    "quarantined (max attempts = retries + 1), with exponential backoff "
-    "and deterministic key-derived jitter between attempts.",
-)
 FAULTS_ENV = _register(
     "REPRO_FAULTS",
     "fault plan",
@@ -122,14 +92,6 @@ FAULTS_ENV = _register(
     "Deterministic fault-injection plan for chaos testing, e.g. "
     "'worker_crash:p=0.3:seed=7,store_corrupt' — see "
     "repro.resilience.faults.  Never set in production.",
-)
-STORE_MAX_BYTES_ENV = _register(
-    "REPRO_STORE_MAX_BYTES",
-    "int >= 0",
-    "0 (unlimited)",
-    "Size budget of the artifact store; journaled sweeps and "
-    "'repro-run store-gc' evict least-recently-used artifacts (by mtime) "
-    "until the store fits.  0 disables eviction.",
 )
 TRACE_ENV = _register(
     "REPRO_TRACE",
@@ -171,28 +133,6 @@ def env_str(name: str, default: Optional[str] = None) -> Optional[str]:
     """String value of ``name``, or ``default`` when unset/empty."""
     value = env_raw(name)
     return default if value is None else value
-
-
-def env_int(name: str, default: int) -> int:
-    """Integer value of ``name`` (``default`` when unset; typed error otherwise)."""
-    value = env_raw(name)
-    if value is None:
-        return int(default)
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-def env_float(name: str, default: float) -> float:
-    """Float value of ``name`` (``default`` when unset; typed error otherwise)."""
-    value = env_raw(name)
-    if value is None:
-        return float(default)
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{name} must be a float, got {value!r}") from None
 
 
 def env_flag(name: str) -> bool:
@@ -242,19 +182,3 @@ def env_override(name: str, value: Optional[str]) -> Iterator[Optional[str]]:
         else:
             os.environ[name] = previous
 
-
-def describe_env() -> List[Dict[str, str]]:
-    """Documentation rows (name/type/default/description) for every variable.
-
-    The README's configuration table is generated from this, so registry
-    and documentation cannot drift apart.
-    """
-    return [
-        {
-            "name": var.name,
-            "kind": var.kind,
-            "default": var.default,
-            "description": var.description,
-        }
-        for var in ENV_VARS.values()
-    ]

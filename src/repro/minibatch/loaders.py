@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.graph.graph import AttributedGraph
 from repro.graph.sparse import SparseAdjacency, propagation_matrix
-from repro.minibatch.partition import ClusterPartitioner, GraphPartition
+from repro.minibatch.partition import ClusterPartitioner
 from repro.nn.functional import TiledTarget
 from repro.observability.tracer import span as _span
 
@@ -254,11 +254,9 @@ class ClusterLoader(MinibatchLoader):
     """Cluster-GCN-style loader over a reusable BFS edge-cut partition.
 
     ``batch_size`` sets the *target part size* (``num_parts =
-    ceil(N / batch_size)``); alternatively pass ``num_parts`` or a
-    pre-computed :class:`~repro.minibatch.partition.GraphPartition`
-    directly.  Each part's renumbered block (features, per-batch
-    normalisation) is built once at construction and reused every epoch —
-    only the batch order is reshuffled.  The blocks are cut from
+    ceil(N / batch_size)``).  Each part's renumbered block (features,
+    per-batch normalisation) is built once at construction and reused every
+    epoch — only the batch order is reshuffled.  The blocks are cut from
     ``features`` (the graph's row-normalised features in their model-input
     format, built here when not given); the loader keeps no whole-graph
     copy of them.
@@ -267,34 +265,23 @@ class ClusterLoader(MinibatchLoader):
     def __init__(
         self,
         graph: AttributedGraph,
-        batch_size: Optional[int] = None,
-        num_parts: Optional[int] = None,
+        batch_size: int,
         seed: int = 0,
-        partition: Optional[GraphPartition] = None,
-        shuffle: bool = True,
         features: Optional[Operand] = None,
     ) -> None:
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.graph = graph
         self.seed = int(seed)
-        self.shuffle = bool(shuffle)
-        if partition is None:
-            if num_parts is None:
-                if batch_size is None:
-                    raise ValueError(
-                        "ClusterLoader needs a batch_size, a num_parts or a partition"
-                    )
-                if batch_size < 1:
-                    raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-                num_parts = max(1, -(-graph.num_nodes // int(batch_size)))
-            partition = ClusterPartitioner(num_parts, seed=self.seed).partition(
-                graph.adjacency
-            )
-        self.partition = partition
+        num_parts = max(1, -(-graph.num_nodes // int(batch_size)))
+        self.partition = ClusterPartitioner(num_parts, seed=self.seed).partition(
+            graph.adjacency
+        )
         if features is None:
             features = graph.row_normalized_features()
         self._batches: List[Minibatch] = [
             _induced_minibatch(graph.adjacency, features, part, part)
-            for part in partition.parts
+            for part in self.partition.parts
         ]
 
     @property
@@ -302,12 +289,8 @@ class ClusterLoader(MinibatchLoader):
         return len(self._batches)
 
     def epoch_batches(self, epoch: int) -> Iterator[Minibatch]:
-        if self.shuffle and len(self._batches) > 1:
-            rng = np.random.default_rng([self.seed, 13, int(epoch)])
-            order = rng.permutation(len(self._batches))
-        else:
-            order = np.arange(len(self._batches))
-        for index in order:
+        rng = np.random.default_rng([self.seed, 13, int(epoch)])
+        for index in rng.permutation(len(self._batches)):
             yield self._batches[index]
 
     def describe(self) -> str:

@@ -27,7 +27,6 @@ from repro.models.gmm_vgae import GMMVGAE
 from repro.models.dgae import DGAE
 from repro.models.registry import (
     MODELS,
-    MODEL_BUILDERS,
     build_model,
     available_models,
     model_group,
@@ -47,7 +46,6 @@ __all__ = [
     "ARVGAE",
     "GMMVGAE",
     "DGAE",
-    "MODEL_BUILDERS",
     "build_model",
     "available_models",
     "model_group",

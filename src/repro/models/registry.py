@@ -2,9 +2,8 @@
 
 Backed by the generic :class:`repro.api.registry.Registry` protocol; each
 entry carries its paper group ("first" = separate clustering, "second" =
-joint clustering) as queryable metadata.  The legacy names
-(``MODEL_BUILDERS``, ``FIRST_GROUP``, ``SECOND_GROUP``) are kept as thin
-views over the registry.
+joint clustering) as queryable metadata.  ``FIRST_GROUP`` and
+``SECOND_GROUP`` list the names of each group.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ MODELS.add("argae", ARGAE, group="first", variational=False)
 MODELS.add("arvgae", ARVGAE, group="first", variational=True)
 MODELS.add("dgae", DGAE, group="second", variational=False)
 MODELS.add("gmm_vgae", GMMVGAE, group="second", variational=True)
-
-#: deprecated alias — a Mapping view over :data:`MODELS`.
-MODEL_BUILDERS = MODELS
 
 
 def _group_members(group: str) -> List[str]:

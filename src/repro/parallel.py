@@ -27,9 +27,9 @@ a serial run:
   in :mod:`repro.datasets.cache` and is re-exported here.
 
 Execution rides on the supervised pool of
-:mod:`repro.resilience.supervisor`: per-attempt timeouts
-(``REPRO_TRIAL_TIMEOUT``), crash recovery with pool respawn, retry with
-deterministic backoff (``REPRO_MAX_RETRIES``), and interrupt-safe teardown.
+:mod:`repro.resilience.supervisor`: per-attempt timeouts, crash recovery
+with pool respawn, retry with deterministic backoff (all set by a
+:class:`~repro.resilience.RetryPolicy`), and interrupt-safe teardown.
 :func:`run_sweep` additionally journals per-trial completions into the
 artifact store so an interrupted sweep can resume (``repro-run --resume``)
 skipping finished trials, bitwise identical to an uninterrupted run.
@@ -43,13 +43,9 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar, Union
 
-from repro import env as repro_env
 from repro.datasets.cache import (  # noqa: F401  (re-exported)
-    DATASET_CACHE_SIZE_ENV,
-    DEFAULT_DATASET_CACHE_SIZE,
     clear_dataset_cache,
     dataset_cache_info,
-    dataset_cache_limit,
     load_dataset_cached,
 )
 from repro.resilience.supervisor import (
@@ -103,9 +99,9 @@ def parallel_map(
 
     Execution is supervised (:func:`repro.resilience.supervised_map`):
     worker crashes break only the affected attempts, hung items are reaped
-    under ``REPRO_TRIAL_TIMEOUT``, and failed attempts retry with
-    deterministic backoff up to ``REPRO_MAX_RETRIES`` (or an explicit
-    ``policy``).  ``parallel_map`` is fail-fast: an item that exhausts its
+    after ``policy.timeout``, and failed attempts retry with deterministic
+    backoff up to ``policy.max_attempts`` (default: one attempt, no
+    timeout).  ``parallel_map`` is fail-fast: an item that exhausts its
     budget raises the typed :class:`~repro.errors.TrialFailedError` /
     :class:`~repro.errors.TrialTimeoutError` carrying the full attempt
     history.  Sweeps that should degrade gracefully instead go through
@@ -193,8 +189,8 @@ def run_sweep(
     bitwise-reproducible from its spec, the resumed sweep's results equal
     an uninterrupted run's bit for bit (``SweepOutcome.resumed`` counts the
     replayed trials).  Corrupt journal entries are quarantined by the store
-    and simply re-run.  After a journaled sweep, the store is
-    garbage-collected when ``REPRO_STORE_MAX_BYTES`` sets a budget.
+    and simply re-run.  The store is never garbage-collected here; that is
+    :meth:`~repro.store.ArtifactStore.gc` (``repro-run store-gc``).
 
     With ``REPRO_TRACE`` enabled the per-trial spans and counters shipped
     back by the workers are merged (deterministically, by trial key) with
@@ -264,9 +260,6 @@ def run_sweep(
                 write_chrome_trace(
                     store_trace_path(store.root, sweep_key(trial_keys)), telemetry
                 )
-
-        if store is not None and repro_env.env_int(repro_env.STORE_MAX_BYTES_ENV, 0) > 0:
-            store.gc()
 
     return SweepOutcome(
         results=results,

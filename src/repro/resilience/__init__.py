@@ -3,9 +3,9 @@
 The failure-semantics layer under :mod:`repro.parallel`:
 
 * :mod:`repro.resilience.supervisor` — the supervised process pool:
-  per-attempt timeouts (``REPRO_TRIAL_TIMEOUT``), crash detection with
-  pool respawn, retry with exponential backoff and deterministic jitter
-  (``REPRO_MAX_RETRIES``), quarantine-over-abort with ordered partial
+  per-attempt timeouts, crash detection with pool respawn, retry with
+  exponential backoff and deterministic jitter (all set by a
+  :class:`RetryPolicy`), quarantine-over-abort with ordered partial
   results and a failure report, interrupt-safe teardown.
 * :mod:`repro.resilience.journal` — per-trial completion journaling into
   the artifact store, the mechanism behind ``repro-run --resume``: an

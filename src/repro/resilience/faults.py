@@ -28,7 +28,7 @@ worker_crash   ``trial``               ``os._exit`` in a pool worker (the
                                        :class:`InjectedFaultError` when
                                        executing in-process.
 trial_hang     ``trial``               sleeps ``seconds`` (default 30) —
-                                       with ``REPRO_TRIAL_TIMEOUT`` set the
+                                       with a ``RetryPolicy.timeout`` the
                                        supervisor reaps it as a timeout;
                                        degraded to an error in-process so
                                        a serial run can never deadlock.

@@ -6,7 +6,7 @@ or Ctrl-C kills the whole sweep and throws away every finished result.
 This module replaces it with a future-based supervisor that treats each
 work item as an independently retryable *attempt stream*:
 
-* **Per-attempt timeout** (:data:`~repro.env.TRIAL_TIMEOUT_ENV`): a trial
+* **Per-attempt timeout** (:attr:`RetryPolicy.timeout`): a trial
   running past its budget is reaped — the worker is terminated, the pool
   respawned — and the attempt recorded as a timeout.  Trials that were
   innocently in flight on the same pool are *preempted* (resubmitted
@@ -41,6 +41,7 @@ any-``jobs`` determinism guarantee of :mod:`repro.parallel` rests on.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -103,37 +104,21 @@ class RetryPolicy:
             raise ConfigError(
                 f"RetryPolicy.max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.timeout is not None and self.timeout <= 0:
+        # NaN compares false with everything and inf overflows the pool's
+        # wait, so both are rejected along with negative values.
+        if self.timeout is not None and not (
+            math.isfinite(self.timeout) and self.timeout > 0
+        ):
             raise ConfigError(
-                f"RetryPolicy.timeout must be positive or None, got {self.timeout}"
+                "the trial timeout must be a finite number of seconds > 0 "
+                f"(or None), got {self.timeout}"
             )
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ConfigError("RetryPolicy backoff values must be >= 0")
-
-    @classmethod
-    def from_env(
-        cls,
-        max_attempts: Optional[int] = None,
-        timeout: Optional[float] = None,
-        **overrides: Any,
-    ) -> "RetryPolicy":
-        """Policy from ``REPRO_MAX_RETRIES`` / ``REPRO_TRIAL_TIMEOUT``.
-
-        Explicit arguments win over the environment; a timeout of 0 (in
-        either) means "no timeout".
-        """
-        if max_attempts is None:
-            retries = repro_env.env_int(repro_env.MAX_RETRIES_ENV, 0)
-            if retries < 0:
+        for name in ("backoff_base", "backoff_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(
-                    f"{repro_env.MAX_RETRIES_ENV} must be >= 0, got {retries}"
+                    f"RetryPolicy.{name} must be finite and >= 0, got {value}"
                 )
-            max_attempts = 1 + retries
-        if timeout is None:
-            timeout = repro_env.env_float(repro_env.TRIAL_TIMEOUT_ENV, 0.0)
-        if timeout is not None and timeout <= 0:
-            timeout = None
-        return cls(max_attempts=max_attempts, timeout=timeout, **overrides)
 
 
 def backoff_delay(policy: RetryPolicy, key: str, attempt: int) -> float:
@@ -358,7 +343,7 @@ def supervised_map(
     completes, which is where journaled sweeps persist finished trials.
     """
     items = list(items)
-    policy = policy if policy is not None else RetryPolicy.from_env()
+    policy = policy if policy is not None else RetryPolicy()
     if keys is None:
         keys = [f"item{i}" for i in range(len(items))]
     elif len(keys) != len(items):

@@ -38,9 +38,9 @@ sidecar, or a snapshot manifest without ``sha256``, is quarantined on its
 first read, so that trial re-runs or that warm start pretrains cold.
 
 **Eviction.** Sweeps grow a store without bound; :meth:`ArtifactStore.gc`
-(CLI: ``repro-run store-gc``, budget: ``REPRO_STORE_MAX_BYTES``) evicts
-least-recently-used artifacts — reads touch mtimes — payload and manifest
-together, until the store fits its byte budget.  Files that belong to no
+(CLI: ``repro-run store-gc --max-bytes N``) evicts least-recently-used
+artifacts — reads touch mtimes — payload and manifest together, until the
+store fits its byte budget.  Files that belong to no
 artifact (legacy ``.sha256`` sidecars, a manifest whose payload never
 landed) count and go the same way.  Quarantined files are exempt: they are
 evidence; so are trace exports under ``traces/`` and in-flight ``.tmp``
@@ -474,8 +474,8 @@ class ArtifactStore:
     def gc(self, max_bytes: Optional[int] = None) -> Dict[str, Any]:
         """Evict least-recently-used artifacts until the store fits.
 
-        ``max_bytes`` defaults to ``REPRO_STORE_MAX_BYTES``; a budget of 0
-        (or unset) disables eviction.  Reads touch mtimes, so "least
+        Without a budget (``None`` or 0) nothing is evicted and the stats
+        only report the store's size.  Reads touch mtimes, so "least
         recently used" tracks actual access, not just creation.  Returns a
         stats dict (``scanned_bytes`` / ``evicted`` / ``freed_bytes`` /
         ``remaining_bytes`` / ``max_bytes``).
@@ -483,10 +483,8 @@ class ArtifactStore:
         with _span("store.gc"):
             return self._gc(max_bytes)
 
-    def _gc(self, max_bytes: Optional[int] = None) -> Dict[str, Any]:
-        if max_bytes is None:
-            max_bytes = repro_env.env_int(repro_env.STORE_MAX_BYTES_ENV, 0)
-        max_bytes = int(max_bytes)
+    def _gc(self, max_bytes: Optional[int]) -> Dict[str, Any]:
+        max_bytes = int(max_bytes or 0)
         if max_bytes < 0:
             raise StoreError(f"gc budget must be >= 0 bytes, got {max_bytes}")
         entries = sorted(self._gc_entries(), key=lambda entry: (entry[0], entry[2]))

@@ -177,6 +177,23 @@ def test_rep005_exempts_the_accessor_module():
     assert [d.code for d in lint_source(source, module="repro.other")] == ["REP005"]
 
 
+def test_readme_env_table_matches_the_registry():
+    """The README's environment table lists exactly the registered variables,
+    in registry order, with their types and defaults."""
+    from repro.env import ENV_VARS
+
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("\n## Environment variables\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip().replace("`", "") for cell in line.strip().strip("|").split("|")]
+        if cells[0].startswith("REPRO_"):
+            rows.append(tuple(cells[:3]))
+    assert rows == [(var.name, var.kind, var.default) for var in ENV_VARS.values()]
+
+
 def test_rep006_bare_assert_and_raise():
     diagnostics = lint_file(fixture("src", "repro", "fix_rep006.py"))
     assert codes_and_lines(diagnostics) == [("REP006", 7), ("REP006", 9)]

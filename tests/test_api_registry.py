@@ -110,11 +110,7 @@ class TestUnifiedRegistries:
     def test_baselines_registry(self):
         assert set(BASELINES.names()) == {"tadw", "mgae", "agc", "age"}
 
-    def test_legacy_builder_mappings_still_work(self):
-        from repro.baselines.registry import BASELINE_BUILDERS
-        from repro.datasets.registry import DATASET_BUILDERS
-        from repro.models.registry import MODEL_BUILDERS
-
-        assert "gae" in MODEL_BUILDERS
-        assert callable(DATASET_BUILDERS["cora_sim"])
-        assert len(BASELINE_BUILDERS) == 4
+    def test_registries_are_mappings(self):
+        assert "gae" in MODELS
+        assert callable(DATASETS["cora_sim"])
+        assert len(BASELINES) == 4

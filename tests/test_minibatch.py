@@ -189,7 +189,7 @@ class TestClusterLoader:
         assert len(orders) > 1  # some epoch permutes differently
 
     def test_batch_carries_renumbered_normalised_block(self, tiny_graph):
-        loader = ClusterLoader(tiny_graph, batch_size=32, seed=0, shuffle=False)
+        loader = ClusterLoader(tiny_graph, batch_size=32, seed=0)
         batch = next(loader.epoch_batches(0))
         ids = batch.node_ids
         dense = tiny_graph.adjacency.to_dense()
@@ -344,12 +344,6 @@ class TestMinibatchTraining:
         _, first = _fit("gae", tiny_graph, sampler="cluster", batch_size=32)
         _, second = _fit("gae", tiny_graph, sampler="cluster", batch_size=32)
         assert first.losses == second.losses
-
-    def test_sampler_seed_changes_batches_not_validity(self, tiny_graph):
-        _, a = _fit("gae", tiny_graph, sampler="cluster", batch_size=24, sampler_seed=0)
-        _, b = _fit("gae", tiny_graph, sampler="cluster", batch_size=24, sampler_seed=1)
-        assert a.losses != b.losses  # different partitions / batch order
-        assert a.final_report is not None and b.final_report is not None
 
     def test_callbacks_fire_on_minibatch_path(self, tiny_graph):
         from repro.api.callbacks import LambdaCallback

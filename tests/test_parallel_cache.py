@@ -56,20 +56,15 @@ class TestDatasetCache:
         assert dataset_cache_info()["misses"] == 3
 
     def test_lru_eviction_respects_limit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATASET_CACHE_SIZE", "2")
+        from repro.datasets import cache
+
+        monkeypatch.setattr(cache, "DATASET_CACHE_SIZE", 2)
         load_dataset_cached("brazil_air_sim", seed=0)
         load_dataset_cached("brazil_air_sim", seed=1)
         load_dataset_cached("brazil_air_sim", seed=2)  # evicts seed 0
         assert dataset_cache_info()["size"] == 2
         load_dataset_cached("brazil_air_sim", seed=0)  # rebuilt
         assert dataset_cache_info()["misses"] == 4
-
-    def test_zero_limit_disables_caching(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATASET_CACHE_SIZE", "0")
-        load_dataset_cached("brazil_air_sim", seed=0)
-        load_dataset_cached("brazil_air_sim", seed=0)
-        info = dataset_cache_info()
-        assert info["misses"] == 2 and info["size"] == 0
 
     def test_builder_called_once_per_process(self):
         calls = {"count": 0}

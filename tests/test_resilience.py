@@ -8,6 +8,7 @@ identical to a fault-free serial run.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import re
@@ -18,12 +19,7 @@ import time
 
 import pytest
 
-from repro.env import (
-    FAULTS_ENV,
-    MAX_RETRIES_ENV,
-    STORE_MAX_BYTES_ENV,
-    TRIAL_TIMEOUT_ENV,
-)
+from repro.env import FAULTS_ENV
 from repro.errors import (
     ArtifactCorruptError,
     ConfigError,
@@ -169,18 +165,39 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError):
             RetryPolicy(backoff_base=-0.1)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(MAX_RETRIES_ENV, "3")
-        monkeypatch.setenv(TRIAL_TIMEOUT_ENV, "12.5")
-        policy = RetryPolicy.from_env()
-        assert policy.max_attempts == 4
-        assert policy.timeout == 12.5
-        # explicit arguments win; timeout 0 means "none"
-        assert RetryPolicy.from_env(max_attempts=1).max_attempts == 1
-        assert RetryPolicy.from_env(timeout=0).timeout is None
-        monkeypatch.setenv(MAX_RETRIES_ENV, "-1")
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
+            ("backoff_base", float("nan")),
+            ("backoff_max", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_values(self, field, value):
         with pytest.raises(ConfigError):
-            RetryPolicy.from_env()
+            RetryPolicy(**{field: value})
+
+    @pytest.mark.parametrize("timeout", ["-5", "nan", "inf"])
+    def test_cli_rejects_invalid_trial_timeout(self, tmp_path, capsys, timeout):
+        from repro.api.cli import main as cli_main
+
+        spec_path = tmp_path / "trial.json"
+        spec_path.write_text(json.dumps(_SWEEP_SPEC))
+        argv = [str(spec_path), "--seeds", "0", "1", "--jobs", "2"]
+        assert cli_main(argv + ["--trial-timeout", timeout]) == 2
+        assert "trial timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout, reported", [("0", None), ("600", 600.0)])
+    def test_cli_trial_timeout_reaches_the_report(self, tmp_path, timeout, reported):
+        from repro.api.cli import main as cli_main
+
+        spec_path = tmp_path / "trial.json"
+        spec_path.write_text(json.dumps(_SWEEP_SPEC))
+        report = tmp_path / "report.json"
+        argv = [str(spec_path), "--seeds", "0", "--trial-timeout", timeout]
+        assert cli_main(argv + ["--failure-report", str(report)]) == 0
+        assert json.loads(report.read_text())["policy"]["timeout"] == reported
 
     def test_backoff_is_deterministic_bounded_and_jittered(self):
         policy = RetryPolicy(max_attempts=5, backoff_base=0.1, backoff_max=0.4)
@@ -607,13 +624,6 @@ class TestStoreHardening:
             stats = warm_pretrain(fresh(), graph, pretrain_epochs=2, store=store)
         assert stats["degraded"] and not stats["hit"]
         assert warm_pretrain(fresh(), graph, pretrain_epochs=2, store=store)["hit"]
-
-    def test_gc_budget_from_env(self, tmp_path, monkeypatch):
-        store = ArtifactStore(str(tmp_path))
-        store.put_blob("journal/gc", "blob", b"x" * 1000)
-        monkeypatch.setenv(STORE_MAX_BYTES_ENV, "1")
-        stats = store.gc()
-        assert stats["max_bytes"] == 1 and stats["evicted"] == 1
 
     def test_warm_pretrain_degrades_to_cold_on_corruption(self, tmp_path):
         from repro.models import build_model

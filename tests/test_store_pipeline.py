@@ -7,10 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.api.callbacks import LambdaCallback
 from repro.api.cli import main as cli_main
 from repro.api.pipeline import Pipeline
 from repro.core.rethink import RethinkConfig, RethinkTrainer
-from repro.errors import SnapshotMismatchError, SpecError, StoreError
+from repro.errors import SpecError, StoreError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_model_pair
 from repro.models import build_model
@@ -91,59 +92,30 @@ class TestPipelineWarmStart:
 
 
 class TestPretrainedStateHandoff:
-    def test_snapshot_handoff_matches_raw_dict(self, tmp_path):
-        graph = make_tiny_graph()
-        pretrain = build_model("gae", graph.num_features, graph.num_clusters, seed=0)
-        pretrain.pretrain(graph, epochs=4)
-
-        def trial(state):
-            return (
-                Pipeline().graph(graph).model("gae").base().seed(0)
-                .training(pretrain_epochs=4, clustering_epochs=2)
-                .pretrained_state(state).run()
-            )
-
-        raw = trial(pretrain.state_dict())
-        snap = trial(Snapshot.capture(pretrain))
-        assert raw.report == snap.report
-        np.testing.assert_array_equal(
-            raw.model.embed(graph), snap.model.embed(graph)
-        )
-        assert snap.extra["pretrain_cache"]["source"] == "pretrained_state"
-
-    def test_store_key_handoff(self, tmp_path):
-        graph = make_tiny_graph()
-        store = ArtifactStore(str(tmp_path))
-        pretrain = build_model("gae", graph.num_features, graph.num_clusters, seed=0)
-        pretrain.pretrain(graph, epochs=4)
-        key = "ab" * 32
-        store.put(key, Snapshot.capture(pretrain))
-        result = (
-            Pipeline().graph(graph).model("gae").base().seed(0)
-            .training(pretrain_epochs=4, clustering_epochs=2)
-            .warm_start(str(tmp_path)).pretrained_state(key).run()
-        )
-        assert result.extra["pretrain_cache"]["hit"]
-        assert result.extra["pretrain_cache"]["key"] == key
-
-    def test_store_key_without_store_fails(self, monkeypatch):
-        from repro.store import STORE_DIR_ENV
-
-        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
-        pipeline = tiny_pipeline().pretrained_state("ab" * 32)
-        with pytest.raises(StoreError, match="no artifact store"):
-            pipeline.run()
-
     def test_mismatched_snapshot_fails_before_training(self):
         graph = make_tiny_graph()
         wrong = build_model("vgae", graph.num_features, graph.num_clusters, seed=0)
+        epochs = []
         pipeline = (
-            Pipeline().graph(graph).model("gae").base().seed(0)
-            .training(pretrain_epochs=4, clustering_epochs=2)
-            .pretrained_state(Snapshot.capture(wrong))
+            Pipeline().graph(graph).model("gae").rethink().seed(0)
+            .training(pretrain_epochs=4, rethink_epochs=2)
+            .callbacks(LambdaCallback(on_epoch_begin=epochs.append))
+            .pretrained_state(wrong.state_dict())
         )
-        with pytest.raises(SnapshotMismatchError, match="captured from"):
+        with pytest.raises(KeyError, match="missing parameters.*output_layer"):
             pipeline.run()
+        assert epochs == []
+
+    def test_pretrained_state_takes_a_state_dict_only(self):
+        model = build_model("gae", 40, 3, seed=0)
+        for state in (Snapshot.capture(model), "ab" * 32):
+            with pytest.raises(SpecError, match="state_dict"):
+                tiny_pipeline().pretrained_state(state)
+
+    def test_warm_start_takes_a_directory_or_false(self, tmp_path):
+        for store in (True, ArtifactStore(str(tmp_path))):
+            with pytest.raises(SpecError, match="store directory or False"):
+                tiny_pipeline().warm_start(store)
 
     def test_run_trials_rejects_pretrained_state(self):
         pipeline = tiny_pipeline().pretrained_state({"w": np.zeros(2)})
