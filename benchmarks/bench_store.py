@@ -77,7 +77,7 @@ def snapshot_latency(model_name: str, dataset: str, epochs: int, store_dir: str,
         save_best = min(save_best, time.perf_counter() - start)
         target = build_model(model_name, graph.num_features, graph.num_clusters, seed=0)
         start = time.perf_counter()
-        store.get(key).apply(target, restore_rng=True)
+        store.get(key).apply(target)
         load_best = min(load_best, time.perf_counter() - start)
     return {"save_seconds": save_best, "load_seconds": load_best}
 

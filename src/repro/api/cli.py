@@ -289,16 +289,13 @@ def _retry_policy(args):
     )
 
 
-def _resolve_warm_start(value):
-    """Map the --warm-start flag to a store root (None = flag absent)."""
-    if value is None:
-        return None
-    if value is True:
-        from repro.env import env_str
-        from repro.store import DEFAULT_STORE_DIR, STORE_DIR_ENV
+def _default_store_root() -> str:
+    """Root of a bare ``--warm-start`` and of ``store-gc`` without a
+    directory: ``$REPRO_STORE_DIR``, else ``.repro-store``."""
+    from repro.store import DEFAULT_STORE_DIR, active_store
 
-        return env_str(STORE_DIR_ENV, DEFAULT_STORE_DIR)
-    return str(value)
+    store = active_store()
+    return DEFAULT_STORE_DIR if store is None else store.root
 
 
 def _run_store_gc(argv: Sequence[str]) -> int:
@@ -328,7 +325,7 @@ def _run_store_gc(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     from repro.store import ArtifactStore
 
-    store = ArtifactStore(args.store)
+    store = ArtifactStore(_default_store_root() if args.store is None else args.store)
     try:
         stats = store.gc(max_bytes=args.max_bytes)
     except ReproError as error:
@@ -501,19 +498,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    store_root = _resolve_warm_start(args.warm_start)
-    if args.resume and store_root is None:
-        from repro.env import env_str
-        from repro.store import STORE_DIR_ENV
+    from repro.store import active_store
 
-        if not env_str(STORE_DIR_ENV):
-            print(
-                "repro-run: --resume replays the sweep journal from an "
-                "artifact store; pass --warm-start [DIR] or set "
-                "REPRO_STORE_DIR",
-                file=sys.stderr,
-            )
-            return 2
+    if args.warm_start is not None:
+        root = _default_store_root() if args.warm_start is True else args.warm_start
+        pipeline = pipeline.warm_start(root)
+    elif args.resume and active_store() is None:
+        print(
+            "repro-run: --resume replays the sweep journal from an "
+            "artifact store; pass --warm-start [DIR] or set "
+            "REPRO_STORE_DIR",
+            file=sys.stderr,
+        )
+        return 2
 
     if args.print_spec:
         print(spec.to_json())
@@ -524,7 +521,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from contextlib import nullcontext
 
         from repro.env import TRACE_ENV, env_override
-        from repro.store import store_env
 
         trace_path = None
         if args.trace is not None:
@@ -536,7 +532,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         trace_ctx = (
             env_override(TRACE_ENV, "1") if trace_path is not None else nullcontext()
         )
-        with trace_ctx, store_env(store_root):
+        with trace_ctx:
             if seeds is None:
                 from repro.observability.collect import merge_sweep_telemetry
                 from repro.observability.tracer import tracing_session

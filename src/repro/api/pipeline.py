@@ -117,8 +117,8 @@ class Pipeline:
         self._graph = None  # explicit AttributedGraph, bypasses the registry
         #: a model state_dict loaded instead of pretraining.
         self._pretrained_state: Optional[Mapping] = None
-        #: warm-start setting: None = follow REPRO_STORE_DIR, False = off,
-        #: str = store root.
+        #: warm-start setting: None = the REPRO_STORE_DIR store if set,
+        #: False = off, str = store root.  Resolved by _resolve_store.
         self._warm_start: Union[None, bool, str] = None
 
     def _clone(self) -> "Pipeline":
@@ -262,10 +262,12 @@ class Pipeline:
         """Serve (and populate) pretraining from an artifact store.
 
         ``store`` is the store's root directory, or ``False`` to force cold
-        pretraining even when ``REPRO_STORE_DIR`` is set.  On a warm store
-        the run skips pretraining entirely and restores the exact
-        post-pretraining state (RNG included), so its metrics are bitwise
-        identical to a cold run's; cache statistics land in
+        pretraining even when ``REPRO_STORE_DIR`` is set, in :meth:`run`
+        and in every trial of :meth:`run_sweep`.  Left unset, a pipeline
+        uses the ``REPRO_STORE_DIR`` store when that variable is set.  On a
+        warm store the run skips pretraining entirely and restores the
+        exact post-pretraining state (RNG included), so its metrics are
+        bitwise identical to a cold run's; cache statistics land in
         ``RunResult.extra['pretrain_cache']``.
         """
         if store is not False and not isinstance(store, (str, os.PathLike)):
@@ -336,7 +338,8 @@ class Pipeline:
     # artifact-store helpers
     # ------------------------------------------------------------------
     def _resolve_store(self):
-        """The ArtifactStore this pipeline should use, or ``None`` (cold)."""
+        """The one place that picks a trial's store: the :meth:`warm_start`
+        root, else the ``REPRO_STORE_DIR`` store, else ``None`` (cold)."""
         from repro.store import ArtifactStore, active_store
 
         if self._warm_start is None:
@@ -455,10 +458,11 @@ class Pipeline:
         cannot cross process boundaries.
 
         The results are bitwise identical whatever ``jobs`` is (``None``/1
-        serial, an int, or ``"auto"`` for the cpu count).  A
-        :meth:`warm_start` store reaches the workers through
-        ``REPRO_STORE_DIR``, so a later sweep skips pretraining.  Retries,
-        ``fail_fast`` and ``resume`` behave as in
+        serial, an int, or ``"auto"`` for the cpu count).  The store is
+        resolved once, here (:meth:`warm_start`, else ``REPRO_STORE_DIR``),
+        and its root travels to the workers with each trial, so a later
+        sweep skips pretraining and ``warm_start(False)`` keeps every trial
+        cold.  Retries, ``fail_fast`` and ``resume`` behave as in
         :func:`repro.parallel.run_sweep`.
 
         Requires a registry dataset and declarative callbacks: an explicit
@@ -535,7 +539,7 @@ class Pipeline:
             seed=spec.seed,
             **spec.model.options,
         )
-        snapshot.apply(model, restore_rng=True)
+        snapshot.apply(model)
         return RunResult(
             spec=spec,
             report=None,

@@ -295,8 +295,6 @@ class RethinkTrainer:
         self.adj_norm_: Optional[Union[np.ndarray, SparseAdjacency]] = None
         #: set by callbacks (e.g. ConvergenceStopping) to end training early.
         self.stop_training: bool = False
-        #: pretraining-cache stats of the last fit (repro.store.warm_pretrain).
-        self.pretrain_cache_: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # operator applications
@@ -347,15 +345,13 @@ class RethinkTrainer:
         one batch — while Ξ and Υ keep operating on full-graph state
         refreshed at epoch boundaries.
 
-        Pretraining goes through the warm-start store, so direct trainer
-        users get the same caching as pipelines: with ``REPRO_STORE_DIR``
-        set the snapshot is served from (or written to) the artifact store,
-        keyed by a content fingerprint of the graph; without it this is
-        exactly ``model.pretrain``.  The hit/miss stats land on
-        :attr:`pretrain_cache_`.
+        Without ``pretrained=True`` the model first pretrains with
+        ``model.pretrain`` for ``config.pretrain_epochs``.  The trainer never
+        warm-starts: serving pretraining from an artifact store is the
+        pipeline's job (:meth:`repro.api.Pipeline.warm_start`), which then
+        calls ``fit(graph, pretrained=True)``.
         """
         from repro.analysis.sanitizers import autograd_leak_check
-        from repro.store import warm_pretrain
 
         config = self.config
         with autograd_leak_check("RethinkTrainer.fit"), _span(
@@ -363,9 +359,7 @@ class RethinkTrainer:
         ):
             if not pretrained:
                 with _span("trainer.pretrain", epochs=config.pretrain_epochs):
-                    self.pretrain_cache_ = warm_pretrain(
-                        self.model, graph, config.pretrain_epochs
-                    )
+                    self.model.pretrain(graph, epochs=config.pretrain_epochs)
             return self._train(graph)
 
     def _batch_target(self, batch: Minibatch) -> TiledTarget:

@@ -68,8 +68,11 @@ STORE_DIR_ENV = _register(
     "REPRO_STORE_DIR",
     "path",
     "(unset: warm starts off)",
-    "Root directory of the warm-start artifact store; unset disables "
-    "checkpoint reuse entirely.",
+    "Root directory of the warm-start artifact store of a pipeline whose "
+    "warm_start is unset; warm_start(False) or an explicit directory beats "
+    "it.  Sweeps resolve it once in the parent and pool workers receive the "
+    "root with each trial.  Also the default root of a bare "
+    "'repro-run --warm-start' and of 'store-gc'.",
 )
 BENCH_JOBS_ENV = _register(
     "REPRO_BENCH_JOBS",

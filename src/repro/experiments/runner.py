@@ -81,9 +81,11 @@ def run_model_pair(
     a trial that exhausts its retries raises the typed error.
 
     Both sweeps use the store at ``store_dir``, else the ``REPRO_STORE_DIR``
-    store, else a temporary store removed on return.  A kept store also
-    serves later pairs: re-running one loads every pretraining snapshot and
-    reproduces the same results.  Each trial's hit/miss record lands in
+    store, else a temporary store removed on return.  Each sweep resolves
+    that store once, in this process, and its root reaches every pool
+    worker with the trial.  A kept store also serves later pairs:
+    re-running one loads every pretraining snapshot and reproduces the same
+    results.  Each trial's hit/miss record lands in
     ``RunResult.extra['pretrain_cache']``.
     """
     from repro.store import active_store

@@ -108,8 +108,8 @@ class ARGAE(GAEClusteringModel):
         state["discriminator_optimizer"] = self._discriminator_optimizer.state_dict()
         return state
 
-    def load_extra_state(self, state, restore_rng: bool = True) -> None:
-        super().load_extra_state(state, restore_rng=restore_rng)
+    def load_extra_state(self, state) -> None:
+        super().load_extra_state(state)
         optimizer_state = state.get("discriminator_optimizer")
         if optimizer_state is not None:
             self._discriminator_optimizer.load_state_dict(optimizer_state)

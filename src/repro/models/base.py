@@ -242,17 +242,12 @@ class GAEClusteringModel(Module):
             "rng": copy.deepcopy(self.rng.bit_generator.state),
         }
 
-    def load_extra_state(self, state: Dict[str, object], restore_rng: bool = True) -> None:
-        """Inverse of :meth:`extra_state`.
-
-        ``restore_rng=False`` keeps the model's own RNG stream — that is the
-        paper's fairness protocol, where D and R-D both continue from shared
-        pretraining weights with their freshly seeded generators.
-        """
+    def load_extra_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`extra_state`, RNG stream included."""
         self.cluster_centers_ = _copy_or_none(state.get("cluster_centers"))
         self.cluster_variances_ = _copy_or_none(state.get("cluster_variances"))
         self._target = _copy_or_none(state.get("target"))
-        if restore_rng and state.get("rng") is not None:
+        if state.get("rng") is not None:
             self.rng.bit_generator.state = copy.deepcopy(state["rng"])
 
     # ------------------------------------------------------------------
@@ -541,17 +536,6 @@ class GAEClusteringModel(Module):
         ``step`` holds the step's ``"loss"`` and embeddings ``"z"``.
         Adversarial models use it to train their discriminator.
         """
-
-    def fit(
-        self,
-        graph: AttributedGraph,
-        pretrain_epochs: int = 200,
-        clustering_epochs: int = 200,
-    ) -> "GAEClusteringModel":
-        """Full training: pretraining followed by the model's clustering phase."""
-        self.pretrain(graph, epochs=pretrain_epochs)
-        self.fit_clustering(graph, epochs=clustering_epochs)
-        return self
 
     def fit_clustering(
         self,

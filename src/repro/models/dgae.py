@@ -94,8 +94,8 @@ class DGAE(GAEClusteringModel):
             state["trainable_extras"] = ["centers"]
         return state
 
-    def load_extra_state(self, state, restore_rng: bool = True) -> None:
-        super().load_extra_state(state, restore_rng=restore_rng)
+    def load_extra_state(self, state) -> None:
+        super().load_extra_state(state)
         if "centers" in state.get("trainable_extras", []) and self.cluster_centers_ is not None:
             # Materialise the trainable tensor; load_state_dict fills its
             # values from the snapshot's parameter entry right after.

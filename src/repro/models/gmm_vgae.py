@@ -114,8 +114,8 @@ class GMMVGAE(GAEClusteringModel):
         }
         return state
 
-    def load_extra_state(self, state, restore_rng: bool = True) -> None:
-        super().load_extra_state(state, restore_rng=restore_rng)
+    def load_extra_state(self, state) -> None:
+        super().load_extra_state(state)
         mixture_state = state.get("mixture")
         if mixture_state is None:
             self._mixture = None

@@ -41,7 +41,7 @@ base; no third-party dependency is involved.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.datasets.cache import (  # noqa: F401  (re-exported)
     clear_dataset_cache,
@@ -133,8 +133,14 @@ def _normalise_spec(spec: Any) -> Dict[str, Any]:
     raise SpecError(f"cannot execute a trial from {type(spec).__name__}")
 
 
-def _execute_spec(spec_dict: Dict[str, Any]) -> Any:
-    """Pool worker: run one spec and return a process-portable result.
+def _execute_spec(item: Tuple[Dict[str, Any], Optional[str]]) -> Any:
+    """Pool worker: run one ``(spec_dict, store_dir)`` item and return a
+    process-portable result.
+
+    ``store_dir`` is the store root the parent resolved for the sweep.  The
+    worker's pipeline gets it as ``warm_start(store_dir)``, or
+    ``warm_start(False)`` when it is ``None``, so no worker reads
+    ``REPRO_STORE_DIR``.
 
     The trained model is dropped: its autograd tensors hold backward
     closures that cannot be pickled, and keeping the serial path identical
@@ -155,10 +161,13 @@ def _execute_spec(spec_dict: Dict[str, Any]) -> Any:
     from repro.api.pipeline import Pipeline
     from repro.observability.tracer import tracing_session
 
+    spec_dict, store_dir = item
+    pipeline = Pipeline.from_spec(spec_dict)
+    pipeline = pipeline.warm_start(False if store_dir is None else store_dir)
     install_from_env()
     with rng_isolation_check(f"trial {spec_dict.get('model')}/{spec_dict.get('dataset')}"):
         with tracing_session() as tracer:
-            result = Pipeline.from_spec(spec_dict).run()
+            result = pipeline.run()
     result.model = None
     if tracer is not None:
         result.extra["telemetry"] = tracer.payload()
@@ -181,8 +190,14 @@ def run_sweep(
     instead raises the typed error on the first quarantine), and a
     JSON-serialisable failure report (:meth:`SweepOutcome.report`).
 
-    When an artifact store is configured (``store_dir`` or
-    ``REPRO_STORE_DIR``), every finished trial is **journaled** into it as
+    ``store_dir`` is the sweep's artifact store root, already resolved:
+    :meth:`repro.api.Pipeline.run_sweep` passes its ``warm_start`` store
+    here.  Each work item carries it to its worker as ``(spec_dict,
+    store_dir)``, so every trial warm-starts from that store; with
+    ``store_dir=None`` every trial pretrains cold and nothing is journaled,
+    whatever ``REPRO_STORE_DIR`` says.
+
+    With a store, every finished trial is **journaled** into it as
     it completes, keyed by ``RunSpec.store_key()`` under a sweep key hashed
     from the ordered trial list.  ``resume=True`` replays those journal
     entries — finished trials are skipped, and because each trial is
@@ -202,64 +217,63 @@ def run_sweep(
     from repro.observability.exporters import store_trace_path, write_chrome_trace
     from repro.observability.tracer import tracing_session
     from repro.resilience.journal import open_journal, sweep_key
-    from repro.store import active_store, store_env
+    from repro.store import ArtifactStore
 
     spec_dicts = [_normalise_spec(spec) for spec in specs]
     trial_keys = [_spec_key(d) for d in spec_dicts]
-    with store_env(store_dir):
-        store = active_store()
-        journal = open_journal(store, trial_keys)
-        completed: Dict[int, Any] = {}
-        if journal is not None and resume:
-            completed = journal.load()
-        remaining = [i for i in range(len(spec_dicts)) if i not in completed]
+    store = None if store_dir is None else ArtifactStore(store_dir)
+    journal = open_journal(store, trial_keys)
+    completed: Dict[int, Any] = {}
+    if journal is not None and resume:
+        completed = journal.load()
+    remaining = [i for i in range(len(spec_dicts)) if i not in completed]
 
-        on_result: Optional[Callable[[int, Any], None]] = None
-        if journal is not None:
-            def on_result(sub_index: int, value: Any) -> None:
-                journal.record(remaining[sub_index], value)
+    on_result: Optional[Callable[[int, Any], None]] = None
+    if journal is not None:
+        def on_result(sub_index: int, value: Any) -> None:
+            journal.record(remaining[sub_index], value)
 
-        resolved = resolve_jobs(jobs, len(remaining))
-        # The supervisor gets its own tracer for the sweep: attempt spans,
-        # backoff waits, pool respawns and journal/store traffic land here,
-        # while each trial captures (and ships back) its own — see
-        # ``_execute_spec``.
-        with tracing_session() as supervisor_tracer:
-            outcome = supervised_map(
-                _execute_spec,
-                [spec_dicts[i] for i in remaining],
-                resolved,
-                policy=policy,
-                keys=[trial_keys[i] for i in remaining],
-                fail_fast=fail_fast,
-                on_result=on_result,
+    resolved = resolve_jobs(jobs, len(remaining))
+    # The supervisor gets its own tracer for the sweep: attempt spans,
+    # backoff waits, pool respawns and journal/store traffic land here,
+    # while each trial captures (and ships back) its own — see
+    # ``_execute_spec``.
+    with tracing_session() as supervisor_tracer:
+        outcome = supervised_map(
+            _execute_spec,
+            [(spec_dicts[i], store_dir) for i in remaining],
+            resolved,
+            policy=policy,
+            keys=[trial_keys[i] for i in remaining],
+            fail_fast=fail_fast,
+            on_result=on_result,
+        )
+
+    results: List[Any] = [None] * len(spec_dicts)
+    for index, value in completed.items():
+        results[index] = value
+    for sub_index, index in enumerate(remaining):
+        slot = outcome.results[sub_index]
+        if isinstance(slot, TrialFailure):
+            slot.index = index  # re-anchor to the caller's spec order
+        results[index] = slot
+
+    telemetry: Optional[Dict[str, Any]] = None
+    if supervisor_tracer is not None:
+        # Merge order is (trial key, spec index) — never pool arrival
+        # order — so the document is identical for any ``jobs``.
+        triples = []
+        for index, value in enumerate(results):
+            extra = getattr(value, "extra", None)
+            payload = extra.get("telemetry") if isinstance(extra, dict) else None
+            triples.append((trial_keys[index], index, payload))
+        telemetry = merge_sweep_telemetry(
+            triples, supervisor=supervisor_tracer.payload()
+        )
+        if store is not None:
+            write_chrome_trace(
+                store_trace_path(store.root, sweep_key(trial_keys)), telemetry
             )
-
-        results: List[Any] = [None] * len(spec_dicts)
-        for index, value in completed.items():
-            results[index] = value
-        for sub_index, index in enumerate(remaining):
-            slot = outcome.results[sub_index]
-            if isinstance(slot, TrialFailure):
-                slot.index = index  # re-anchor to the caller's spec order
-            results[index] = slot
-
-        telemetry: Optional[Dict[str, Any]] = None
-        if supervisor_tracer is not None:
-            # Merge order is (trial key, spec index) — never pool arrival
-            # order — so the document is identical for any ``jobs``.
-            triples = []
-            for index, value in enumerate(results):
-                extra = getattr(value, "extra", None)
-                payload = extra.get("telemetry") if isinstance(extra, dict) else None
-                triples.append((trial_keys[index], index, payload))
-            telemetry = merge_sweep_telemetry(
-                triples, supervisor=supervisor_tracer.payload()
-            )
-            if store is not None:
-                write_chrome_trace(
-                    store_trace_path(store.root, sweep_key(trial_keys)), telemetry
-                )
 
     return SweepOutcome(
         results=results,

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -83,6 +84,10 @@ _COUNTED_OUTCOMES = {"error", "timeout", "pool_broken"}
 #: floor of the scheduler's wait quantum (seconds).
 _MIN_TICK = 0.01
 
+#: largest backoff exponent: ``2 ** 64`` outgrows any ``backoff_max``, and
+#: capping it first keeps ``base * 2 ** n`` from overflowing a float.
+_MAX_BACKOFF_EXPONENT = 64
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -100,9 +105,9 @@ class RetryPolicy:
     backoff_max: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        if not isinstance(self.max_attempts, numbers.Integral) or self.max_attempts < 1:
             raise ConfigError(
-                f"RetryPolicy.max_attempts must be >= 1, got {self.max_attempts}"
+                f"RetryPolicy.max_attempts must be an integer >= 1, got {self.max_attempts!r}"
             )
         # NaN compares false with everything and inf overflows the pool's
         # wait, so both are rejected along with negative values.
@@ -128,7 +133,8 @@ def backoff_delay(policy: RetryPolicy, key: str, attempt: int) -> float:
     step by a jitter value hashed from ``(key, attempt)`` — reproducible
     everywhere, yet different items never retry in lock-step.
     """
-    step = min(policy.backoff_max, policy.backoff_base * (2 ** max(0, attempt - 1)))
+    exponent = min(max(0, attempt - 1), _MAX_BACKOFF_EXPONENT)
+    step = min(policy.backoff_max, policy.backoff_base * (2 ** exponent))
     digest = hashlib.sha256(f"backoff|{key}|{attempt}".encode("utf-8")).hexdigest()
     jitter = int(digest[:16], 16) / float(1 << 64)
     return step * (0.5 + 0.5 * jitter)

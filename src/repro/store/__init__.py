@@ -7,13 +7,17 @@ The persistence layer between training and everything downstream:
   optimizer moments, RNG stream, epoch counters, producing spec), with
   schema checks and fail-fast validation against the target model.
 * :class:`~repro.store.store.ArtifactStore` — a content-addressed
-  filesystem store (``REPRO_STORE_DIR``) keyed by stable hashes of
-  ``(dataset, model, variant, seed, config)``.  Snapshots and journal
-  blobs alike are a payload plus a JSON manifest recording its SHA-256,
-  written atomically and verified on every read.
+  filesystem store under an explicit root directory, keyed by stable
+  hashes of ``(dataset, model, variant, seed, config)``.  Snapshots and
+  journal blobs alike are a payload plus a JSON manifest recording its
+  SHA-256, written atomically and verified on every read.
 * :func:`~repro.store.pretrain_cache.warm_pretrain` — the pretraining
   snapshot cache that lets D / R-D pairs and multi-seed sweeps skip
-  re-pretraining while staying bitwise identical to cold runs.
+  re-pretraining while staying bitwise identical to cold runs.  It uses
+  the store it is given; ``None`` pretrains cold.
+* :func:`~repro.store.store.active_store` — the ``REPRO_STORE_DIR``
+  store, the default of a pipeline whose ``warm_start`` is unset and the
+  library's only read of that variable.
 * :mod:`repro.store.keys` — canonical-JSON SHA-256 keying, stable across
   dict orderings and process restarts.
 
@@ -53,10 +57,8 @@ from repro.store.snapshot import FORMAT_NAME, SCHEMA_VERSION, Snapshot
 from repro.store.store import (
     DEFAULT_STORE_DIR,
     QUARANTINE_DIR,
-    STORE_DIR_ENV,
     ArtifactStore,
     active_store,
-    store_env,
 )
 
 __all__ = [
@@ -67,7 +69,6 @@ __all__ = [
     "QUARANTINE_DIR",
     "FORMAT_NAME",
     "SCHEMA_VERSION",
-    "STORE_DIR_ENV",
     "Snapshot",
     "SnapshotMismatchError",
     "SnapshotSchemaError",
@@ -81,6 +82,5 @@ __all__ = [
     "pretrain_cache_key",
     "pretrain_key",
     "run_key",
-    "store_env",
     "warm_pretrain",
 ]

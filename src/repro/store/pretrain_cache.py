@@ -29,7 +29,7 @@ from repro.errors import (
 from repro.observability.metrics import metric_inc
 from repro.store.keys import graph_fingerprint, pretrain_key
 from repro.store.snapshot import Snapshot
-from repro.store.store import ArtifactStore, active_store
+from repro.store.store import ArtifactStore
 
 
 def disabled_stats() -> Dict[str, Any]:
@@ -73,9 +73,10 @@ def warm_pretrain(
 
     Returns a stats dict (``enabled`` / ``hit`` / ``key`` / ``seconds``,
     plus ``degraded`` / ``degraded_reason`` when recovery kicked in) that
-    callers surface in ``RunResult.extra['pretrain_cache']``.  With no
-    store (explicit or :func:`~repro.store.store.active_store`), this is
-    exactly ``model.pretrain(...)``.
+    callers surface in ``RunResult.extra['pretrain_cache']``.  With
+    ``store=None`` this is exactly ``model.pretrain(...)``: the caller picks
+    the store (:meth:`repro.api.Pipeline.warm_start`), and no environment
+    variable is read here.
 
     A corrupt artifact (checksum mismatch, truncated pickle — already
     quarantined by the store), a stale schema version, or a snapshot that
@@ -84,7 +85,6 @@ def warm_pretrain(
     bad artifact.  Warm starting is an optimisation; it must never be able
     to fail a sweep.
     """
-    store = store if store is not None else active_store()
     start = time.perf_counter()
     if store is None:
         model.pretrain(graph, epochs=pretrain_epochs)
@@ -101,10 +101,9 @@ def warm_pretrain(
         snapshot = None
     if snapshot is not None:
         try:
-            # restore_rng=True: the snapshot's RNG state is the
-            # post-pretraining stream, so the clustering phase consumes
-            # exactly the noise a cold run would.
-            snapshot.apply(model, restore_rng=True)
+            # The snapshot's RNG state is the post-pretraining stream, so
+            # the clustering phase consumes exactly the noise a cold run would.
+            snapshot.apply(model)
             hit = True
             metric_inc("pretrain.warm_hits")
         except (SnapshotMismatchError, SnapshotSchemaError) as error:

@@ -122,14 +122,12 @@ class Snapshot:
                     f"{value.shape}, model expects {param.data.shape}"
                 )
 
-    def apply(self, model: Any, optimizer: Any = None, restore_rng: bool = True) -> Any:
+    def apply(self, model: Any, optimizer: Any = None) -> Any:
         """Restore this snapshot into ``model`` (and ``optimizer``, if given).
 
         Validation runs first, so a mismatched snapshot raises without
-        touching the model.  ``restore_rng=False`` loads weights and
-        clustering state but keeps the model's own RNG stream (the fairness
-        protocol's shared-pretraining handoff); ``restore_rng=True`` makes
-        continued training bitwise identical to an uninterrupted run.
+        touching the model.  The model's RNG stream is restored too, so
+        continued training is bitwise identical to an uninterrupted run.
         """
         self.validate(model)
         if optimizer is not None and self.optimizer is None:
@@ -137,7 +135,7 @@ class Snapshot:
                 "snapshot holds no optimizer state; capture with "
                 "Snapshot.capture(model, optimizer=...) to support resuming"
             )
-        model.load_extra_state(self.extra, restore_rng=restore_rng)
+        model.load_extra_state(self.extra)
         model.load_state_dict(self.params)
         if optimizer is not None:
             try:

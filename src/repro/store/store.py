@@ -14,10 +14,10 @@ payload's SHA-256.  Two kinds of artifact share that layout:
 
 ``<root>/quarantine/`` is where corrupt artifacts are moved, never served.
 
-The root comes from the ``REPRO_STORE_DIR`` environment variable by
-default; :func:`active_store` returns ``None`` when that variable is unset,
-which is how the warm-start machinery stays a no-op until a store is
-configured.
+A store always has an explicit root.  :func:`active_store` is the one
+reader of ``REPRO_STORE_DIR``: :meth:`repro.api.Pipeline._resolve_store`
+falls back to it for a pipeline whose ``warm_start`` is unset, and sweeps
+hand the resolved root to every pool worker with its trial.
 
 **Writes.** Every file goes through one atomic writer: a unique temp file,
 then a rename.  Readers see the old file or the new one, and concurrent
@@ -55,7 +55,7 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import env as repro_env
 from repro.errors import (
@@ -67,10 +67,8 @@ from repro.observability.metrics import metric_inc
 from repro.observability.tracer import span as _span
 from repro.store.snapshot import Snapshot
 
-#: environment variable naming the store root (unset disables warm starts).
-#: Declared in :mod:`repro.env`; re-exported here for compatibility.
-STORE_DIR_ENV = repro_env.STORE_DIR_ENV
-#: directory used when warm starts are requested without an explicit root.
+#: root of a bare ``repro-run --warm-start`` / ``store-gc`` when
+#: ``REPRO_STORE_DIR`` is unset.
 DEFAULT_STORE_DIR = ".repro-store"
 #: subdirectory corrupt artifacts are moved into (never read back).
 QUARANTINE_DIR = "quarantine"
@@ -164,9 +162,12 @@ def _unpickle_blob(data: bytes, path: str) -> Any:
 class ArtifactStore:
     """Content-addressed snapshot and blob store rooted at one directory."""
 
-    def __init__(self, root: Optional[str] = None) -> None:
+    def __init__(self, root: str) -> None:
         if root is None:
-            root = repro_env.env_str(STORE_DIR_ENV, DEFAULT_STORE_DIR)  # repro: noqa[REP104] store root resolves per process; workers inherit REPRO_STORE_DIR
+            raise StoreError(
+                "ArtifactStore needs a root directory; active_store() returns "
+                "the REPRO_STORE_DIR store"
+            )
         self.root = str(root)
         self._stats: Dict[str, int] = {
             "hits": 0,
@@ -512,25 +513,13 @@ class ArtifactStore:
 
 
 def active_store() -> Optional[ArtifactStore]:
-    """The environment-configured store, or ``None`` when warm starts are off.
+    """The ``REPRO_STORE_DIR`` store, or ``None`` when the variable is unset.
 
-    Reading ``REPRO_STORE_DIR`` at call time (not import time) lets sweeps
-    enable the store for pool workers by exporting the variable before the
-    pool starts — worker processes inherit the parent environment.
+    The library's only read of the variable.  It is the store of a pipeline
+    whose ``warm_start`` is unset, resolved in the process that builds the
+    pipeline; pool workers get the resolved root with their trial instead.
     """
-    root = repro_env.env_str(STORE_DIR_ENV)  # repro: noqa[REP104] documented: workers inherit REPRO_STORE_DIR set before the pool starts
+    root = repro_env.env_str(repro_env.STORE_DIR_ENV)  # repro: noqa[REP104] workers never take this branch: _execute_spec sets warm_start, so _resolve_store skips it
     if not root:
         return None
     return ArtifactStore(root)
-
-
-@contextlib.contextmanager
-def store_env(root: Optional[str]) -> Iterator[Optional[str]]:
-    """Temporarily point ``REPRO_STORE_DIR`` at ``root`` (``None`` = no-op).
-
-    Used by the sweep entry points: setting the variable in the parent
-    before a process pool spins up is what propagates the warm store to
-    every worker.
-    """
-    with repro_env.env_override(STORE_DIR_ENV, root) as value:
-        yield value

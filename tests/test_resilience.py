@@ -178,6 +178,11 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError):
             RetryPolicy(**{field: value})
 
+    @pytest.mark.parametrize("max_attempts", [float("nan"), 2.5])
+    def test_rejects_non_integer_max_attempts(self, max_attempts):
+        with pytest.raises(ConfigError, match="integer"):
+            RetryPolicy(max_attempts=max_attempts)
+
     @pytest.mark.parametrize("timeout", ["-5", "nan", "inf"])
     def test_cli_rejects_invalid_trial_timeout(self, tmp_path, capsys, timeout):
         from repro.api.cli import main as cli_main
@@ -208,6 +213,12 @@ class TestRetryPolicy:
             assert 0.5 * step <= delay <= step
         # jitter de-synchronises different keys
         assert backoff_delay(policy, "trial-a", 1) != backoff_delay(policy, "trial-b", 1)
+
+    @pytest.mark.parametrize("attempt", [1025, 10**6])
+    def test_backoff_stays_capped_at_huge_attempts(self, attempt):
+        for base in (0.0, 0.05):
+            policy = RetryPolicy(backoff_base=base, backoff_max=2.0)
+            assert 0.0 <= backoff_delay(policy, "trial-a", attempt) <= 2.0
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +251,12 @@ class TestSupervisedMap:
         assert report["total"] == 2 and report["failed"] == 2
         assert report["failures"][0]["attempts"][0]["outcome"] == "error"
         assert report["policy"]["max_attempts"] == 2
+
+    def test_serial_quarantines_after_more_than_1024_attempts(self):
+        policy = RetryPolicy(max_attempts=1100, backoff_base=0.0)
+        outcome = supervised_map(_always_fails, ["a"], jobs=1, policy=policy, keys=["ka"])
+        assert [type(slot) for slot in outcome.results] == [TrialFailure]
+        assert len(outcome.failures[0].attempts) == 1100
 
     def test_fail_fast_raises_typed_error_with_history(self):
         policy = RetryPolicy(max_attempts=2, backoff_base=0.001)

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.env import STORE_DIR_ENV
 from repro.errors import (
     ArtifactCorruptError,
     ArtifactNotFoundError,
@@ -21,7 +22,6 @@ from repro.models import build_model
 from repro.nn.optim import SGD, Adam
 from repro.store import (
     SCHEMA_VERSION,
-    STORE_DIR_ENV,
     ArtifactStore,
     Snapshot,
     active_store,
@@ -31,7 +31,6 @@ from repro.store import (
     graph_fingerprint,
     pretrain_cache_key,
     pretrain_key,
-    store_env,
     warm_pretrain,
 )
 
@@ -240,7 +239,7 @@ class TestSnapshot:
         model.pretrain(tiny_graph, epochs=3)
         snapshot = Snapshot.capture(model, epoch=3, phase="pretrain")
         target = build_model(model_name, tiny_graph.num_features, tiny_graph.num_clusters, seed=9)
-        snapshot.apply(target, restore_rng=True)
+        snapshot.apply(target)
         np.testing.assert_array_equal(model.embed(tiny_graph), target.embed(tiny_graph))
         assert target.rng.bit_generator.state == model.rng.bit_generator.state
 
@@ -249,7 +248,7 @@ class TestSnapshot:
         snapshot = Snapshot.capture(model, phase="trained")
         assert "centers" in snapshot.params
         target = build_model("dgae", tiny_graph.num_features, tiny_graph.num_clusters, seed=3)
-        snapshot.apply(target, restore_rng=True)
+        snapshot.apply(target)
         np.testing.assert_array_equal(
             model.centers.data, target.centers.data
         )
@@ -329,7 +328,7 @@ class TestSnapshot:
         snapshot = Snapshot.capture(first, optimizer=first_opt, epoch=half)
 
         resumed, resumed_opt = fresh()
-        snapshot.apply(resumed, optimizer=resumed_opt, restore_rng=True)
+        snapshot.apply(resumed, optimizer=resumed_opt)
         resumed.pretrain(tiny_graph, epochs=total - half, optimizer=resumed_opt)
 
         diff = np.abs(straight.embed(tiny_graph) - resumed.embed(tiny_graph)).max()
@@ -394,21 +393,16 @@ class TestArtifactStore:
         assert store.clear() == 2
         assert store.keys() == []
 
+    def test_root_is_required(self):
+        with pytest.raises(StoreError, match="needs a root"):
+            ArtifactStore(None)
+
     def test_active_store_follows_environment(self, tmp_path, monkeypatch):
         monkeypatch.delenv(STORE_DIR_ENV, raising=False)
         assert active_store() is None
         monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
         store = active_store()
         assert store is not None and store.root == str(tmp_path)
-
-    def test_store_env_context_manager(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
-        with store_env(str(tmp_path)):
-            assert os.environ[STORE_DIR_ENV] == str(tmp_path)
-            assert active_store().root == str(tmp_path)
-        assert STORE_DIR_ENV not in os.environ
-        with store_env(None):
-            assert STORE_DIR_ENV not in os.environ
 
 
 class TestWarmPretrain:
@@ -432,11 +426,14 @@ class TestWarmPretrain:
         )
         assert cold_model.rng.bit_generator.state == warm_model.rng.bit_generator.state
 
-    def test_no_store_means_plain_pretrain(self, tiny_graph, monkeypatch):
-        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+    def test_no_store_means_plain_pretrain(self, tiny_graph, tmp_path, monkeypatch):
+        # store=None pretrains cold even with the variable planted
+        planted = tmp_path / "planted"
+        monkeypatch.setenv(STORE_DIR_ENV, str(planted))
         model = build_model("gae", tiny_graph.num_features, tiny_graph.num_clusters, seed=0)
         stats = warm_pretrain(model, tiny_graph, 2)
         assert stats == {
             "enabled": False, "hit": False, "key": None, "store": None,
             "seconds": stats["seconds"],
         }
+        assert not planted.exists()

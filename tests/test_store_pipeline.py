@@ -15,7 +15,8 @@ from repro.errors import SpecError, StoreError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_model_pair
 from repro.models import build_model
-from repro.store import ArtifactStore, Snapshot, store_env
+from repro.env import STORE_DIR_ENV
+from repro.store import ArtifactStore, Snapshot
 
 from repro.graph.generators import attributed_sbm_graph
 
@@ -154,8 +155,44 @@ class TestPipelineSaveLoad:
             results[0].save(str(tmp_path / "x.snap"))
 
 
-class TestTrainerWarmStart:
-    def test_direct_trainer_uses_active_store(self, tmp_path):
+class TestStoreResolution:
+    """The pipeline picks a trial's store once: its warm_start root, else
+    the REPRO_STORE_DIR store, else none; sweeps hand the root to workers."""
+
+    def test_warm_start_false_beats_the_variable(self, tmp_path, monkeypatch):
+        planted = tmp_path / "planted"
+        monkeypatch.setenv(STORE_DIR_ENV, str(planted))
+        pipeline = tiny_pipeline().warm_start(False)
+        results = [pipeline.run()]
+        for jobs in (1, 2):
+            results += pipeline.run_sweep([0, 1], jobs=jobs).results
+        assert [r.extra["pretrain_cache"]["enabled"] for r in results] == [False] * 5
+        assert not planted.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unset_warm_start_follows_the_variable(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        pipeline = tiny_pipeline()
+        cold = pipeline.run_sweep([0, 1], jobs=jobs).results
+        warm = pipeline.run_sweep([0, 1], jobs=jobs).results
+        assert [r.extra["pretrain_cache"]["hit"] for r in cold] == [False, False]
+        assert [r.extra["pretrain_cache"]["hit"] for r in warm] == [True, True]
+        assert {r.extra["pretrain_cache"]["store"] for r in warm} == {str(tmp_path)}
+        for a, b in zip(cold, warm):
+            assert a.report == b.report
+
+    def test_explicit_warm_start_beats_the_variable(self, tmp_path, monkeypatch):
+        planted = tmp_path / "planted"
+        monkeypatch.setenv(STORE_DIR_ENV, str(planted))
+        store = str(tmp_path / "store")
+        results = tiny_pipeline().warm_start(store).run_sweep([0, 1], jobs=2).results
+        assert {r.extra["pretrain_cache"]["store"] for r in results} == {store}
+        assert len(ArtifactStore(store)) == 2
+        assert not planted.exists()
+
+
+class TestTrainerPretraining:
+    def test_trainer_never_warm_starts(self, tmp_path, monkeypatch):
         graph = make_tiny_graph()
 
         def fit():
@@ -163,23 +200,15 @@ class TestTrainerWarmStart:
             config = RethinkConfig(
                 epochs=2, pretrain_epochs=3, stop_at_convergence=False
             )
-            trainer = RethinkTrainer(model, config)
-            trainer.fit(graph)
-            return trainer
+            RethinkTrainer(model, config).fit(graph)
+            return model.embed(graph)
 
-        with store_env(str(tmp_path)):
-            cold = fit()
-            warm = fit()
-        assert cold.pretrain_cache_["enabled"] and not cold.pretrain_cache_["hit"]
-        assert warm.pretrain_cache_["hit"]
-        np.testing.assert_array_equal(
-            cold.model.embed(graph), warm.model.embed(graph)
-        )
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
         plain = fit()
-        assert plain.pretrain_cache_["enabled"] is False
-        np.testing.assert_array_equal(
-            plain.model.embed(graph), cold.model.embed(graph)
-        )
+        planted = tmp_path / "planted"
+        monkeypatch.setenv(STORE_DIR_ENV, str(planted))
+        np.testing.assert_array_equal(fit(), plain)
+        assert not planted.exists()
 
 
 class TestRunnerWarmStart:
