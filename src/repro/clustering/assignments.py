@@ -40,11 +40,18 @@ def soft_assignment_gaussian(
     ``Σ_j``.  When ``variances`` is ``None`` unit variances are used, which
     reduces to a softmax over negative squared distances.
 
-    ``temperature`` (τ) rescales the exponent; with ``τ = d`` (the latent
-    dimensionality) the exponent becomes a per-dimension average rather than
-    a sum, which keeps the confidence scores used by the operator Ξ in a
-    useful range on low-dimensional, well-separated embeddings (see
-    DESIGN.md §2 on this calibration).
+    ``temperature`` (τ) rescales the exponent.  Ξ's softening of hard
+    assignments (:func:`soften_assignments`) and GMM-VGAE's
+    ``predict_assignments``, which Ξ reads, use ``τ = d``, the latent
+    dimensionality: the exponent becomes a
+    per-dimension average rather than a sum, which divides every log-ratio
+    between two clusters' scores by d.  The responsibilities are flatter,
+    so the first and second confidence scores that Ξ compares with α1 and
+    α2 do not saturate at 1 and 0 on low-dimensional, well-separated
+    embeddings.  GMM-VGAE's training loss computes P at τ = 1
+    (``soft_assignment_tensor``), so its labels and its training P use
+    different scales; ROADMAP.md questions τ = d for GMM-VGAE in its open
+    item on the R- claim for DGAE and GMM-VGAE.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)

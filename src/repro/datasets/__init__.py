@@ -9,7 +9,11 @@ The six named datasets mirror the evaluation of the paper:
   ``brazil_air_sim`` (4 clusters each) with one-hot degree features, as in
   the paper.
 
-See DESIGN.md §2 for the substitution rationale.
+The package ships no data and downloads none, so each of the paper's public
+datasets is replaced by a seeded stochastic-block-model surrogate
+(:mod:`repro.graph.generators`) that keeps what the R- operators interact
+with: the cluster count and imbalance, sparse topology with noisy
+inter-cluster links, and the feature style.
 """
 
 from repro.datasets.registry import (

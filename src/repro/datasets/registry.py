@@ -2,8 +2,9 @@
 
 Each builder returns a deterministic :class:`~repro.graph.graph.AttributedGraph`
 for a given seed.  The defaults are scaled-down surrogates of the paper's
-datasets (see DESIGN.md §2); the cluster counts, feature style, relative
-sparsity and class imbalance follow the originals.
+datasets, which the package neither ships nor downloads; the cluster
+counts, feature style, relative sparsity and class imbalance follow the
+originals, since those are what the R- operators interact with.
 
 The builders register themselves on :data:`DATASETS` — an instance of the
 generic :class:`repro.api.registry.Registry` — with their family

@@ -7,20 +7,19 @@ from repro.experiments.runner import (
     aggregate_reports,
 )
 from repro.experiments.tables import format_table, format_mean_std_table
-from repro.experiments.robustness import (
+from repro.experiments.studies import (
     edge_addition_study,
     edge_removal_study,
     feature_noise_study,
     feature_removal_study,
-)
-from repro.experiments.dynamics import learning_dynamics_study, latent_separability_study
-from repro.experiments.sensitivity import threshold_sensitivity_study, gamma_sensitivity_study
-from repro.experiments.ablation import (
+    threshold_sensitivity_study,
+    gamma_sensitivity_study,
     protection_vs_correction_fr,
     protection_vs_correction_fd,
     threshold_ablation,
     edge_operation_ablation,
 )
+from repro.experiments.dynamics import learning_dynamics_study, latent_separability_study
 from repro.experiments.timing import runtime_comparison
 
 __all__ = [

@@ -19,6 +19,7 @@ import numpy as np
 from repro.api.pipeline import Pipeline
 from repro.core.rethink import RethinkConfig, RethinkTrainer
 from repro.experiments.config import ExperimentConfig, rethink_hyperparameters
+from repro.experiments.studies import _graph_identity, _pretrained_state
 from repro.graph.graph import AttributedGraph
 from repro.graph.sparse import SparseAdjacency
 from repro.graph.stats import edge_count, star_subgraph_count
@@ -117,13 +118,13 @@ def latent_separability_study(
     The chunked, incremental protocol (resuming training of the *same*
     model object between checkpoints) is below the granularity of a
     :class:`~repro.api.Pipeline` run, so this study drives the
-    :class:`~repro.core.rethink.RethinkTrainer` directly.
+    :class:`~repro.core.rethink.RethinkTrainer` directly.  Its pretraining
+    comes from the per-process memo of :mod:`repro.experiments.studies`.
     """
     config = config or ExperimentConfig.fast()
-    # Shared pretraining.
-    pretrain_model = build_model(model_name, graph.num_features, graph.num_clusters, seed=seed)
-    pretrain_model.pretrain(graph, epochs=config.pretrain_epochs)
-    state = pretrain_model.state_dict()
+    state = _pretrained_state(
+        model_name, graph, config.pretrain_epochs, seed, _graph_identity(graph)
+    )
 
     def checkpoint_epochs(total: int) -> list:
         if checkpoints <= 1:

@@ -74,23 +74,27 @@ def _upper_edges_of_block(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)`` of the kept edges ``i < j`` of the row block at ``start``.
 
-    The plain SBM compares the uniforms with its two probabilities through
-    the same-label mask, so no float probability block is built; the
-    degree-corrected one needs the per-pair block.
+    The whole ``(rows, N)`` uniform block is drawn, which keeps the
+    generator stream that of one ``(N, N)`` draw, but only its columns
+    ``>= start`` can hold an edge ``i < j``, so only those are read.  The
+    plain SBM needs no per-pair block: since ``p_inter <= p_intra``, every
+    edge it keeps has ``u < p_intra``, so a first pass takes those
+    candidates and a second keeps a candidate when its labels match or
+    ``u < p_inter``.  The degree-corrected one needs the per-pair
+    probabilities.
     """
     block = slice(start, start + ROW_BLOCK)
-    same = labels[block, None] == labels[None, :]
+    uniforms = rng.random((labels[block].shape[0], labels.shape[0]))[:, start:]
     if propensity is None:
-        uniforms = rng.random(same.shape)
-        kept = np.where(same, uniforms < p_intra, uniforms < p_inter)
+        rows, cols = np.nonzero(uniforms < p_intra)
+        kept = (labels[block][rows] == labels[start:][cols]) | (uniforms[rows, cols] < p_inter)
+        rows, cols = rows[kept], cols[kept]
     else:
-        probs = np.where(same, p_intra, p_inter)
-        probs = np.clip(probs * propensity[block, None] * propensity[None, :], 0.0, 1.0)
-        kept = rng.random(probs.shape) < probs
-    rows, cols = np.nonzero(kept)
-    rows += start
+        probs = np.where(labels[block, None] == labels[None, start:], p_intra, p_inter)
+        probs = np.clip(probs * propensity[block, None] * propensity[None, start:], 0.0, 1.0)
+        rows, cols = np.nonzero(uniforms < probs)
     upper = cols > rows
-    return rows[upper], cols[upper]
+    return rows[upper] + start, cols[upper] + start
 
 
 def stochastic_block_model(

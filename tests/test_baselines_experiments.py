@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.api import Pipeline
 from repro.baselines import available_baselines, build_baseline
 from repro.experiments import (
     ExperimentConfig,
     aggregate_reports,
     edge_addition_study,
     edge_operation_ablation,
+    edge_removal_study,
+    feature_noise_study,
+    feature_removal_study,
     format_mean_std_table,
     format_table,
     gamma_sensitivity_study,
@@ -23,9 +29,18 @@ from repro.experiments import (
     threshold_ablation,
     threshold_sensitivity_study,
 )
+from repro.experiments import studies
 from repro.experiments.tables import format_simple_table
+from repro.graph import (
+    add_feature_noise,
+    add_random_edges,
+    drop_random_edges,
+    drop_random_features,
+)
 from repro.metrics import clustering_accuracy
 from repro.metrics.report import ClusteringReport
+from repro.models import build_model
+from repro.models.base import GAEClusteringModel
 
 
 TINY_CONFIG = ExperimentConfig(
@@ -190,3 +205,228 @@ class TestRunnersIntegration:
         assert len(history.omega_coverage) > 0
         assert result["final_report"] is not None
         assert all("num_edges" in info for info in result["graph_snapshot_summary"].values())
+
+
+@pytest.fixture()
+def empty_study_memos():
+    """Start from empty study memos (pretraining states, trial outcomes)."""
+    studies._states.clear()
+    studies._outcomes.clear()
+
+
+#: the budgets each study set on its trials before the shared runner.
+RETHINK_BUDGET = ("rethink_epochs",)
+BOTH_BUDGETS = ("clustering_epochs", "rethink_epochs")
+
+
+def _reference_trials(graph, cases, budgets, config=TINY_CONFIG, model_name="dgae", seed=0):
+    """The loop each study wrote out before the shared runner: build,
+    pretrain, take the state_dict, then one Pipeline per
+    (variant, overrides, options) case."""
+    model = build_model(model_name, graph.num_features, graph.num_clusters, seed=seed)
+    model.pretrain(graph, epochs=config.pretrain_epochs)
+    state = model.state_dict()
+    results = []
+    for variant, overrides, options in cases:
+        pipeline = (
+            Pipeline()
+            .graph(graph)
+            .model(model_name, **options)
+            .seed(seed)
+            .pretrained_state(state)
+            .training(**{budget: getattr(config, budget) for budget in budgets})
+        )
+        pipeline = pipeline.rethink(**overrides) if variant == "rethink" else pipeline.base()
+        results.append(pipeline.run())
+    return results
+
+
+def _reference_labelled(graph, labelled_overrides, key="case"):
+    results = _reference_trials(
+        graph, [("rethink", overrides, {}) for _, overrides in labelled_overrides], RETHINK_BUDGET
+    )
+    return [
+        {key: label, **result.report.as_dict()}
+        for (label, _), result in zip(labelled_overrides, results)
+    ]
+
+
+def _reference_fr(graph):
+    delays = (0, 5)
+    results = _reference_trials(
+        graph, [("rethink", {"protection_delay": delay}, {}) for delay in delays], RETHINK_BUDGET
+    )
+    return [
+        {"delay": delay, "mechanism": "protection" if delay == 0 else "correction",
+         **result.report.as_dict()}
+        for delay, result in zip(delays, results)
+    ]
+
+
+def _reference_robustness(graph, corrupt, levels):
+    rng_master = np.random.default_rng(0)
+    rows = []
+    for level in levels:
+        corrupted = corrupt(graph, level, np.random.default_rng(rng_master.integers(0, 2 ** 31)))
+        base, rethink = _reference_trials(
+            corrupted, [("base", {}, {}), ("rethink", {}, {})], BOTH_BUDGETS
+        )
+        rows.append(
+            {"level": level, "base": base.report.as_dict(), "rethink": rethink.report.as_dict()}
+        )
+    return rows
+
+
+def _unless_zero(edit):
+    return lambda graph, level, rng: graph if level == 0 else edit(graph, level, rng)
+
+
+def _reference_thresholds(graph):
+    grid = [(0.2, 0.1), (0.6, 0.1)]
+    results = _reference_trials(
+        graph, [("rethink", {"alpha1": a1, "alpha2": a2}, {}) for a1, a2 in grid], RETHINK_BUDGET
+    )
+    return [
+        {"alpha1": a1, "alpha2": a2, **result.report.as_dict(),
+         "final_coverage": result.history.omega_coverage[-1]}
+        for (a1, a2), result in zip(grid, results)
+    ]
+
+
+def _reference_gamma(graph):
+    rows = []
+    for gamma in (0.001, 1.0):
+        base, rethink = _reference_trials(
+            graph,
+            [("base", {}, {"gamma": gamma}), ("rethink", {"gamma": gamma}, {"gamma": gamma})],
+            BOTH_BUDGETS,
+        )
+        rows.append(
+            {"gamma": gamma, "base": base.report.as_dict(), "rethink": rethink.report.as_dict()}
+        )
+    return rows
+
+
+#: each study at TINY_CONFIG, beside the rows of the loop it ran before
+#: the shared runner.  The ambiguous tiny graph keeps the rows apart (on
+#: the easy one every row reads 1.0).
+STUDY_REFERENCES = {
+    "table6": (
+        lambda g: protection_vs_correction_fr("dgae", g, delays=(0, 5), config=TINY_CONFIG),
+        _reference_fr,
+    ),
+    "table7": (
+        lambda g: protection_vs_correction_fd("dgae", g, config=TINY_CONFIG),
+        lambda g: _reference_labelled(
+            g,
+            [("protection", {"single_step_transform": True}),
+             ("correction", {"single_step_transform": False})],
+            key="mechanism",
+        ),
+    ),
+    "table8": (
+        lambda g: threshold_ablation("dgae", g, config=TINY_CONFIG),
+        lambda g: _reference_labelled(
+            g,
+            [("ablation of alpha2", {"use_margin_criterion": False}),
+             ("ablation of alpha1", {"use_confidence_criterion": False}),
+             ("ablation of both", {"use_sampling": False}),
+             ("no ablation", {})],
+        ),
+    ),
+    "table9": (
+        lambda g: edge_operation_ablation("dgae", g, config=TINY_CONFIG),
+        lambda g: _reference_labelled(
+            g,
+            [("ablation of drop_edge", {"drop_edges": False}),
+             ("ablation of add_edge", {"add_edges": False}),
+             ("ablation of both", {"use_graph_transform": False}),
+             ("no ablation", {})],
+        ),
+    ),
+    "fig7_edges": (
+        lambda g: edge_addition_study("dgae", g, num_edges_levels=(0, 30), config=TINY_CONFIG),
+        lambda g: _reference_robustness(g, _unless_zero(add_random_edges), (0, 30)),
+    ),
+    "fig7_features": (
+        lambda g: feature_noise_study("dgae", g, variance_levels=(0.0, 0.1), config=TINY_CONFIG),
+        lambda g: _reference_robustness(g, add_feature_noise, (0.0, 0.1)),
+    ),
+    "fig8_edges": (
+        lambda g: edge_removal_study("dgae", g, num_edges_levels=(0, 30), config=TINY_CONFIG),
+        lambda g: _reference_robustness(g, _unless_zero(drop_random_edges), (0, 30)),
+    ),
+    "fig8_features": (
+        lambda g: feature_removal_study(
+            "dgae", g, num_columns_levels=(0, 10), config=TINY_CONFIG
+        ),
+        lambda g: _reference_robustness(g, _unless_zero(drop_random_features), (0, 10)),
+    ),
+    "fig11_12": (
+        lambda g: threshold_sensitivity_study(
+            "dgae", g, alpha1_values=(0.2, 0.6), alpha2_values=(0.1,), config=TINY_CONFIG
+        ),
+        _reference_thresholds,
+    ),
+    "fig13": (
+        lambda g: gamma_sensitivity_study(
+            "dgae", g, gamma_values=(0.001, 1.0), config=TINY_CONFIG
+        ),
+        _reference_gamma,
+    ),
+}
+
+
+@pytest.mark.slow
+class TestStudyRunner:
+    """The shared study runner: one pretraining and one run per identical trial."""
+
+    def test_one_pretraining_per_model_graph_and_budget(
+        self, tiny_graph, empty_study_memos, monkeypatch
+    ):
+        pretrained = []
+        original = GAEClusteringModel.pretrain
+
+        def counting(model, graph, epochs=200, optimizer=None):
+            if epochs > 0:
+                pretrained.append(epochs)
+            return original(model, graph, epochs, optimizer)
+
+        monkeypatch.setattr(GAEClusteringModel, "pretrain", counting)
+        threshold_ablation("dgae", tiny_graph, config=TINY_CONFIG)
+        edge_operation_ablation("dgae", tiny_graph, config=TINY_CONFIG)
+        assert pretrained == [TINY_CONFIG.pretrain_epochs]
+
+    def test_identical_trials_run_once(self, tiny_graph, empty_study_memos, monkeypatch):
+        variants = []
+        original = Pipeline.run
+
+        def counting(pipeline):
+            variants.append(pipeline.spec().variant)
+            return original(pipeline)
+
+        monkeypatch.setattr(Pipeline, "run", counting)
+        added = edge_addition_study("dgae", tiny_graph, num_edges_levels=(0,), config=TINY_CONFIG)
+        dropped = edge_removal_study("dgae", tiny_graph, num_edges_levels=(0,), config=TINY_CONFIG)
+        assert variants == ["base", "rethink"]
+        assert added == dropped
+
+    @pytest.mark.parametrize("study", sorted(STUDY_REFERENCES))
+    def test_rows_equal_the_per_study_loop(self, study, tiny_hard_graph, empty_study_memos):
+        run, reference = STUDY_REFERENCES[study]
+        assert run(tiny_hard_graph) == reference(tiny_hard_graph)
+
+    def test_rows_are_fresh_objects(self, tiny_graph):
+        def study_rows():
+            flat = threshold_sensitivity_study(
+                "dgae", tiny_graph, alpha1_values=(0.2,), alpha2_values=(0.1,), config=TINY_CONFIG
+            )
+            nested = gamma_sensitivity_study(
+                "dgae", tiny_graph, gamma_values=(1.0,), config=TINY_CONFIG
+            )
+            return flat, nested
+
+        flat, nested = study_rows()
+        expected = copy.deepcopy((flat, nested))
+        flat[0]["acc"] = nested[0]["base"]["acc"] = nested[0]["rethink"]["nmi"] = -1.0
+        assert study_rows() == expected

@@ -53,6 +53,36 @@ def _one_shot_sbm(num_nodes, proportions, p_intra, p_inter, rng, degree_exponent
     return (upper | upper.T).astype(np.float64), labels
 
 
+def _full_block_sbm(num_nodes, proportions, p_intra, p_inter, rng, degree_exponent=None):
+    """The row-block SBM generators before the two-pass block read: each
+    uniform block is compared over all N columns through a same-label
+    mask, and the upper triangle is kept afterwards."""
+    sizes = _cluster_sizes(num_nodes, proportions)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    propensity = None
+    if degree_exponent is not None:
+        propensity = rng.pareto(degree_exponent, size=num_nodes) + 1.0
+        propensity = propensity / propensity.mean()
+    sources, targets = [], []
+    for start in range(0, num_nodes, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        same = labels[block, None] == labels[None, :]
+        if propensity is None:
+            uniforms = rng.random(same.shape)
+            kept = np.where(same, uniforms < p_intra, uniforms < p_inter)
+        else:
+            probs = np.where(same, p_intra, p_inter)
+            probs = np.clip(probs * propensity[block, None] * propensity[None, :], 0.0, 1.0)
+            kept = rng.random(probs.shape) < probs
+        rows, cols = np.nonzero(kept)
+        rows += start
+        upper = cols > rows
+        sources.append(rows[upper])
+        targets.append(cols[upper])
+    edges = np.stack([np.concatenate(sources), np.concatenate(targets)], axis=1)
+    return SparseAdjacency.from_edges(edges, num_nodes), labels
+
+
 def _one_shot_features(labels, num_features, active_per_class, signal, noise, rng):
     """The historical planted-partition features: one (N, F) uniform draw."""
     features = (rng.random((labels.shape[0], num_features)) < noise).astype(np.float64)
@@ -270,6 +300,37 @@ class TestGenerators:
         np.testing.assert_array_equal(adjacency.to_dense(), expected)
         np.testing.assert_array_equal(labels, expected_labels)
         assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("num_nodes", [1, 7, 255, 256, 257, 600, 1000])
+    @pytest.mark.parametrize(
+        "p_intra, p_inter", [(0.3, 0.02), (0.05, 0.004), (0.1, 0.1), (0.2, 0.0), (1.0, 0.01)]
+    )
+    @pytest.mark.parametrize("degree_exponent", [None, 2.5])
+    def test_two_pass_block_read_matches_the_full_block(
+        self, num_nodes, p_intra, p_inter, degree_exponent
+    ):
+        """Reading only the columns >= a block's first row, in two passes
+        for the plain SBM, yields the CSR bytes and the generator state of
+        the full-block sampler."""
+        proportions = [0.5, 0.3, 0.2]
+        for seed in range(4):
+            reference_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected, expected_labels = _full_block_sbm(
+                num_nodes, proportions, p_intra, p_inter, reference_rng, degree_exponent
+            )
+            if degree_exponent is None:
+                adjacency, labels = stochastic_block_model(
+                    num_nodes, proportions, p_intra, p_inter, rng
+                )
+            else:
+                adjacency, labels = degree_corrected_sbm(
+                    num_nodes, proportions, p_intra, p_inter, rng, degree_exponent
+                )
+            for name in ("indptr", "indices", "data"):
+                actual, wanted = getattr(adjacency, name), getattr(expected, name)
+                assert actual.dtype == wanted.dtype and actual.tobytes() == wanted.tobytes()
+            np.testing.assert_array_equal(labels, expected_labels)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("num_nodes", [ROW_BLOCK // 2 + 1, 2 * ROW_BLOCK + 37])
     @pytest.mark.parametrize("noise", [0.01, 0.0])
